@@ -15,7 +15,7 @@ Edges are accepted in either endpoint order on read.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InvalidParameterError
 
@@ -26,6 +26,14 @@ def _normalize_edge(u: int, v: int, n: int) -> tuple[int, int]:
     if not (0 <= u < n and 0 <= v < n):
         raise InvalidParameterError(f"edge ({u},{v}) out of range for n={n}")
     return (u, v) if u < v else (v, u)
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a nonnegative mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask &= mask - 1
 
 
 class Graph:

@@ -31,14 +31,15 @@ from itertools import chain, combinations
 
 from .covers import (
     CliqueCover,
+    Verdict,
     complement_cycle_cover,
     cover_to_json_dict,
     cycle_cover,
     verify_ecc,
     verify_p_ecc,
 )
-from .errors import InvalidParameterError, ScaleError, UnsupportedInstanceError
-from .graphs import Graph, complement, make_cycle
+from .errors import InvalidParameterError, PcompError, ScaleError, UnsupportedInstanceError
+from .graphs import Graph, complement, iter_bits, make_cycle
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,8 @@ class SearchResult:
             "outcome": self.outcome,
             "value": self.value,
             "certificate": (
-                cover_to_json_dict(self.certificate) if self.certificate else None),
+                cover_to_json_dict(self.certificate)
+                if self.certificate is not None else None),
             "nodes": self.nodes,
         }
 
@@ -76,6 +78,15 @@ class Decision:
     value: bool
     method: str
     cover_size: int | None = None
+
+
+def _check_certificate(verdict: Verdict, n: int, p: int) -> None:
+    """Refuse to return a certificate the verifier rejects; unlike an
+    assert, this check also runs under python -O."""
+    if not verdict.valid:
+        raise PcompError(
+            f"search certificate failed verification (n={n}, p={p}): "
+            f"{verdict.reason} at {verdict.pair}")
 
 
 def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
@@ -111,13 +122,6 @@ def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
     expand(0, (1 << g.n) - 1, 0)
     cliques = [frozenset(v for v in range(g.n) if mask >> v & 1) for mask in found]
     return sorted(cliques, key=lambda c: tuple(sorted(c)))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
 
 
 def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> SearchResult:
@@ -172,7 +176,7 @@ def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> Search
             return
         # branch on the uncovered edge with the fewest covering cliques
         branch_edge, fewest = -1, None
-        for e in _bits(uncovered):
+        for e in iter_bits(uncovered):
             k = len(covering[e])
             if fewest is None or k < fewest:
                 branch_edge, fewest = e, k
@@ -207,10 +211,11 @@ def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> Search
             chosen.pop()
         return False
 
-    ok = lex(0, full, best)
-    assert ok, "optimal value found but no certificate reconstructed"
+    if not lex(0, full, best):
+        raise PcompError(
+            f"optimum {best} found but no certificate reconstructed (n={g.n}, p=1)")
     certificate = CliqueCover(g.n, tuple(cliques[i] for i in chosen))
-    assert verify_ecc(g, certificate).valid
+    _check_certificate(verify_ecc(g, certificate), g.n, 1)
     return SearchResult(value=best, certificate=certificate, nodes=nodes)
 
 
@@ -302,7 +307,7 @@ def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResu
         if search(r, 0):
             certificate = CliqueCover(
                 n, tuple(frozenset(alphabet[i]) for i in chosen))
-            assert verify_p_ecc(g, certificate, p).valid
+            _check_certificate(verify_p_ecc(g, certificate, p), n, p)
             return SearchResult(value=r, certificate=certificate, nodes=nodes)
     return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)
 

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -6,7 +7,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hypothesis import strategies as st
 
-from pcomp import CliqueCover, Digraph, Graph
+from pcomp import (
+    REASON_FAMILY_SMALLER_THAN_P,
+    REASON_NONEDGE_IN_P_SETS,
+    REASON_UNCOVERED_EDGE,
+    CliqueCover,
+    Digraph,
+    Graph,
+    Verdict,
+)
 
 
 @st.composite
@@ -58,6 +67,28 @@ def literal_verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> bool:
         if not any(u in s and v in s for s in intersections):
             return False
     return True
+
+
+def reference_verdict(g: Graph, f: CliqueCover, p: int) -> Verdict:
+    """verify_p_ecc as it was before the bitmask kernel: count every pair
+    incidence of every set in a Counter, then report the least saturated
+    nonedge, else the least edge below p.  Kept as the reference the
+    bitmask verifier must match verdict for verdict."""
+    edges = sorted(g.edges)
+    if len(f.sets) < p and edges:
+        return Verdict(False, REASON_FAMILY_SMALLER_THAN_P, edges[0])
+    counts = Counter()
+    for s in f.sets:
+        for pair in combinations(sorted(s), 2):
+            counts[pair] += 1
+    saturated_nonedges = sorted(
+        pair for pair, c in counts.items() if c >= p and not g.has_edge(*pair))
+    if saturated_nonedges:
+        return Verdict(False, REASON_NONEDGE_IN_P_SETS, saturated_nonedges[0])
+    for e in edges:
+        if counts.get(e, 0) < p:
+            return Verdict(False, REASON_UNCOVERED_EDGE, e)
+    return Verdict(True)
 
 
 def random_instance(rng, max_n=7, max_sets=10, max_p=3):

@@ -164,6 +164,15 @@ class TestOracleCommands:
         assert len(data["certificate"]["sets"]) == 5
         assert data["nodes"] > 0
 
+    def test_theta_e_edgeless_prints_empty_certificate(self, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 3, "edges": []}))
+        res = run_cli("theta-e", g)
+        assert res.returncode == 0
+        data = json.loads(res.stdout)
+        assert data["value"] == 0
+        assert data["certificate"] == {"n": 3, "sets": []}
+
     def test_theta_e_p_exceeds(self, tmp_path):
         g = tmp_path / "g.json"
         run_cli("gen", "cycle", "--n", 4, "--out", g)

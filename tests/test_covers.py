@@ -1,11 +1,12 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_cover_p, literal_verify_p_ecc
+from conftest import graph_cover_p, literal_verify_p_ecc, reference_verdict
 from pcomp import (
     REASON_FAMILY_SMALLER_THAN_P,
     REASON_NONEDGE_IN_P_SETS,
@@ -114,6 +115,48 @@ class TestVerifyPEcc:
         padded = CliqueCover(max(f.n, len(f.sets)), f.sets)
         g = p_competition_graph(realize(padded), p)
         assert verify_p_ecc(g, padded, p).valid
+
+
+def _structured_instances(family, n):
+    """A construction's certificate for n, plus two seeded mutants: one set
+    dropped, and a nonedge appended as a pair set until it reaches p sets."""
+    rng = random.Random(f"{family}-{n}")
+    if family == "cycle":
+        p = rng.randint(1, n - 3)
+        g, f = make_cycle(n), cycle_cover(n, p)
+    else:
+        p = rng.randint(1, 5)
+        g, f = complement(make_cycle(n)), lift_cover(complement_cycle_cover(n), p)
+    nonedges = [pr for pr in combinations(range(n), 2) if not g.has_edge(*pr)]
+    u, v = rng.choice(nonedges)
+    k = rng.randrange(len(f.sets))
+    dropped = CliqueCover(n, f.sets[:k] + f.sets[k + 1:])
+    saturated = CliqueCover(
+        n, [*f.sets, *[(u, v)] * (p - co_occurrences(f, u, v))])
+    return g, p, (f, dropped, saturated)
+
+
+class TestVerdictMatchesReference:
+    """The bitmask verifier returns the Counter-based verifier's verdict,
+    witness pair included."""
+
+    @settings(max_examples=500)
+    @given(graph_cover_p())
+    def test_random_families(self, instance):
+        g, f, p = instance
+        assert verify_p_ecc(g, f, p) == reference_verdict(g, f, p)
+
+    @pytest.mark.parametrize("family,n", [
+        *(("cycle", n) for n in range(4, 61)),
+        *(("co-cycle", n) for n in range(5, 61)),
+    ])
+    def test_constructions_and_mutants(self, family, n):
+        g, p, families = _structured_instances(family, n)
+        verdicts = [verify_p_ecc(g, f, p) for f in families]
+        assert verdicts == [reference_verdict(g, f, p) for f in families]
+        valid, _, saturated = verdicts
+        assert valid.valid
+        assert saturated.reason == REASON_NONEDGE_IN_P_SETS
 
 
 class TestCycleCover:

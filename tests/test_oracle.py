@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs, literal_verify_p_ecc
+import pcomp.oracle
 from pcomp import (
     CliqueCover,
     Graph,
     InvalidParameterError,
+    PcompError,
     ScaleError,
     UnsupportedInstanceError,
+    Verdict,
     complement,
     exact_theta_e,
     exact_theta_e_p,
@@ -82,6 +85,14 @@ class TestExactThetaE:
         result = exact_theta_e(Graph(5))
         assert result.value == 0
         assert len(result.certificate.sets) == 0
+        # an empty cover has length 0, which must not read as "no certificate"
+        assert result.to_json_dict()["certificate"] == {"n": 5, "sets": []}
+
+    def test_rejected_certificate_raises_pcomp_error(self, monkeypatch):
+        monkeypatch.setattr(
+            pcomp.oracle, "verify_ecc", lambda g, f: Verdict(False, "stub", (0, 2)))
+        with pytest.raises(PcompError, match="n=6, p=1"):
+            exact_theta_e(complement(make_cycle(6)))
 
     def test_upper_bound_exceeded(self):
         result = exact_theta_e(complement(make_cycle(7)), upper=5)
@@ -122,6 +133,14 @@ class TestExactThetaEP:
     def test_edgeless_needs_nothing(self):
         result = exact_theta_e_p(Graph(4), 3, 0)
         assert result.value == 0
+        assert result.to_json_dict()["certificate"] == {"n": 4, "sets": []}
+
+    def test_rejected_certificate_raises_pcomp_error(self, monkeypatch):
+        monkeypatch.setattr(
+            pcomp.oracle, "verify_p_ecc",
+            lambda g, f, p: Verdict(False, "stub", (0, 2)))
+        with pytest.raises(PcompError, match="n=5, p=2"):
+            exact_theta_e_p(make_cycle(5), 2, 5)
 
     def test_budget_below_p_with_edges(self):
         result = exact_theta_e_p(make_cycle(4), 3, 2)
