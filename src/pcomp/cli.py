@@ -5,8 +5,11 @@ decide, survey.  Objects travel as JSON (optionally DOT for graphs and
 digraphs), survey tables as TSV.
 
 Exit codes: 0 success / valid / positive decision, 1 invalid cover or
-negative decision, 2 input or parameter problems, 3 infeasible parameters
-or an exceeded search guard.
+negative decision, 2 input or parameter problems (including unreadable,
+non-UTF-8 or malformed JSON files), 3 infeasible parameters, an exceeded
+search guard, or any other pcomp error (a search certificate the verifier
+rejects, or the two `decide --method both` paths disagreeing).  Every
+failure ends with a one-line `pcomp:` message on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .covers import (
 from .errors import (
     InfeasibleError,
     InvalidParameterError,
+    PcompError,
     ScaleError,
     UnsupportedInstanceError,
 )
@@ -314,9 +318,12 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParameterError, UnsupportedInstanceError) as exc:
         print(f"pcomp: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"pcomp: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except PcompError as exc:
+        print(f"pcomp: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

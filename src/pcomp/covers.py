@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InfeasibleError, InvalidParameterError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, vertex_lists_from_json
 
 REASON_UNCOVERED_EDGE = "uncovered-edge"
 REASON_NONEDGE_IN_P_SETS = "nonedge-in-p-sets"
@@ -241,15 +241,4 @@ def cover_to_json_dict(f: CliqueCover) -> dict:
 
 
 def cover_from_json_dict(data: dict) -> CliqueCover:
-    try:
-        n = data["n"]
-        sets = data["sets"]
-    except (TypeError, KeyError) as exc:
-        raise InvalidParameterError(f"cover JSON needs 'n' and 'sets': {exc}") from exc
-    if not isinstance(n, int):
-        raise InvalidParameterError("cover JSON field 'n' must be an integer")
-    try:
-        parsed = [[int(v) for v in s] for s in sets]
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed set list: {exc}") from exc
-    return CliqueCover(n, parsed)
+    return CliqueCover(*vertex_lists_from_json(data, "cover", "sets"))

@@ -10,7 +10,8 @@ JSON wire formats:
     graph   {"n": <int>, "edges": [[i, j], ...]}   (i < j on write)
     digraph {"n": <int>, "arcs":  [[x, v], ...]}   (loops [x, x] allowed)
 
-Edges are accepted in either endpoint order on read.
+Edges are accepted in either endpoint order on read.  ``n`` and every
+vertex must be a JSON integer (not a boolean, float or string).
 """
 
 from __future__ import annotations
@@ -128,11 +129,11 @@ def make_cycle(n: int) -> Graph:
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of g."""
+    full = (1 << g.n) - 1
     edges = [
         (u, v)
         for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
+        for v in iter_bits(~g.neighbor_mask(u) & full & -(2 << u))
     ]
     return Graph(g.n, edges)
 
@@ -159,23 +160,42 @@ def is_clique(g: Graph, members: Iterable[int]) -> bool:
 # --- JSON / DOT ---------------------------------------------------------
 
 
+def vertex_lists_from_json(data: dict, kind: str, field: str,
+                           arity: int | None = None) -> tuple[int, list[list[int]]]:
+    """Read ``n`` and the vertex lists under ``field`` of a JSON object.
+
+    Only plain integers pass, as ``n`` and as vertices: booleans, floats and
+    numeric strings are rejected rather than coerced.  With ``arity`` given,
+    every list must have exactly that many vertices.
+    """
+    try:
+        n = data["n"]
+        rows = data[field]
+    except (TypeError, KeyError) as exc:
+        raise InvalidParameterError(f"{kind} JSON needs 'n' and '{field}': {exc}") from exc
+    if type(n) is not int:
+        raise InvalidParameterError(f"{kind} JSON field 'n' must be an integer, got {n!r}")
+    try:
+        lists = [list(row) for row in rows]
+    except TypeError as exc:
+        raise InvalidParameterError(f"malformed {kind} {field}: {exc}") from exc
+    for row in lists:
+        if arity is not None and len(row) != arity:
+            raise InvalidParameterError(
+                f"malformed {kind} {field}: {row!r} does not have {arity} vertices")
+        for v in row:
+            if type(v) is not int:
+                raise InvalidParameterError(
+                    f"malformed {kind} {field}: vertex {v!r} is not an integer")
+    return n, lists
+
+
 def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
 
 
 def graph_from_json_dict(data: dict) -> Graph:
-    try:
-        n = data["n"]
-        edges = data["edges"]
-    except (TypeError, KeyError) as exc:
-        raise InvalidParameterError(f"graph JSON needs 'n' and 'edges': {exc}") from exc
-    if not isinstance(n, int):
-        raise InvalidParameterError("graph JSON field 'n' must be an integer")
-    try:
-        pairs = [(int(u), int(v)) for u, v in edges]
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed edge list: {exc}") from exc
-    return Graph(n, pairs)
+    return Graph(*vertex_lists_from_json(data, "graph", "edges", arity=2))
 
 
 def digraph_to_json_dict(d: Digraph) -> dict:
@@ -183,18 +203,7 @@ def digraph_to_json_dict(d: Digraph) -> dict:
 
 
 def digraph_from_json_dict(data: dict) -> Digraph:
-    try:
-        n = data["n"]
-        arcs = data["arcs"]
-    except (TypeError, KeyError) as exc:
-        raise InvalidParameterError(f"digraph JSON needs 'n' and 'arcs': {exc}") from exc
-    if not isinstance(n, int):
-        raise InvalidParameterError("digraph JSON field 'n' must be an integer")
-    try:
-        pairs = [(int(x), int(v)) for x, v in arcs]
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed arc list: {exc}") from exc
-    return Digraph(n, pairs)
+    return Digraph(*vertex_lists_from_json(data, "digraph", "arcs", arity=2))
 
 
 def graph_to_dot(g: Graph) -> str:

@@ -2,21 +2,35 @@
 
 Three exact searches, all deterministic:
 
-  * maximal_cliques       Bron-Kerbosch with pivoting on bitmasks.
-  * exact_theta_e         minimum edge clique cover size, branch and bound
-                          over maximal cliques (growing any cover set to a
-                          maximal clique never hurts coverage).
-  * exact_theta_e_p       minimum p-edge clique cover size up to a budget.
-                          Sets in a p-cover need not be cliques for p >= 2,
-                          so this searches arbitrary vertex subsets, with
-                          canonical-order symmetry breaking (families are
-                          nondecreasing in a fixed total order on subsets)
-                          and incremental pair-count pruning.
+  * maximal_cliques   Bron-Kerbosch with pivoting on bitmasks.
+  * exact_theta_e     minimum edge clique cover size: the cover search at
+                      p = 1 over the maximal cliques (growing any cover set
+                      to a maximal clique never hurts coverage).
+  * exact_theta_e_p   minimum p-edge clique cover size up to a budget: the
+                      cover search over every vertex subset of two or more
+                      members (sets in a p-cover need not be cliques).
 
-Certificates are lexicographically least among the optimal families under
-the canonical subset order, so repeated runs return identical results.
-Scale guards are explicit parameters with safe defaults rather than hard
-limits.
+The one cover search deepens the family size r from p up to the budget.
+At each r a depth-first search runs over nondecreasing sequences of
+alphabet indices, so the first family found is the lexicographically
+least one of the least size, and repeated runs return identical results.
+Pair counts are bit-sliced over pair indices: ge[k] is the mask of pairs
+lying in more than k chosen sets, so each rule is a few ANDs and popcounts.
+A partial family is pruned when
+
+  * some edge lacks more counts than there are slots left,
+  * some deficient edge lies in no set at or after the current index,
+  * the total deficit exceeds the slots times the most edges one of the
+    remaining sets holds, or
+  * more deficient edges than slots pairwise share no alphabet set, so
+    each needs a set of its own (the packing bound of Gramm, Guo, Hüffner
+    and Niedermeier, ACM JEA 13, 2008; it never fires over all subsets).
+
+A candidate set is skipped when it would put a nonadjacent pair into p
+sets, when it holds no deficient edge (dropping it would leave a valid
+family of r - 1 sets, which the previous round ruled out), or when the
+sets from it on no longer hold every deficient edge.  Scale guards are
+explicit parameters with safe defaults rather than hard limits.
 
 is_p_competition combines the constructive route (cycle and cycle-
 complement covers plus lifting) with the exhaustive route (a graph on n
@@ -34,8 +48,6 @@ from .covers import (
     Verdict,
     complement_cycle_cover,
     cover_to_json_dict,
-    cycle_cover,
-    verify_ecc,
     verify_p_ecc,
 )
 from .errors import InvalidParameterError, PcompError, ScaleError, UnsupportedInstanceError
@@ -124,113 +136,122 @@ def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
     return sorted(cliques, key=lambda c: tuple(sorted(c)))
 
 
-def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> SearchResult:
-    """Exact minimum edge clique cover size, with an optimal cover.
+def _cover_search(g: Graph, p: int, alphabet: list[tuple[int, ...]],
+                  budget: int) -> SearchResult:
+    """Least r <= budget with a p-edge clique cover of g by r alphabet sets,
+    and the lexicographically least such family over alphabet indices.
 
-    Set cover over the edges using maximal cliques as candidate sets.  With
-    ``upper`` given, returns exceeds-bound instead when the minimum is
-    larger.  Edgeless graphs need zero cliques.
+    g must have an edge.  Sets may repeat; families are nondecreasing in
+    the alphabet order.
     """
-    if g.n > guard:
-        raise ScaleError(
-            f"exact cover search requires n <= {guard} (got {g.n}); raise guard to override")
-    edges = sorted(g.edges)
-    if not edges:
-        return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
-
-    cliques = [c for c in maximal_cliques(g) if len(c) >= 2]
-    edge_index = {e: i for i, e in enumerate(edges)}
+    n = g.n
+    pair_index = {pr: k for k, pr in enumerate(combinations(range(n), 2))}
+    edges = 0
+    for e in g.edges:
+        edges |= 1 << pair_index[e]
+    nonedges = ((1 << len(pair_index)) - 1) & ~edges
     masks = []
-    for c in cliques:
-        mask = 0
-        for pair in combinations(sorted(c), 2):
-            mask |= 1 << edge_index[pair]
-        masks.append(mask)
-    m = len(edges)
-    full = (1 << m) - 1
-    covering = [[i for i, cm in enumerate(masks) if cm >> e & 1] for e in range(m)]
-    max_cover = max(cm.bit_count() for cm in masks)
+    for s in alphabet:
+        m = 0
+        for pr in combinations(s, 2):
+            m |= 1 << pair_index[pr]
+        masks.append(m)
+    size = len(masks)
+    # reach[i]: pairs held by a set at index >= i; gain[i]: the most edges
+    # one such set holds; together[k]: edges sharing some set with pair k
+    reach = [0] * (size + 1)
+    gain = [0] * (size + 1)
+    for i in range(size - 1, -1, -1):
+        reach[i] = reach[i + 1] | masks[i]
+        gain[i] = max(gain[i + 1], (masks[i] & edges).bit_count())
+    together = [0] * len(pair_index)
+    for m in masks:
+        for k in iter_bits(m & edges):
+            together[k] |= m & edges
+
+    top = p - 1
+    levels = range(1, p)
+    chosen: list[int] = []
     nodes = 0
 
-    # greedy cover for the initial upper bound
-    best = 0
-    uncovered = full
-    while uncovered:
-        gain, pick = 0, -1
-        for i, cm in enumerate(masks):
-            got = (cm & uncovered).bit_count()
-            if got > gain:
-                gain, pick = got, i
-        uncovered &= ~masks[pick]
-        best += 1
-
-    def descend(uncovered: int, depth: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if not uncovered:
-            if depth < best:
-                best = depth
-            return
-        remaining = uncovered.bit_count()
-        if depth + (remaining + max_cover - 1) // max_cover >= best:
-            return
-        # branch on the uncovered edge with the fewest covering cliques
-        branch_edge, fewest = -1, None
-        for e in iter_bits(uncovered):
-            k = len(covering[e])
-            if fewest is None or k < fewest:
-                branch_edge, fewest = e, k
-        for i in covering[branch_edge]:
-            descend(uncovered & ~masks[i], depth + 1)
-
-    descend(full, 0)
-    if upper is not None and best > upper:
-        return SearchResult(value=None, certificate=None, nodes=nodes, bound=upper)
-
-    # lexicographically least optimal cover, ascending over candidate indices
-    suffix_union = [0] * (len(masks) + 1)
-    for i in range(len(masks) - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | masks[i]
-    chosen: list[int] = []
-
-    def lex(start: int, uncovered: int, left: int) -> bool:
+    def search(ge: list[int], slots: int, lo: int) -> bool:
+        # ge[k]: pairs lying in more than k chosen sets
         nonlocal nodes
         nodes += 1
-        if not uncovered:
+        short = edges & ~ge[top]
+        if not short:
             return True
-        if left == 0 or uncovered & ~suffix_union[start]:
-            return False
-        if (uncovered.bit_count() + max_cover - 1) // max_cover > left:
-            return False
-        for i in range(start, len(masks)):
-            if not masks[i] & uncovered:
+        if slots <= top and edges & ~ge[top - slots]:
+            return False  # some edge lacks more counts than slots remain
+        if short & ~reach[lo]:
+            return False  # some deficient edge is in no remaining set
+        deficit = 0
+        for at_least in ge:
+            deficit += (edges & ~at_least).bit_count()
+        if deficit > slots * gain[lo]:
+            return False  # the slots left cannot add the missing counts
+        # packing: deficient edges no single set holds together need a set each
+        packed = 0
+        left = short
+        while left:
+            packed += 1
+            if packed > slots:
+                return False
+            left &= ~together[(left & -left).bit_length() - 1]
+        # candidates end where reach stops holding every deficient edge
+        a, b = lo + 1, size
+        while a < b:
+            mid = (a + b) // 2
+            if short & ~reach[mid]:
+                b = mid
+            else:
+                a = mid + 1
+        blocked = nonedges & ge[top - 1] if top else nonedges
+        for i in range(lo, a):
+            m = masks[i]
+            # a set without a deficient edge could be dropped, leaving a
+            # valid family of r - 1 sets, which the previous round ruled out
+            if not m & short or m & blocked:
                 continue
+            child = [ge[0] | m]
+            for k in levels:
+                child.append(ge[k] | (ge[k - 1] & m))
             chosen.append(i)
-            if lex(i + 1, uncovered & ~masks[i], left - 1):
+            if search(child, slots - 1, i):
                 return True
             chosen.pop()
         return False
 
-    if not lex(0, full, best):
-        raise PcompError(
-            f"optimum {best} found but no certificate reconstructed (n={g.n}, p=1)")
-    certificate = CliqueCover(g.n, tuple(cliques[i] for i in chosen))
-    _check_certificate(verify_ecc(g, certificate), g.n, 1)
-    return SearchResult(value=best, certificate=certificate, nodes=nodes)
+    for r in range(p, budget + 1):
+        if search([0] * p, r, 0):
+            certificate = CliqueCover(n, tuple(frozenset(alphabet[i]) for i in chosen))
+            _check_certificate(verify_p_ecc(g, certificate, p), n, p)
+            return SearchResult(value=r, certificate=certificate, nodes=nodes)
+    return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)
+
+
+def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> SearchResult:
+    """Exact minimum edge clique cover size, with an optimal cover.
+
+    The cover search at p = 1 over the maximal cliques.  With ``upper``
+    given, returns exceeds-bound instead when the minimum is larger.
+    Edgeless graphs need zero cliques.
+    """
+    if g.n > guard:
+        raise ScaleError(
+            f"exact cover search requires n <= {guard} (got {g.n}); raise guard to override")
+    if not g.edges:
+        return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
+    cliques = [tuple(sorted(c)) for c in maximal_cliques(g) if len(c) >= 2]
+    return _cover_search(g, 1, cliques, len(cliques) if upper is None else upper)
 
 
 def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResult:
     """Smallest r <= budget admitting a p-edge clique cover of r sets.
 
-    Iterative deepening over the family size; at each size a depth-first
-    search runs over nondecreasing sequences of subsets in canonical
-    (sorted-tuple) order.  Subsets with fewer than two members touch no
-    pair and can be dropped from any valid family, so they are excluded
-    from the search alphabet.  Pruning is by pair counts only and is
-    exhaustive: a nonadjacent pair may never reach p common sets, every
-    deficient edge needs one future set per missing count, and the total
-    deficit cannot exceed the remaining slots times the best remaining
-    per-set edge gain.
+    The cover search over every vertex subset with at least two members,
+    in sorted-tuple order; smaller subsets touch no pair and can be dropped
+    from any valid family.
     """
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
@@ -241,75 +262,9 @@ def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResu
             f"p-cover search requires n <= {guard} (got {g.n}); raise guard to override")
     if not g.edges:
         return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
-
-    n = g.n
-    pairs = list(combinations(range(n), 2))
-    pair_id = {pr: k for k, pr in enumerate(pairs)}
-    edge_flag = [pr in g.edges for pr in pairs]
-    edge_ids = [pair_id[e] for e in sorted(g.edges)]
-
     alphabet = sorted(
-        chain.from_iterable(combinations(range(n), k) for k in range(2, n + 1)))
-    member_pairs = [[pair_id[pr] for pr in combinations(s, 2)] for s in alphabet]
-    edge_gain = [sum(1 for k in mp if edge_flag[k]) for mp in member_pairs]
-
-    last_cover = {eid: -1 for eid in edge_ids}
-    for i, mp in enumerate(member_pairs):
-        for k in mp:
-            if edge_flag[k]:
-                last_cover[k] = i
-
-    size = len(alphabet)
-    suffix_best_gain = [0] * (size + 1)
-    for i in range(size - 1, -1, -1):
-        suffix_best_gain[i] = max(suffix_best_gain[i + 1], edge_gain[i])
-
-    counts = [0] * len(pairs)
-    chosen: list[int] = []
-    nodes = 0
-    cap = p - 1  # co-occurrence ceiling for nonadjacent pairs
-
-    def search(slots: int, lo: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        deficit_total = 0
-        for eid in edge_ids:
-            d = p - counts[eid]
-            if d > 0:
-                if d > slots or last_cover[eid] < lo:
-                    return False
-                deficit_total += d
-        if slots == 0:
-            return True
-        if deficit_total > slots * suffix_best_gain[lo]:
-            return False
-        for i in range(lo, size):
-            mp = member_pairs[i]
-            blocked = False
-            for k in mp:
-                if counts[k] >= cap and not edge_flag[k]:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            for k in mp:
-                counts[k] += 1
-            chosen.append(i)
-            if search(slots - 1, i):
-                return True
-            chosen.pop()
-            for k in mp:
-                counts[k] -= 1
-        return False
-
-    for r in range(p, budget + 1):
-        chosen.clear()
-        if search(r, 0):
-            certificate = CliqueCover(
-                n, tuple(frozenset(alphabet[i]) for i in chosen))
-            _check_certificate(verify_p_ecc(g, certificate, p), n, p)
-            return SearchResult(value=r, certificate=certificate, nodes=nodes)
-    return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)
+        chain.from_iterable(combinations(range(g.n), k) for k in range(2, g.n + 1)))
+    return _cover_search(g, p, alphabet, budget)
 
 
 def _constructive_decision(g: Graph, p: int) -> Decision | None:
@@ -370,7 +325,7 @@ def is_p_competition(g: Graph, p: int, method: str = "auto",
                 "no constructive decision for this graph/p combination")
         oracle = _oracle_decision(g, p, guard)
         if oracle.value != constructive.value:
-            raise AssertionError(
+            raise PcompError(
                 f"construction and exhaustive search disagree on n={g.n}, p={p}: "
                 f"{constructive.value} vs {oracle.value}")
         size = (constructive.cover_size if constructive.cover_size is not None

@@ -1,6 +1,6 @@
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -14,8 +14,17 @@ from pcomp import (
     CliqueCover,
     Digraph,
     Graph,
+    InvalidParameterError,
+    PcompError,
+    ScaleError,
+    SearchResult,
     Verdict,
+    maximal_cliques,
+    verify_ecc,
+    verify_p_ecc,
 )
+from pcomp.graphs import iter_bits
+from pcomp.oracle import _check_certificate
 
 
 @st.composite
@@ -100,3 +109,200 @@ def random_instance(rng, max_n=7, max_sets=10, max_p=3):
     for _ in range(rng.randint(0, max_sets)):
         sets.append([v for v in range(n) if rng.random() < 0.45])
     return g, CliqueCover(n, sets), rng.randint(1, max_p)
+
+
+def reference_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> SearchResult:
+    """exact_theta_e as it was before the single cover search: a greedy
+    bound, branch and bound over maximal cliques, then a second pass for
+    the lexicographically least optimal cover.  Kept as the reference the
+    cover search must match in value, certificate and bound.
+
+    Exact minimum edge clique cover size, with an optimal cover.
+
+    Set cover over the edges using maximal cliques as candidate sets.  With
+    ``upper`` given, returns exceeds-bound instead when the minimum is
+    larger.  Edgeless graphs need zero cliques.
+    """
+    if g.n > guard:
+        raise ScaleError(
+            f"exact cover search requires n <= {guard} (got {g.n}); raise guard to override")
+    edges = sorted(g.edges)
+    if not edges:
+        return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
+
+    cliques = [c for c in maximal_cliques(g) if len(c) >= 2]
+    edge_index = {e: i for i, e in enumerate(edges)}
+    masks = []
+    for c in cliques:
+        mask = 0
+        for pair in combinations(sorted(c), 2):
+            mask |= 1 << edge_index[pair]
+        masks.append(mask)
+    m = len(edges)
+    full = (1 << m) - 1
+    covering = [[i for i, cm in enumerate(masks) if cm >> e & 1] for e in range(m)]
+    max_cover = max(cm.bit_count() for cm in masks)
+    nodes = 0
+
+    # greedy cover for the initial upper bound
+    best = 0
+    uncovered = full
+    while uncovered:
+        gain, pick = 0, -1
+        for i, cm in enumerate(masks):
+            got = (cm & uncovered).bit_count()
+            if got > gain:
+                gain, pick = got, i
+        uncovered &= ~masks[pick]
+        best += 1
+
+    def descend(uncovered: int, depth: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if not uncovered:
+            if depth < best:
+                best = depth
+            return
+        remaining = uncovered.bit_count()
+        if depth + (remaining + max_cover - 1) // max_cover >= best:
+            return
+        # branch on the uncovered edge with the fewest covering cliques
+        branch_edge, fewest = -1, None
+        for e in iter_bits(uncovered):
+            k = len(covering[e])
+            if fewest is None or k < fewest:
+                branch_edge, fewest = e, k
+        for i in covering[branch_edge]:
+            descend(uncovered & ~masks[i], depth + 1)
+
+    descend(full, 0)
+    if upper is not None and best > upper:
+        return SearchResult(value=None, certificate=None, nodes=nodes, bound=upper)
+
+    # lexicographically least optimal cover, ascending over candidate indices
+    suffix_union = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        suffix_union[i] = suffix_union[i + 1] | masks[i]
+    chosen: list[int] = []
+
+    def lex(start: int, uncovered: int, left: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if not uncovered:
+            return True
+        if left == 0 or uncovered & ~suffix_union[start]:
+            return False
+        if (uncovered.bit_count() + max_cover - 1) // max_cover > left:
+            return False
+        for i in range(start, len(masks)):
+            if not masks[i] & uncovered:
+                continue
+            chosen.append(i)
+            if lex(i + 1, uncovered & ~masks[i], left - 1):
+                return True
+            chosen.pop()
+        return False
+
+    if not lex(0, full, best):
+        raise PcompError(
+            f"optimum {best} found but no certificate reconstructed (n={g.n}, p=1)")
+    certificate = CliqueCover(g.n, tuple(cliques[i] for i in chosen))
+    _check_certificate(verify_ecc(g, certificate), g.n, 1)
+    return SearchResult(value=best, certificate=certificate, nodes=nodes)
+
+
+def reference_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResult:
+    """exact_theta_e_p as it was before the single cover search, with a
+    per-pair count list updated one pair at a time.  Kept as the reference
+    the cover search must match in value, certificate and bound.
+
+    Smallest r <= budget admitting a p-edge clique cover of r sets.
+
+    Iterative deepening over the family size; at each size a depth-first
+    search runs over nondecreasing sequences of subsets in canonical
+    (sorted-tuple) order.  Subsets with fewer than two members touch no
+    pair and can be dropped from any valid family, so they are excluded
+    from the search alphabet.  Pruning is by pair counts only and is
+    exhaustive: a nonadjacent pair may never reach p common sets, every
+    deficient edge needs one future set per missing count, and the total
+    deficit cannot exceed the remaining slots times the best remaining
+    per-set edge gain.
+    """
+    if p < 1:
+        raise InvalidParameterError(f"need p >= 1, got p={p}")
+    if budget < 0:
+        raise InvalidParameterError(f"need budget >= 0, got budget={budget}")
+    if g.n > guard:
+        raise ScaleError(
+            f"p-cover search requires n <= {guard} (got {g.n}); raise guard to override")
+    if not g.edges:
+        return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
+
+    n = g.n
+    pairs = list(combinations(range(n), 2))
+    pair_id = {pr: k for k, pr in enumerate(pairs)}
+    edge_flag = [pr in g.edges for pr in pairs]
+    edge_ids = [pair_id[e] for e in sorted(g.edges)]
+
+    alphabet = sorted(
+        chain.from_iterable(combinations(range(n), k) for k in range(2, n + 1)))
+    member_pairs = [[pair_id[pr] for pr in combinations(s, 2)] for s in alphabet]
+    edge_gain = [sum(1 for k in mp if edge_flag[k]) for mp in member_pairs]
+
+    last_cover = {eid: -1 for eid in edge_ids}
+    for i, mp in enumerate(member_pairs):
+        for k in mp:
+            if edge_flag[k]:
+                last_cover[k] = i
+
+    size = len(alphabet)
+    suffix_best_gain = [0] * (size + 1)
+    for i in range(size - 1, -1, -1):
+        suffix_best_gain[i] = max(suffix_best_gain[i + 1], edge_gain[i])
+
+    counts = [0] * len(pairs)
+    chosen: list[int] = []
+    nodes = 0
+    cap = p - 1  # co-occurrence ceiling for nonadjacent pairs
+
+    def search(slots: int, lo: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        deficit_total = 0
+        for eid in edge_ids:
+            d = p - counts[eid]
+            if d > 0:
+                if d > slots or last_cover[eid] < lo:
+                    return False
+                deficit_total += d
+        if slots == 0:
+            return True
+        if deficit_total > slots * suffix_best_gain[lo]:
+            return False
+        for i in range(lo, size):
+            mp = member_pairs[i]
+            blocked = False
+            for k in mp:
+                if counts[k] >= cap and not edge_flag[k]:
+                    blocked = True
+                    break
+            if blocked:
+                continue
+            for k in mp:
+                counts[k] += 1
+            chosen.append(i)
+            if search(slots - 1, i):
+                return True
+            chosen.pop()
+            for k in mp:
+                counts[k] -= 1
+        return False
+
+    for r in range(p, budget + 1):
+        chosen.clear()
+        if search(r, 0):
+            certificate = CliqueCover(
+                n, tuple(frozenset(alphabet[i]) for i in chosen))
+            _check_certificate(verify_p_ecc(g, certificate, p), n, p)
+            return SearchResult(value=r, certificate=certificate, nodes=nodes)
+    return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)

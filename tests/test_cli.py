@@ -4,6 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import pcomp.oracle
+from pcomp import Decision, Verdict
+from pcomp.cli import main
+
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -152,6 +158,56 @@ class TestRealizeCommand:
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"n": 2, "sets": [[0], [1], [0, 1]]}))
         assert run_cli("realize", f).returncode == 3
+
+
+class TestStrictInput:
+    @pytest.mark.parametrize("argv,name,data", [
+        (("theta-e",), "g.json", {"n": True, "edges": []}),
+        (("theta-e",), "g.json", {"n": 3, "edges": [[0.9, 1.7]]}),
+        (("theta-e",), "g.json", {"n": 3, "edges": [["0", 2]]}),
+        (("compete", "--p", 1), "d.json", {"n": 3, "arcs": [[0, 1.5]]}),
+        (("realize",), "f.json", {"n": 3, "sets": [["1"]]}),
+    ])
+    def test_non_integer_fields_exit_2(self, tmp_path, argv, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        res = run_cli(argv[0], path, *argv[1:])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
+
+    def test_non_utf8_file_exits_2(self, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_bytes(b'{"n": 3, "edges": [], "note": "\xff\xfe"}')
+        res = run_cli("theta-e", g)
+        assert res.returncode == 2
+        assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
+
+
+class TestPcompErrorsExit3:
+    """A library PcompError outside the named families ends the CLI with
+    exit 3 and one stderr line, never a traceback (run in-process so the
+    library can be patched)."""
+
+    def test_rejected_search_certificate(self, tmp_path, monkeypatch, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 3, "edges": [[0, 1]]}))
+        monkeypatch.setattr(
+            pcomp.oracle, "verify_p_ecc", lambda g, f, p: Verdict(False, "stub", (0, 2)))
+        assert main(["theta-e", str(g)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("pcomp: ") and err.count("\n") == 1
+
+    def test_decide_both_disagreement(self, tmp_path, monkeypatch, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}))
+        monkeypatch.setattr(
+            pcomp.oracle, "_oracle_decision", lambda g, p, guard: Decision(True, "oracle", 4))
+        assert main(["decide", str(g), "--p", "2", "--method", "both"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("pcomp: ") and "disagree" in err and err.count("\n") == 1
 
 
 class TestOracleCommands:

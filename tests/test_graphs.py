@@ -10,6 +10,7 @@ from pcomp import (
     Graph,
     InvalidParameterError,
     complement,
+    cover_from_json_dict,
     digraph_from_json_dict,
     digraph_to_dot,
     digraph_to_json_dict,
@@ -141,6 +142,23 @@ class TestSerialization:
             graph_from_json_dict({"edges": []})
         with pytest.raises(InvalidParameterError):
             digraph_from_json_dict({"n": 2, "arcs": [["a", 0]]})
+
+    @pytest.mark.parametrize("reader,field", [
+        (graph_from_json_dict, "edges"),
+        (digraph_from_json_dict, "arcs"),
+        (cover_from_json_dict, "sets"),
+    ])
+    @pytest.mark.parametrize("n,rows", [
+        (True, []),              # a bool is not a vertex count
+        (2.0, []),               # nor is a float
+        ("3", []),               # nor a string
+        (3, [[0.9, 1.7]]),       # floats were truncated to an edge (0, 1)
+        (3, [["0", 2]]),         # numeric strings were coerced
+        (3, [[True, 2]]),        # bools were read as 1
+    ])
+    def test_json_readers_accept_only_plain_integers(self, reader, field, n, rows):
+        with pytest.raises(InvalidParameterError):
+            reader({"n": n, field: rows})
 
     def test_dot_output(self):
         dot = graph_to_dot(make_cycle(3))

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, literal_verify_p_ecc
+from conftest import graphs, literal_verify_p_ecc, reference_theta_e, reference_theta_e_p
 import pcomp.oracle
 from pcomp import (
     CliqueCover,
+    Decision,
     Graph,
     InvalidParameterError,
     PcompError,
@@ -90,7 +91,7 @@ class TestExactThetaE:
 
     def test_rejected_certificate_raises_pcomp_error(self, monkeypatch):
         monkeypatch.setattr(
-            pcomp.oracle, "verify_ecc", lambda g, f: Verdict(False, "stub", (0, 2)))
+            pcomp.oracle, "verify_p_ecc", lambda g, f, p: Verdict(False, "stub", (0, 2)))
         with pytest.raises(PcompError, match="n=6, p=1"):
             exact_theta_e(complement(make_cycle(6)))
 
@@ -203,6 +204,64 @@ class TestExactThetaEP:
             assert exact_theta_e(g).value == exact_theta_e_p(g, 1, budget).value
 
 
+def outcome(result):
+    return result.value, result.certificate, result.bound
+
+
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+class TestCoverSearchMatchesReference:
+    """The single cover search against the two searches it replaced
+    (tests/conftest.py): same value, certificate and bound everywhere."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(graphs(max_n=7), st.integers(1, 4), st.data())
+    def test_theta_e_p_random(self, g, p, data):
+        budget = data.draw(st.integers(0, g.n))
+        assert (outcome(exact_theta_e_p(g, p, budget))
+                == outcome(reference_theta_e_p(g, p, budget)))
+
+    def test_theta_e_random(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            density = rng.random()
+            g = Graph(n, [pr for pr in combinations(range(n), 2) if rng.random() < density])
+            for upper in (None, *range(-1, 9)):
+                assert (outcome(exact_theta_e(g, upper=upper))
+                        == outcome(reference_theta_e(g, upper=upper)))
+
+    @pytest.mark.parametrize("n", range(9, 15))
+    def test_theta_e_relabeled_cycle_complements(self, n):
+        g = relabeled(complement(make_cycle(n)), random.Random(n))
+        assert outcome(exact_theta_e(g)) == outcome(reference_theta_e(g))
+
+    # every C_n and co-C_n with n <= 8 and p <= 6 was compared once outside
+    # the suite; these are the ones the reference decides within about 2 s
+    @pytest.mark.parametrize("family,n,p", [
+        *(("cycle", n, p) for n in range(3, 8) for p in range(1, 7)),
+        ("cycle", 8, 1),
+        *(("co-cycle", n, p) for n in (5, 6) for p in range(1, 7)),
+        *(("co-cycle", 7, p) for p in (1, 2, 5, 6)),
+        ("co-cycle", 8, 1),
+    ])
+    def test_theta_e_p_cycles_and_complements(self, family, n, p):
+        g = make_cycle(n) if family == "cycle" else complement(make_cycle(n))
+        assert outcome(exact_theta_e_p(g, p, n)) == outcome(reference_theta_e_p(g, p, n))
+
+    @pytest.mark.parametrize("run,want", [
+        (lambda: exact_theta_e(complement(make_cycle(14))), 6160),
+        (lambda: exact_theta_e_p(complement(make_cycle(7)), 2, 7), 104354),
+        (lambda: exact_theta_e_p(make_cycle(7), 4, 7), 50272),
+    ], ids=["co-C14 theta_e", "co-C7 p=2", "C7 p=4"])
+    def test_node_counts_do_not_regress(self, run, want):
+        assert run().nodes == want
+
+
 class TestIsPCompetition:
     def test_c4_p2_false(self):
         assert is_p_competition(make_cycle(4), 2).value is False
@@ -244,6 +303,13 @@ class TestIsPCompetition:
     def test_method_both_agrees(self):
         decision = is_p_competition(make_cycle(5), 2, method="both")
         assert decision.value is True and decision.method == "both"
+
+    def test_method_both_disagreement_raises_pcomp_error(self, monkeypatch):
+        monkeypatch.setattr(
+            pcomp.oracle, "_oracle_decision",
+            lambda g, p, guard: Decision(True, "oracle", 4))
+        with pytest.raises(PcompError, match="disagree on n=4, p=2"):
+            is_p_competition(make_cycle(4), 2, method="both")
 
     @pytest.mark.parametrize("n,p", [(4, 2), (4, 3), (5, 3)])
     def test_oracle_refutations(self, n, p):
