@@ -6,10 +6,11 @@ digraphs), survey tables as TSV.
 
 Exit codes: 0 success / valid / positive decision, 1 invalid cover or
 negative decision, 2 input or parameter problems (including unreadable,
-non-UTF-8 or malformed JSON files), 3 infeasible parameters, an exceeded
-search guard, or any other pcomp error (a search certificate the verifier
-rejects, or the two `decide --method both` paths disagreeing).  Every
-failure ends with a one-line `pcomp:` message on stderr.
+non-UTF-8 or malformed JSON files, and a vertex count above graphs.MAX_N
+in a file or in --n), 3 infeasible parameters, an exceeded search guard,
+or any other pcomp error (a search certificate the verifier rejects, or
+the two `decide --method both` paths disagreeing).  Every failure ends
+with a one-line `pcomp:` message on stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .graphs import (
+    MAX_N,
     complement,
     digraph_from_json_dict,
     digraph_to_dot,
@@ -70,6 +72,12 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _check_n(n: int) -> None:
+    """Refuse a vertex count above MAX_N before anything of that size exists."""
+    if n > MAX_N:
+        raise InvalidParameterError(f"--n {n} is above the limit {MAX_N}")
+
+
 def _parse_span(text: str) -> tuple[int, int]:
     """Parse 'a..b' (inclusive) or a single integer 'a'."""
     lo, sep, hi = text.partition("..")
@@ -101,6 +109,7 @@ def _family_graph(family: str, n: int):
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    _check_n(args.n)
     if args.family == "co-cycle" and args.n < 5:
         raise InvalidParameterError(f"co-cycle generation requires n >= 5, got n={args.n}")
     g = _family_graph(args.family, args.n)
@@ -112,6 +121,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
+    _check_n(args.n)
     if args.family == "cycle":
         if args.p is None:
             raise InvalidParameterError("cover cycle requires --p")
@@ -213,6 +223,7 @@ def _survey_cell(family: str, n: int, p: int, guard: int) -> tuple[str, str, str
 
 def cmd_survey(args: argparse.Namespace) -> int:
     n_lo, n_hi = _parse_span(args.n)
+    _check_n(n_hi)
     p_lo, p_hi = _parse_span(args.p)
     if n_lo < 3:
         raise InvalidParameterError(f"survey requires n >= 3, got {n_lo}")

@@ -27,10 +27,13 @@ def p_competition_graph(d: Digraph, p: int) -> Graph:
     """Graph on d's vertices with {x, y} an edge iff they share >= p prey."""
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
-    edges = [
-        (x, y)
-        for x in range(d.n)
-        for y in range(x + 1, d.n)
-        if (d.out_mask(x) & d.out_mask(y)).bit_count() >= p
-    ]
-    return Graph(d.n, edges)
+    n = d.n
+    out = d._out
+    adj = [0] * n
+    for x in range(n):
+        ox = out[x]
+        for y in range(x + 1, n):
+            if (ox & out[y]).bit_count() >= p:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+    return Graph._from_masks(n, adj)

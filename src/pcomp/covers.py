@@ -106,9 +106,12 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
             f"host vertex counts differ: graph has n={g.n}, family has n={f.n}")
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
-    edges = sorted(g.edges)
-    if len(f.sets) < p and edges:
-        return Verdict(False, REASON_FAMILY_SMALLER_THAN_P, edges[0])
+    adj = g._adj
+    if len(f.sets) < p:
+        for u, a in enumerate(adj):
+            if a:
+                # the least vertex with a neighbour has none below it
+                return Verdict(False, REASON_FAMILY_SMALLER_THAN_P, (u, next(iter_bits(a))))
     # rows[v]: the sets holding v; near[v]: the vertices sharing a set with v
     rows = [0] * g.n
     near = [0] * g.n
@@ -124,12 +127,14 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
         if row.bit_count() < p:
             continue
         # nonneighbours above u, ascending, so the first hit is lex-least
-        for v in iter_bits(near[u] & ~g.neighbor_mask(u) & -(2 << u)):
+        for v in iter_bits(near[u] & ~adj[u] & -(2 << u)):
             if (row & rows[v]).bit_count() >= p:
                 return Verdict(False, REASON_NONEDGE_IN_P_SETS, (u, v))
-    for u, v in edges:
-        if (rows[u] & rows[v]).bit_count() < p:
-            return Verdict(False, REASON_UNCOVERED_EDGE, (u, v))
+    # edges in ascending (u, v) order, so the first hit is lex-least
+    for u, row in enumerate(rows):
+        for v in iter_bits(adj[u] & -(2 << u)):
+            if (row & rows[v]).bit_count() < p:
+                return Verdict(False, REASON_UNCOVERED_EDGE, (u, v))
     return Verdict(True)
 
 

@@ -1,9 +1,21 @@
 """Undirected graphs and digraphs on vertex set {0, ..., n-1}.
 
+The stored form of both structures is one bitmask per vertex: bit v of
+``Graph._adj[u]`` is set iff {u, v} is an edge, bit v of ``Digraph._out[x]``
+iff (x, v) is an arc.  Pair queries, common-neighbour counts, complements
+and equality are then a few integer operations per vertex, even inside
+exhaustive searches.  ``Graph.edges`` and ``Digraph.arcs`` are derived from
+the masks on first access and cached; the JSON and DOT writers and ``repr``
+read the pairs off the masks, already in ascending order.
+
 Both structures are immutable after construction, hashable, and safe to
-share between threads.  Adjacency is kept as per-vertex bitmasks so that
-pair queries and common-neighbor counts are cheap even inside exhaustive
-searches.
+share between threads: the edge or arc cache is filled by one attribute
+store, and every thread that fills it computes the same value.
+
+``Graph(n, edges)`` and ``Digraph(n, arcs)`` check every edge and arc they
+are given.  The private ``_from_masks`` constructors check nothing; they
+serve library code whose masks are correct by construction (symmetric and
+loop-free for graphs, within n bits for both).
 
 JSON wire formats:
 
@@ -11,7 +23,8 @@ JSON wire formats:
     digraph {"n": <int>, "arcs":  [[x, v], ...]}   (loops [x, x] allowed)
 
 Edges are accepted in either endpoint order on read.  ``n`` and every
-vertex must be a JSON integer (not a boolean, float or string).
+vertex must be a JSON integer (not a boolean, float or string), and ``n``
+may be at most MAX_N.
 """
 
 from __future__ import annotations
@@ -20,13 +33,10 @@ from typing import Iterable, Iterator
 
 from .errors import InvalidParameterError
 
-
-def _normalize_edge(u: int, v: int, n: int) -> tuple[int, int]:
-    if u == v:
-        raise InvalidParameterError(f"self-pair ({u},{v}) is not a valid edge")
-    if not (0 <= u < n and 0 <= v < n):
-        raise InvalidParameterError(f"edge ({u},{v}) out of range for n={n}")
-    return (u, v) if u < v else (v, u)
+# Largest vertex count the JSON readers and the CLI accept: co-C_2048 has
+# 2.1M edges, about the largest graph JSON the CLI should write.  Library
+# constructors are not capped.
+MAX_N = 2048
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -37,27 +47,58 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-class Graph:
-    """Simple undirected graph.
+def _edge_pairs(adj: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Edges (u, v) with u < v read off adjacency masks, in ascending order."""
+    return ((u, v) for u, a in enumerate(adj) for v in iter_bits(a & -(2 << u)))
 
-    ``edges`` is a frozenset of pairs ``(u, v)`` with ``u < v``.  Equality is
-    label-sensitive: two graphs are equal iff they have the same vertex count
-    and identical edge sets (isomorphism is out of scope here).
+
+def _arc_pairs(out: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Arcs (x, v) read off out-masks, in ascending order."""
+    return ((x, v) for x, a in enumerate(out) for v in iter_bits(a))
+
+
+class Graph:
+    """Simple undirected graph, stored as per-vertex adjacency masks.
+
+    ``edges`` is a frozenset of pairs ``(u, v)`` with ``u < v``, built from
+    the masks when first read.  Equality is label-sensitive: two graphs are
+    equal iff they have the same vertex count and identical edge sets
+    (isomorphism is out of scope here), which is iff their masks are equal.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "_adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
             raise InvalidParameterError(f"need at least one vertex, got n={n}")
-        normalized = frozenset(_normalize_edge(u, v, n) for u, v in edges)
         adj = [0] * n
-        for u, v in normalized:
+        for u, v in edges:
+            if u == v:
+                raise InvalidParameterError(f"self-pair ({u},{v}) is not a valid edge")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidParameterError(f"edge ({u},{v}) out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
-        self.edges = normalized
         self._adj = tuple(adj)
+        self._edges = None
+
+    @classmethod
+    def _from_masks(cls, n: int, adj: Iterable[int]) -> Graph:
+        """Graph with adjacency masks ``adj``, trusted to be symmetric,
+        loop-free and within n bits."""
+        g = cls.__new__(cls)
+        g.n = n
+        g._adj = tuple(adj)
+        g._edges = None
+        return g
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = frozenset(_edge_pairs(self._adj))
+        return edges
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and bool(self._adj[u] >> v & 1)
@@ -72,34 +113,53 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
+        return f"Graph(n={self.n}, edges={list(_edge_pairs(self._adj))})"
 
 
 class Digraph:
-    """Directed graph; loops (x, x) are permitted, duplicate arcs collapse."""
+    """Directed graph, stored as per-vertex out-masks; loops (x, x) are
+    permitted, duplicate arcs collapse.
 
-    __slots__ = ("n", "arcs", "_out")
+    ``arcs`` is a frozenset of pairs ``(x, v)``, built from the masks when
+    first read.  Two digraphs are equal iff they have the same vertex count
+    and identical arc sets, which is iff their out-masks are equal.
+    """
+
+    __slots__ = ("n", "_out", "_arcs")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
             raise InvalidParameterError(f"need at least one vertex, got n={n}")
-        cleaned = set()
+        out = [0] * n
         for x, v in arcs:
             if not (0 <= x < n and 0 <= v < n):
                 raise InvalidParameterError(f"arc ({x},{v}) out of range for n={n}")
-            cleaned.add((x, v))
-        out = [0] * n
-        for x, v in cleaned:
             out[x] |= 1 << v
         self.n = n
-        self.arcs = frozenset(cleaned)
         self._out = tuple(out)
+        self._arcs = None
+
+    @classmethod
+    def _from_masks(cls, n: int, out: Iterable[int]) -> Digraph:
+        """Digraph with out-masks ``out``, trusted to be within n bits."""
+        d = cls.__new__(cls)
+        d.n = n
+        d._out = tuple(out)
+        d._arcs = None
+        return d
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        arcs = self._arcs
+        if arcs is None:
+            arcs = self._arcs = frozenset(_arc_pairs(self._out))
+        return arcs
 
     def out_mask(self, x: int) -> int:
         """Bitmask of prey of x (bit v set iff (x, v) is an arc)."""
@@ -111,31 +171,26 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and self.arcs == other.arcs
+        return self.n == other.n and self._out == other._out
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash((self.n, self._out))
 
     def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
+        return f"Digraph(n={self.n}, arcs={list(_arc_pairs(self._out))})"
 
 
 def make_cycle(n: int) -> Graph:
     """The cycle on vertices 0..n-1 with edges {i, i+1 mod n}; needs n >= 3."""
     if n < 3:
         raise InvalidParameterError(f"a cycle requires n >= 3, got n={n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph._from_masks(n, [(1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)])
 
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of g."""
     full = (1 << g.n) - 1
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in iter_bits(~g.neighbor_mask(u) & full & -(2 << u))
-    ]
-    return Graph(g.n, edges)
+    return Graph._from_masks(g.n, [full & ~a & ~(1 << v) for v, a in enumerate(g._adj)])
 
 
 def is_clique(g: Graph, members: Iterable[int]) -> bool:
@@ -165,8 +220,9 @@ def vertex_lists_from_json(data: dict, kind: str, field: str,
     """Read ``n`` and the vertex lists under ``field`` of a JSON object.
 
     Only plain integers pass, as ``n`` and as vertices: booleans, floats and
-    numeric strings are rejected rather than coerced.  With ``arity`` given,
-    every list must have exactly that many vertices.
+    numeric strings are rejected rather than coerced.  ``n`` above MAX_N is
+    rejected before anything of that size is allocated.  With ``arity``
+    given, every list must have exactly that many vertices.
     """
     try:
         n = data["n"]
@@ -175,6 +231,8 @@ def vertex_lists_from_json(data: dict, kind: str, field: str,
         raise InvalidParameterError(f"{kind} JSON needs 'n' and '{field}': {exc}") from exc
     if type(n) is not int:
         raise InvalidParameterError(f"{kind} JSON field 'n' must be an integer, got {n!r}")
+    if n > MAX_N:
+        raise InvalidParameterError(f"{kind} JSON field 'n' is {n}, above the limit {MAX_N}")
     try:
         lists = [list(row) for row in rows]
     except TypeError as exc:
@@ -191,7 +249,7 @@ def vertex_lists_from_json(data: dict, kind: str, field: str,
 
 
 def graph_to_json_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+    return {"n": g.n, "edges": [[u, v] for u, v in _edge_pairs(g._adj)]}
 
 
 def graph_from_json_dict(data: dict) -> Graph:
@@ -199,7 +257,7 @@ def graph_from_json_dict(data: dict) -> Graph:
 
 
 def digraph_to_json_dict(d: Digraph) -> dict:
-    return {"n": d.n, "arcs": [list(a) for a in sorted(d.arcs)]}
+    return {"n": d.n, "arcs": [[x, v] for x, v in _arc_pairs(d._out)]}
 
 
 def digraph_from_json_dict(data: dict) -> Digraph:
@@ -209,7 +267,7 @@ def digraph_from_json_dict(data: dict) -> Digraph:
 def graph_to_dot(g: Graph) -> str:
     lines = ["graph G {"]
     lines += [f"  {v};" for v in range(g.n)]
-    lines += [f"  {u} -- {v};" for u, v in sorted(g.edges)]
+    lines += [f"  {u} -- {v};" for u, v in _edge_pairs(g._adj)]
     lines.append("}")
     return "\n".join(lines)
 
@@ -217,6 +275,6 @@ def graph_to_dot(g: Graph) -> str:
 def digraph_to_dot(d: Digraph) -> str:
     lines = ["digraph D {"]
     lines += [f"  {v};" for v in range(d.n)]
-    lines += [f"  {x} -> {v};" for x, v in sorted(d.arcs)]
+    lines += [f"  {x} -> {v};" for x, v in _arc_pairs(d._out)]
     lines.append("}")
     return "\n".join(lines)

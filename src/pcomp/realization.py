@@ -6,6 +6,11 @@ number of sets containing both, so for a valid p-edge clique cover with at
 most n sets the p-competition graph of the realization is the covered
 graph.  An ordering with "member of set j sits at position < j" yields an
 acyclic variant.
+
+The digraphs are built as out-masks: bit j of the out-mask of x is set iff
+x lies in set j, the same per-vertex set masks the cover verifier counts
+pairs with.  No arc tuples are formed; ``Digraph.arcs`` derives them on
+demand.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Sequence
 
 from .covers import CliqueCover
 from .errors import InfeasibleError, InvalidParameterError
-from .graphs import Digraph
+from .graphs import Digraph, iter_bits
 
 
 def realize(f: CliqueCover) -> Digraph:
@@ -26,8 +31,18 @@ def realize(f: CliqueCover) -> Digraph:
     if len(f.sets) > f.n:
         raise InfeasibleError(
             f"realization requires |sets| <= n ({len(f.sets)} sets on {f.n} vertices)")
-    arcs = [(x, j) for j, s in enumerate(f.sets) for x in sorted(s)]
-    return Digraph(f.n, arcs)
+    return _digraph(f, range(len(f.sets)))
+
+
+def _digraph(f: CliqueCover, prey: Sequence[int]) -> Digraph:
+    """Digraph with an arc (x, prey[j]) for every x in set j; prey holds
+    distinct vertices below f.n, one per set."""
+    out = [0] * f.n
+    for s, v in zip(f.sets, prey):
+        bit = 1 << v
+        for x in s:
+            out[x] |= bit
+    return Digraph._from_masks(f.n, out)
 
 
 def _position_map(order: Sequence[int], n: int) -> dict[int, int]:
@@ -57,26 +72,23 @@ def realize_acyclic(f: CliqueCover, order: Sequence[int]) -> Digraph:
     if not satisfies_acyclic_ordering(f, order):
         raise InfeasibleError(
             "ordering condition violated: some set j contains a vertex at position >= j")
-    order = list(order)
-    arcs = [(x, order[j]) for j, s in enumerate(f.sets) for x in sorted(s)]
-    return Digraph(f.n, arcs)
+    return _digraph(f, order)
 
 
 def is_acyclic(d: Digraph) -> bool:
     """True iff d has no directed cycle; a loop counts as a cycle."""
+    out = d._out
     indeg = [0] * d.n
-    outs: list[list[int]] = [[] for _ in range(d.n)]
-    for x, v in d.arcs:
-        if x == v:
-            return False
-        indeg[v] += 1
-        outs[x].append(v)
+    for a in out:
+        for v in iter_bits(a):
+            indeg[v] += 1
+    # Kahn's peeling; a vertex with a loop never reaches in-degree 0
     stack = [v for v in range(d.n) if indeg[v] == 0]
     seen = 0
     while stack:
         u = stack.pop()
         seen += 1
-        for w in outs[u]:
+        for w in iter_bits(out[u]):
             indeg[w] -= 1
             if indeg[w] == 0:
                 stack.append(w)

@@ -28,19 +28,31 @@ from pcomp.oracle import _check_certificate
 
 
 @st.composite
-def graphs(draw, min_n=1, max_n=8):
+def edge_sets(draw, min_n=1, max_n=8):
+    """A vertex count and a set of pairs (u, v) with u < v."""
     n = draw(st.integers(min_n, max_n))
     pairs = list(combinations(range(n), 2))
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return Graph(n, edges)
+    return n, edges
+
+
+@st.composite
+def graphs(draw, min_n=1, max_n=8):
+    return Graph(*draw(edge_sets(min_n, max_n)))
+
+
+@st.composite
+def arc_sets(draw, min_n=1, max_n=8):
+    """A vertex count and a set of arcs (x, v), loops included."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(x, v) for x in range(n) for v in range(n)]
+    arcs = draw(st.sets(st.sampled_from(pairs)))
+    return n, arcs
 
 
 @st.composite
 def digraphs(draw, min_n=1, max_n=8):
-    n = draw(st.integers(min_n, max_n))
-    pairs = [(x, v) for x in range(n) for v in range(n)]
-    arcs = draw(st.sets(st.sampled_from(pairs)))
-    return Digraph(n, arcs)
+    return Digraph(*draw(arc_sets(min_n, max_n)))
 
 
 @st.composite

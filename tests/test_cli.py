@@ -9,6 +9,7 @@ import pytest
 import pcomp.oracle
 from pcomp import Decision, Verdict
 from pcomp.cli import main
+from pcomp.graphs import MAX_N
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -182,6 +183,47 @@ class TestStrictInput:
         res = run_cli("theta-e", g)
         assert res.returncode == 2
         assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
+
+
+HUGE = "99999999999999999999"
+
+
+class TestVertexLimit:
+    """A vertex count above MAX_N ends with exit 2 before anything of that
+    size is built (in-process, so a missed check shows as a hang or a
+    memory error rather than a killed child)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "cycle", "--n", str(MAX_N + 1)],
+        ["gen", "co-cycle", "--n", HUGE],
+        ["cover", "cycle", "--n", HUGE, "--p", "3"],
+        ["cover", "co-cycle", "--n", HUGE, "--p", "2"],
+        ["survey", "cycle", "--n", f"{MAX_N}..{MAX_N + 1}", "--p", "1"],
+        ["survey", "co-cycle", "--n", HUGE, "--p", "1"],
+    ])
+    def test_n_option_above_limit_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("pcomp: ") and str(MAX_N) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,data", [
+        (["theta-e"], {"n": int(HUGE), "edges": []}),
+        (["compete", "--p", "1"], {"n": int(HUGE), "arcs": []}),
+        (["realize"], {"n": MAX_N + 1, "sets": []}),
+    ])
+    def test_file_n_above_limit_exits_2(self, tmp_path, capsys, argv, data):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("pcomp: ") and str(MAX_N) in err and err.count("\n") == 1
+
+    def test_limit_itself_is_accepted(self, tmp_path):
+        g = tmp_path / "g.json"
+        assert main(["gen", "cycle", "--n", str(MAX_N), "--out", str(g)]) == 0
+        assert json.loads(g.read_text())["n"] == MAX_N
 
 
 class TestPcompErrorsExit3:

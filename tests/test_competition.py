@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import digraphs
+from conftest import arc_sets, digraphs
 from pcomp import (
     Digraph,
     InvalidParameterError,
@@ -12,6 +14,15 @@ from pcomp import (
     p_competition_graph,
     realize,
 )
+
+
+def literal_p_competition_edges(n, arcs, p):
+    """Pairs x < y with at least p vertices v such that (x, v) and (y, v)
+    are both arcs, counted over the arc tuples themselves."""
+    prey = [set() for _ in range(n)]
+    for x, v in arcs:
+        prey[x].add(v)
+    return {(x, y) for x, y in combinations(range(n), 2) if len(prey[x] & prey[y]) >= p}
 
 
 class TestCommonPreyCount:
@@ -63,6 +74,21 @@ class TestPCompetitionGraph:
     def test_keeps_vertex_count(self):
         d = Digraph(6, [(0, 1), (2, 1)])
         assert p_competition_graph(d, 1).n == 6
+
+    @given(arc_sets(), st.integers(1, 4))
+    def test_matches_literal_definition(self, drawn, p):
+        n, arcs = drawn
+        assert p_competition_graph(Digraph(n, arcs), p).edges == \
+            literal_p_competition_edges(n, arcs, p)
+
+    def test_cycle_cover_realizations_up_to_60(self):
+        for n in range(4, 61):
+            for p in sorted({1, 2, n // 2, n - 3} & set(range(1, n - 2))):
+                f = cycle_cover(n, p)
+                arcs = {(x, j) for j, s in enumerate(f.sets) for x in s}
+                back = p_competition_graph(realize(f), p)
+                assert back.edges == literal_p_competition_edges(n, arcs, p)
+                assert back == make_cycle(n)
 
     @given(digraphs(), st.integers(1, 4))
     def test_monotone_in_p(self, d, p):

@@ -1,10 +1,11 @@
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import digraphs, graphs
+from conftest import arc_sets, digraphs, edge_sets, graphs
 from pcomp import (
     Digraph,
     Graph,
@@ -20,6 +21,15 @@ from pcomp import (
     is_clique,
     make_cycle,
 )
+from pcomp.graphs import MAX_N
+
+
+def cycle_edges(n):
+    return {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+
+
+def literal_nonedges(n, edges):
+    return {pr for pr in combinations(range(n), 2) if pr not in edges}
 
 
 class TestMakeCycle:
@@ -40,6 +50,13 @@ class TestMakeCycle:
         assert len(g.edges) == n
         assert all(g.degree(v) == 2 for v in range(n))
 
+    def test_edges_are_the_literal_cycle_up_to_60(self):
+        for n in range(3, 61):
+            assert make_cycle(n).edges == cycle_edges(n)
+
+    def test_library_constructor_is_not_capped(self):
+        assert len(make_cycle(MAX_N + 1).edges) == MAX_N + 1
+
 
 class TestComplement:
     def test_c5_self_complementary_labels(self):
@@ -55,6 +72,15 @@ class TestComplement:
     @given(graphs())
     def test_involution(self, g):
         assert complement(complement(g)) == g
+
+    @given(edge_sets())
+    def test_edges_are_the_literal_nonedges(self, drawn):
+        n, edges = drawn
+        assert complement(Graph(n, edges)).edges == literal_nonedges(n, edges)
+
+    def test_cycle_complements_up_to_60(self):
+        for n in range(3, 61):
+            assert complement(make_cycle(n)).edges == literal_nonedges(n, cycle_edges(n))
 
     @given(st.integers(3, 40))
     def test_cycle_complement_size(self, n):
@@ -94,6 +120,35 @@ class TestEquality:
 
     def test_isomorphic_but_different_labels(self):
         assert make_cycle(5) != complement(make_cycle(5))
+
+    @staticmethod
+    def assert_interchangeable(built, listed):
+        assert built == listed and listed == built
+        assert hash(built) == hash(listed)
+        assert {built: "key"}[listed] == "key"
+        assert len({built, listed}) == 1
+
+    @given(edge_sets())
+    def test_complement_equals_graph_of_listed_nonedges(self, drawn):
+        n, edges = drawn
+        # endpoints listed high-first, so the constructor must normalise them
+        listed = Graph(n, [(v, u) for u, v in literal_nonedges(n, edges)])
+        self.assert_interchangeable(complement(Graph(n, edges)), listed)
+
+    def test_cycles_equal_graphs_of_listed_edges_up_to_60(self):
+        for n in range(3, 61):
+            self.assert_interchangeable(make_cycle(n), Graph(n, cycle_edges(n)))
+            self.assert_interchangeable(
+                complement(make_cycle(n)), Graph(n, literal_nonedges(n, cycle_edges(n))))
+
+    def test_one_edge_apart_or_vertex_count_apart_are_unequal(self):
+        assert make_cycle(5) != Graph(5, cycle_edges(5) - {(0, 1)})
+        assert Graph(3) != Graph(4)
+        assert Digraph(2, [(0, 1)]) != Digraph(2, [(1, 0)])
+
+    def test_edges_are_built_once(self):
+        g = complement(make_cycle(7))
+        assert g.edges is g.edges
 
 
 class TestConstruction:
@@ -136,6 +191,34 @@ class TestSerialization:
     def test_graph_json_writes_sorted_pairs(self):
         data = graph_to_json_dict(make_cycle(4))
         assert data == {"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]}
+
+    @given(edge_sets())
+    def test_graph_writers_list_sorted_pairs(self, drawn):
+        n, edges = drawn
+        g = Graph(n, [(v, u) for u, v in edges])
+        pairs = sorted(edges)
+        assert graph_to_json_dict(g) == {"n": n, "edges": [list(e) for e in pairs]}
+        assert graph_to_dot(g).splitlines()[n + 1:-1] == [f"  {u} -- {v};" for u, v in pairs]
+        assert repr(g) == f"Graph(n={n}, edges={pairs})"
+
+    @given(arc_sets())
+    def test_digraph_writers_list_sorted_arcs(self, drawn):
+        n, arcs = drawn
+        d = Digraph(n, arcs)
+        pairs = sorted(arcs)
+        assert digraph_to_json_dict(d) == {"n": n, "arcs": [list(a) for a in pairs]}
+        assert digraph_to_dot(d).splitlines()[n + 1:-1] == [f"  {x} -> {v};" for x, v in pairs]
+        assert repr(d) == f"Digraph(n={n}, arcs={pairs})"
+
+    def test_json_vertex_count_limit(self):
+        assert graph_from_json_dict({"n": MAX_N, "edges": []}).n == MAX_N
+        for reader, field in ((graph_from_json_dict, "edges"),
+                              (digraph_from_json_dict, "arcs"),
+                              (cover_from_json_dict, "sets")):
+            with pytest.raises(InvalidParameterError, match=str(MAX_N)):
+                reader({"n": MAX_N + 1, field: []})
+            with pytest.raises(InvalidParameterError, match=str(MAX_N)):
+                reader({"n": 10 ** 20, field: []})
 
     def test_malformed_json_rejected(self):
         with pytest.raises(InvalidParameterError):

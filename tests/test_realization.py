@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import covers
+from conftest import arc_sets, covers
 from pcomp import (
     CliqueCover,
     Digraph,
@@ -38,6 +38,17 @@ class TestRealize:
     def test_fewer_sets_than_vertices_allowed(self):
         d = realize(CliqueCover(5, [(0, 1)]))
         assert d.arcs == frozenset({(0, 0), (1, 0)})
+
+    @given(covers(max_n=8, max_sets=8))
+    def test_arcs_are_the_literal_memberships(self, f):
+        padded = CliqueCover(max(f.n, len(f.sets)), f.sets)
+        literal = {(x, j) for j, s in enumerate(padded.sets) for x in s}
+        d = realize(padded)
+        assert d.arcs == literal
+        listed = Digraph(padded.n, literal)
+        assert d == listed and listed == d
+        assert hash(d) == hash(listed)
+        assert {d: "key"}[listed] == "key"
 
     def test_lifted_complement_cover_roundtrip(self):
         f = lift_cover(complement_cycle_cover(10), 5)
@@ -140,6 +151,7 @@ class TestRealizeAcyclic:
         p = data.draw(st.integers(1, 3))
         assert satisfies_acyclic_ordering(f, order)
         d = realize_acyclic(f, order)
+        assert d.arcs == {(x, order[j]) for j, s in enumerate(sets) for x in s}
         assert is_acyclic(d)
         assert p_competition_graph(d, p) == p_competition_graph(realize(f), p)
 
@@ -156,3 +168,18 @@ class TestIsAcyclic:
 
     def test_diamond_dag(self):
         assert is_acyclic(Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+
+    @given(arc_sets(), st.booleans())
+    def test_matches_repeated_source_removal(self, drawn, forward_only):
+        n, arcs = drawn
+        if forward_only:
+            arcs = {(x, v) for x, v in arcs if x < v}
+        # literal: peel off vertices without in-arcs until none are left
+        left, rest = set(range(n)), set(arcs)
+        while True:
+            sources = {v for v in left if all(w != v for _, w in rest)}
+            if not sources:
+                break
+            left -= sources
+            rest = {(x, w) for x, w in rest if x not in sources}
+        assert is_acyclic(Digraph(n, arcs)) == (not left)
