@@ -4,13 +4,16 @@ Subcommands: gen, cover, verify, realize, compete, theta-e, theta-e-p,
 decide, survey.  Objects travel as JSON (optionally DOT for graphs and
 digraphs), survey tables as TSV.
 
+`decide` and `survey` both ask oracle.is_p_competition (survey through
+oracle.survey_decision) and only format its Decision.
+
 Exit codes: 0 success / valid / positive decision, 1 invalid cover or
 negative decision, 2 input or parameter problems (including unreadable,
 non-UTF-8 or malformed JSON files, and a vertex count above graphs.MAX_N
-in a file or in --n), 3 infeasible parameters, an exceeded search guard,
-or any other pcomp error (a search certificate the verifier rejects, or
-the two `decide --method both` paths disagreeing).  Every failure ends
-with a one-line `pcomp:` message on stderr.
+in a file, or --n or --p above it), 3 infeasible parameters, an exceeded
+search guard, or any other pcomp error (a certificate the checks reject,
+or the construction and the search disagreeing in `decide --method both`
+or `survey`).  Every failure ends with a one-line `pcomp:` message on stderr.
 """
 
 from __future__ import annotations
@@ -28,13 +31,7 @@ from .covers import (
     lift_cover,
     verify_p_ecc,
 )
-from .errors import (
-    InfeasibleError,
-    InvalidParameterError,
-    PcompError,
-    ScaleError,
-    UnsupportedInstanceError,
-)
+from .errors import InvalidParameterError, PcompError, UnsupportedInstanceError
 from .graphs import (
     MAX_N,
     complement,
@@ -46,7 +43,7 @@ from .graphs import (
     graph_to_json_dict,
     make_cycle,
 )
-from .oracle import exact_theta_e, exact_theta_e_p, is_p_competition
+from .oracle import exact_theta_e, exact_theta_e_p, is_p_competition, survey_decision
 from .realization import realize, realize_acyclic
 
 EXIT_OK = 0
@@ -72,10 +69,10 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _check_n(n: int) -> None:
-    """Refuse a vertex count above MAX_N before anything of that size exists."""
-    if n > MAX_N:
-        raise InvalidParameterError(f"--n {n} is above the limit {MAX_N}")
+def _check_limit(option: str, value: int | None) -> None:
+    """Refuse --n or --p above MAX_N before anything of that size exists."""
+    if value is not None and value > MAX_N:
+        raise InvalidParameterError(f"{option} {value} is above the limit {MAX_N}")
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -109,7 +106,7 @@ def _family_graph(family: str, n: int):
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    _check_n(args.n)
+    _check_limit("--n", args.n)
     if args.family == "co-cycle" and args.n < 5:
         raise InvalidParameterError(f"co-cycle generation requires n >= 5, got n={args.n}")
     g = _family_graph(args.family, args.n)
@@ -121,7 +118,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    _check_n(args.n)
+    _check_limit("--n", args.n)
+    _check_limit("--p", args.p)
     if args.family == "cycle":
         if args.p is None:
             raise InvalidParameterError("cover cycle requires --p")
@@ -185,55 +183,31 @@ def cmd_theta_e_p(args: argparse.Namespace) -> int:
 def cmd_decide(args: argparse.Namespace) -> int:
     g = graph_from_json_dict(_load_json(args.graph))
     decision = is_p_competition(g, args.p, method=args.method, guard=args.guard)
-    _emit_json(
-        {
-            "is_p_competition": decision.value,
-            "method": decision.method,
-            "cover_size": decision.cover_size,
-        },
-        args.out,
-    )
+    _emit_json(decision.to_json_dict(), args.out)
     return EXIT_OK if decision.value else EXIT_INVALID
-
-
-def _survey_cell(family: str, n: int, p: int, guard: int) -> tuple[str, str, str, str]:
-    g = _family_graph(family, n)
-    constructive = None
-    try:
-        constructive = is_p_competition(g, p, method="construct")
-    except UnsupportedInstanceError:
-        pass
-    oracle = None
-    if n <= guard:
-        oracle = is_p_competition(g, p, method="oracle", guard=guard)
-
-    if constructive is None and oracle is None:
-        return "skipped", "-", "-", "-"
-    if constructive is not None and oracle is not None:
-        agree = "yes" if constructive.value == oracle.value else "no"
-        picked, method = constructive, "both"
-    elif constructive is not None:
-        agree, picked, method = "-", constructive, "construct"
-    else:
-        agree, picked, method = "-", oracle, "oracle"
-    decision = "yes" if picked.value else "no"
-    size = str(picked.cover_size) if picked.value and picked.cover_size is not None else "-"
-    return decision, method, size, agree
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
     n_lo, n_hi = _parse_span(args.n)
-    _check_n(n_hi)
+    _check_limit("--n", n_hi)
     p_lo, p_hi = _parse_span(args.p)
+    _check_limit("--p", p_hi)
     if n_lo < 3:
         raise InvalidParameterError(f"survey requires n >= 3, got {n_lo}")
     if p_lo < 1:
         raise InvalidParameterError(f"survey requires p >= 1, got {p_lo}")
     lines = ["n\tp\tdecision\tmethod\tcover_size\tagree"]
     for n in range(n_lo, n_hi + 1):
+        g = _family_graph(args.family, n)
         for p in range(p_lo, p_hi + 1):
-            decision, method, size, agree = _survey_cell(args.family, n, p, args.guard)
-            lines.append(f"{n}\t{p}\t{decision}\t{method}\t{size}\t{agree}")
+            d = survey_decision(g, p, args.guard)
+            if d is None:
+                cells = "skipped\t-\t-\t-"
+            else:
+                size = d.cover_size if d.value else "-"
+                agree = "yes" if d.method == "both" else "-"
+                cells = f"{'yes' if d.value else 'no'}\t{d.method}\t{size}\t{agree}"
+            lines.append(f"{n}\t{p}\t{cells}")
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -323,13 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleError, ScaleError) as exc:
-        print(f"pcomp: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (InvalidParameterError, UnsupportedInstanceError) as exc:
-        print(f"pcomp: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (InvalidParameterError, UnsupportedInstanceError,
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"pcomp: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PcompError as exc:

@@ -35,23 +35,27 @@ explicit parameters with safe defaults rather than hard limits.
 is_p_competition combines the constructive route (cycle and cycle-
 complement covers plus lifting) with the exhaustive route (a graph on n
 vertices is a p-competition graph iff it has a p-edge clique cover of at
-most n sets).
+most n sets).  A yes carries that cover; _certify checks every returned
+cover with the verifier and, within n sets, by realizing it back to g.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations
 
+from .competition import p_competition_graph
 from .covers import (
     CliqueCover,
-    Verdict,
     complement_cycle_cover,
     cover_to_json_dict,
+    cycle_cover,
+    lift_cover,
     verify_p_ecc,
 )
 from .errors import InvalidParameterError, PcompError, ScaleError, UnsupportedInstanceError
 from .graphs import Graph, complement, iter_bits, make_cycle
+from .realization import realize
 
 
 @dataclass(frozen=True)
@@ -85,20 +89,40 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class Decision:
-    """Answer of is_p_competition together with the path that produced it."""
+    """Answer of is_p_competition, the path that produced it, and for a yes
+    the p-edge clique cover of at most n sets that certifies it."""
 
     value: bool
     method: str
-    cover_size: int | None = None
+    certificate: CliqueCover | None = None
+
+    @property
+    def cover_size(self) -> int | None:
+        return len(self.certificate) if self.certificate is not None else None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "is_p_competition": self.value,
+            "method": self.method,
+            "cover_size": self.cover_size,
+            "certificate": (
+                cover_to_json_dict(self.certificate)
+                if self.certificate is not None else None),
+        }
 
 
-def _check_certificate(verdict: Verdict, n: int, p: int) -> None:
-    """Refuse to return a certificate the verifier rejects; unlike an
-    assert, this check also runs under python -O."""
+def _certify(g: Graph, cover: CliqueCover, p: int) -> None:
+    """Refuse a certificate the verifier rejects, or one of at most n sets
+    whose realization does not give g back; unlike an assert, this check
+    also runs under python -O."""
+    verdict = verify_p_ecc(g, cover, p)
     if not verdict.valid:
         raise PcompError(
-            f"search certificate failed verification (n={n}, p={p}): "
+            f"certificate failed verification (n={g.n}, p={p}): "
             f"{verdict.reason} at {verdict.pair}")
+    if len(cover) <= g.n and p_competition_graph(realize(cover), p) != g:
+        raise PcompError(
+            f"certificate does not realize the graph (n={g.n}, p={p})")
 
 
 def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
@@ -225,7 +249,7 @@ def _cover_search(g: Graph, p: int, alphabet: list[tuple[int, ...]],
     for r in range(p, budget + 1):
         if search([0] * p, r, 0):
             certificate = CliqueCover(n, tuple(frozenset(alphabet[i]) for i in chosen))
-            _check_certificate(verify_p_ecc(g, certificate, p), n, p)
+            _certify(g, certificate, p)
             return SearchResult(value=r, certificate=certificate, nodes=nodes)
     return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)
 
@@ -280,21 +304,18 @@ def _constructive_decision(g: Graph, p: int) -> Decision | None:
     n = g.n
     if n >= 4 and g == make_cycle(n):
         if n >= p + 3:
-            return Decision(True, "construct", cover_size=n)
+            return Decision(True, "construct", cycle_cover(n, p))
         return Decision(False, "construct")
     if n >= 5 and g == complement(make_cycle(n)):
-        base = len(complement_cycle_cover(n))
-        if base + p - 1 <= n:
-            return Decision(True, "construct", cover_size=base + p - 1)
-        return None
+        base = complement_cycle_cover(n)
+        if len(base) + p - 1 <= n:
+            return Decision(True, "construct", lift_cover(base, p))
     return None
 
 
 def _oracle_decision(g: Graph, p: int, guard: int) -> Decision:
     result = exact_theta_e_p(g, p, budget=g.n, guard=guard)
-    if result.value is not None:
-        return Decision(True, "oracle", cover_size=result.value)
-    return Decision(False, "oracle")
+    return Decision(result.value is not None, "oracle", result.certificate)
 
 
 def is_p_competition(g: Graph, p: int, method: str = "auto",
@@ -303,39 +324,44 @@ def is_p_competition(g: Graph, p: int, method: str = "auto",
 
     method "construct" uses the cycle / cycle-complement constructions,
     "oracle" the exhaustive p-cover search with budget n, "both" runs the
-    two and insists they agree, and "auto" prefers the constructive route
-    and falls back to the oracle within its guard.
+    two and raises PcompError unless they agree, and "auto" prefers the
+    constructive route and falls back to the oracle within its guard.  A
+    yes carries the constructive cover if any, else the search's.
     """
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
     if method not in ("auto", "construct", "oracle", "both"):
         raise InvalidParameterError(f"unknown method {method!r}")
 
-    constructive = _constructive_decision(g, p) if method != "oracle" else None
-    if method == "construct":
-        if constructive is None:
+    constructive = None if method == "oracle" else _constructive_decision(g, p)
+    if constructive is None and method != "oracle":
+        if method != "auto":
             raise UnsupportedInstanceError(
                 "no constructive decision for this graph/p combination")
-        return constructive
-    if method == "oracle":
-        return _oracle_decision(g, p, guard)
+        if g.n > guard:
+            raise UnsupportedInstanceError(
+                f"no decision path applies: not a recognized construction and n={g.n} "
+                f"exceeds the oracle guard {guard}")
+    decision = constructive if constructive is not None else _oracle_decision(g, p, guard)
     if method == "both":
-        if constructive is None:
-            raise UnsupportedInstanceError(
-                "no constructive decision for this graph/p combination")
         oracle = _oracle_decision(g, p, guard)
-        if oracle.value != constructive.value:
+        if oracle.value != decision.value:
             raise PcompError(
                 f"construction and exhaustive search disagree on n={g.n}, p={p}: "
-                f"{constructive.value} vs {oracle.value}")
-        size = (constructive.cover_size if constructive.cover_size is not None
-                else oracle.cover_size)
-        return Decision(constructive.value, "both", cover_size=size)
-    # auto
-    if constructive is not None:
-        return constructive
-    if g.n <= guard:
-        return _oracle_decision(g, p, guard)
-    raise UnsupportedInstanceError(
-        f"no decision path applies: not a recognized construction and n={g.n} "
-        f"exceeds the oracle guard {guard}")
+                f"{decision.value} vs {oracle.value}")
+        decision = replace(decision, method="both")
+    if decision.certificate is not None:
+        _certify(g, decision.certificate, p)
+    return decision
+
+
+def survey_decision(g: Graph, p: int, guard: int) -> Decision | None:
+    """One survey cell: "both" within the guard and "construct" beyond it,
+    falling back to "oracle" within the guard; None if nothing applies."""
+    try:
+        return is_p_competition(
+            g, p, method="both" if g.n <= guard else "construct", guard=guard)
+    except UnsupportedInstanceError:
+        if g.n > guard:
+            return None
+        return is_p_competition(g, p, method="oracle", guard=guard)

@@ -20,11 +20,9 @@ from pcomp import (
     SearchResult,
     Verdict,
     maximal_cliques,
-    verify_ecc,
-    verify_p_ecc,
 )
 from pcomp.graphs import iter_bits
-from pcomp.oracle import _check_certificate
+from pcomp.oracle import _certify
 
 
 @st.composite
@@ -219,7 +217,7 @@ def reference_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> Se
         raise PcompError(
             f"optimum {best} found but no certificate reconstructed (n={g.n}, p=1)")
     certificate = CliqueCover(g.n, tuple(cliques[i] for i in chosen))
-    _check_certificate(verify_ecc(g, certificate), g.n, 1)
+    _certify(g, certificate, 1)
     return SearchResult(value=best, certificate=certificate, nodes=nodes)
 
 
@@ -315,6 +313,6 @@ def reference_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> Search
         if search(r, 0):
             certificate = CliqueCover(
                 n, tuple(frozenset(alphabet[i]) for i in chosen))
-            _check_certificate(verify_p_ecc(g, certificate, p), n, p)
+            _certify(g, certificate, p)
             return SearchResult(value=r, certificate=certificate, nodes=nodes)
     return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)

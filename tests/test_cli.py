@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import pcomp.oracle
-from pcomp import Decision, Verdict
+from pcomp import CliqueCover, Decision, Verdict, cover_to_json_dict, cycle_cover
 from pcomp.cli import main
 from pcomp.graphs import MAX_N
 
@@ -15,11 +15,11 @@ REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, python_flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "pcomp", *map(str, argv)],
+        [sys.executable, *python_flags, "-m", "pcomp", *map(str, argv)],
         capture_output=True, text=True, env=env, cwd=cwd)
 
 
@@ -189,9 +189,9 @@ HUGE = "99999999999999999999"
 
 
 class TestVertexLimit:
-    """A vertex count above MAX_N ends with exit 2 before anything of that
-    size is built (in-process, so a missed check shows as a hang or a
-    memory error rather than a killed child)."""
+    """A vertex count or a --p above MAX_N ends with exit 2 before anything
+    of that size is built (in-process, so a missed check shows as a hang or
+    a memory error rather than a killed child)."""
 
     @pytest.mark.parametrize("argv", [
         ["gen", "cycle", "--n", str(MAX_N + 1)],
@@ -200,6 +200,11 @@ class TestVertexLimit:
         ["cover", "co-cycle", "--n", HUGE, "--p", "2"],
         ["survey", "cycle", "--n", f"{MAX_N}..{MAX_N + 1}", "--p", "1"],
         ["survey", "co-cycle", "--n", HUGE, "--p", "1"],
+        ["cover", "co-cycle", "--n", "10", "--p", "99999999999"],
+        ["cover", "cycle", "--n", "10", "--p", HUGE],
+        ["survey", "cycle", "--n", "4..5", "--p", "1..99999999999"],
+        ["survey", "cycle", "--n", "4..5", "--p", f"{MAX_N}..{MAX_N + 1}"],
+        ["survey", "co-cycle", "--n", "5", "--p", HUGE],
     ])
     def test_n_option_above_limit_exits_2(self, argv, capsys):
         assert main(argv) == 2
@@ -225,6 +230,11 @@ class TestVertexLimit:
         assert main(["gen", "cycle", "--n", str(MAX_N), "--out", str(g)]) == 0
         assert json.loads(g.read_text())["n"] == MAX_N
 
+    def test_p_at_the_limit_is_accepted(self, tmp_path):
+        f = tmp_path / "f.json"
+        assert main(["cover", "co-cycle", "--n", "5", "--p", str(MAX_N), "--out", str(f)]) == 0
+        assert len(json.loads(f.read_text())["sets"]) == 5 + MAX_N - 1
+
 
 class TestPcompErrorsExit3:
     """A library PcompError outside the named families ends the CLI with
@@ -245,11 +255,35 @@ class TestPcompErrorsExit3:
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}))
         monkeypatch.setattr(
-            pcomp.oracle, "_oracle_decision", lambda g, p, guard: Decision(True, "oracle", 4))
+            pcomp.oracle, "_oracle_decision",
+            lambda g, p, guard: Decision(True, "oracle", cycle_cover(4, 1)))
         assert main(["decide", str(g), "--p", "2", "--method", "both"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("pcomp: ") and "disagree" in err and err.count("\n") == 1
+
+    def test_survey_disagreement(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            pcomp.oracle, "_oracle_decision",
+            lambda g, p, guard: Decision(True, "oracle", cycle_cover(4, 1)))
+        assert main(["survey", "cycle", "--n", "4", "--p", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("pcomp: ") and "disagree" in err and err.count("\n") == 1
+
+    def test_rejected_decision_certificate(self, tmp_path, monkeypatch, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 9, "edges": [[i, (i + 1) % 9] for i in range(9)]}))
+
+        def dropped(n, p):
+            f = cycle_cover(n, p)
+            return CliqueCover(n, f.sets[:-1])
+
+        monkeypatch.setattr(pcomp.oracle, "cycle_cover", dropped)
+        assert main(["decide", str(g), "--p", "6"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("pcomp: ") and err.count("\n") == 1
 
 
 class TestOracleCommands:
@@ -289,11 +323,15 @@ class TestOracleCommands:
         run_cli("gen", "cycle", "--n", 9, "--out", g)
         yes = run_cli("decide", g, "--p", 6)
         assert yes.returncode == 0
-        assert json.loads(yes.stdout)["is_p_competition"] is True
+        assert json.loads(yes.stdout) == {
+            "is_p_competition": True, "method": "construct", "cover_size": 9,
+            "certificate": cover_to_json_dict(cycle_cover(9, 6))}
         run_cli("gen", "cycle", "--n", 4, "--out", g)
         no = run_cli("decide", g, "--p", 2)
         assert no.returncode == 1
-        assert json.loads(no.stdout)["method"] == "construct"
+        assert json.loads(no.stdout) == {
+            "is_p_competition": False, "method": "construct", "cover_size": None,
+            "certificate": None}
 
     def test_decide_unsupported_exits_2(self, tmp_path):
         g = tmp_path / "g.json"
@@ -324,3 +362,22 @@ class TestSurvey:
 
     def test_bad_range_exits_2(self):
         assert run_cli("survey", "cycle", "--n", "9..4", "--p", "1").returncode == 2
+
+
+class TestOptimizedInterpreter:
+    """Certificate checks are plain raises, so `python -O` prints the same."""
+
+    def test_golden_survey_under_O(self):
+        res = run_cli("survey", "cycle", "--n", "4..12", "--p", "1..6", python_flags=("-O",))
+        assert res.returncode == 0
+        assert res.stdout == (GOLDEN / "survey_cycle_n4-12_p1-6.tsv").read_text()
+
+    def test_oracle_decision_under_O(self, tmp_path):
+        g = tmp_path / "g.json"
+        run_cli("gen", "co-cycle", "--n", 7, "--out", g)
+        plain = run_cli("decide", g, "--p", 2)
+        optimized = run_cli("decide", g, "--p", 2, python_flags=("-O",))
+        assert plain.returncode == optimized.returncode == 0
+        assert optimized.stdout == plain.stdout
+        data = json.loads(plain.stdout)
+        assert data["method"] == "oracle" and data["certificate"] is not None

@@ -17,14 +17,19 @@ from pcomp import (
     UnsupportedInstanceError,
     Verdict,
     complement,
+    cover_to_json_dict,
+    cycle_cover,
     exact_theta_e,
     exact_theta_e_p,
     is_p_competition,
     make_cycle,
     maximal_cliques,
+    p_competition_graph,
+    realize,
     verify_ecc,
     verify_p_ecc,
 )
+from pcomp.oracle import survey_decision
 
 
 class TestMaximalCliques:
@@ -307,7 +312,7 @@ class TestIsPCompetition:
     def test_method_both_disagreement_raises_pcomp_error(self, monkeypatch):
         monkeypatch.setattr(
             pcomp.oracle, "_oracle_decision",
-            lambda g, p, guard: Decision(True, "oracle", 4))
+            lambda g, p, guard: Decision(True, "oracle", cycle_cover(4, 1)))
         with pytest.raises(PcompError, match="disagree on n=4, p=2"):
             is_p_competition(make_cycle(4), 2, method="both")
 
@@ -328,3 +333,98 @@ class TestIsPCompetition:
         for p in range(1, 5):
             decision = is_p_competition(make_cycle(n), p, method="both")
             assert decision.value == (n >= p + 3)
+
+
+def _drop_last_set(build):
+    def dropped(*args):
+        f = build(*args)
+        return CliqueCover(f.n, f.sets[:-1])
+    return dropped
+
+
+class TestDecisionCertificates:
+    """Every yes carries a p-cover of at most n sets that the library has
+    checked; these tests check it again with their own calls."""
+
+    @pytest.mark.parametrize("family,n", [
+        *(("cycle", n) for n in range(3, 13)),
+        *(("co-cycle", n) for n in range(5, 13)),
+    ])
+    def test_yes_decisions_carry_checked_covers(self, family, n):
+        g = make_cycle(n) if family == "cycle" else complement(make_cycle(n))
+        methods = ["construct", "auto", "both", "oracle"] if n <= 6 else ["construct"]
+        yes = 0
+        for p in range(1, n + 1):
+            for method in methods:
+                try:
+                    d = is_p_competition(g, p, method=method)
+                except UnsupportedInstanceError:
+                    continue
+                if method == "construct" and n > 6:
+                    # beyond the oracle, auto takes the same constructive path
+                    assert is_p_competition(g, p) == d
+                if not d.value:
+                    assert d.certificate is None and d.cover_size is None
+                    continue
+                yes += 1
+                f = d.certificate
+                assert len(f) == d.cover_size <= n
+                assert verify_p_ecc(g, f, p).valid
+                assert p_competition_graph(realize(f), p) == g
+        assert yes > 0
+
+    def test_both_keeps_the_constructive_cover(self):
+        g = complement(make_cycle(6))
+        both = is_p_competition(g, 1, method="both")
+        assert both.certificate == is_p_competition(g, 1, method="construct").certificate
+        assert both.method == "both" and both.cover_size == 5
+
+    def test_json_carries_the_certificate(self):
+        yes = is_p_competition(make_cycle(9), 6)
+        assert yes.to_json_dict() == {
+            "is_p_competition": True, "method": "construct", "cover_size": 9,
+            "certificate": cover_to_json_dict(cycle_cover(9, 6))}
+        assert is_p_competition(make_cycle(4), 2).to_json_dict() == {
+            "is_p_competition": False, "method": "construct", "cover_size": None,
+            "certificate": None}
+
+    def test_constructive_cover_missing_a_set_raises(self, monkeypatch):
+        monkeypatch.setattr(pcomp.oracle, "cycle_cover", _drop_last_set(cycle_cover))
+        with pytest.raises(PcompError, match="failed verification"):
+            is_p_competition(make_cycle(9), 6)
+
+    def test_round_trip_catches_what_the_verifier_passes(self, monkeypatch):
+        monkeypatch.setattr(pcomp.oracle, "cycle_cover", _drop_last_set(cycle_cover))
+        monkeypatch.setattr(
+            pcomp.oracle, "verify_p_ecc", lambda g, f, p: Verdict(True, None, None))
+        with pytest.raises(PcompError, match="does not realize"):
+            is_p_competition(make_cycle(9), 6)
+
+    def test_no_round_trip_beyond_n_sets(self):
+        # K_{3,3} is triangle-free, so each of its 9 edges needs its own clique
+        k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        assert exact_theta_e(k33).value == 9
+
+
+class TestSurveyDecision:
+    def test_both_within_the_guard(self):
+        d = survey_decision(make_cycle(5), 2, guard=5)
+        assert (d.value, d.method, d.cover_size) == (True, "both", 5)
+
+    def test_construct_beyond_the_guard(self):
+        d = survey_decision(make_cycle(9), 7, guard=5)
+        assert (d.value, d.method, d.cover_size) == (False, "construct", None)
+
+    def test_oracle_where_no_construction_applies(self):
+        d = survey_decision(complement(make_cycle(5)), 2, guard=5)
+        assert (d.value, d.method, d.cover_size) == (True, "oracle", 5)
+
+    def test_nothing_applies(self):
+        assert survey_decision(complement(make_cycle(9)), 4, guard=5) is None
+
+    def test_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            pcomp.oracle, "_oracle_decision",
+            lambda g, p, guard: Decision(True, "oracle", cycle_cover(4, 1)))
+        with pytest.raises(PcompError, match="disagree on n=4, p=2"):
+            survey_decision(make_cycle(4), 2, guard=5)

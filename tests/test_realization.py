@@ -19,6 +19,7 @@ from pcomp import (
     realize,
     realize_acyclic,
     satisfies_acyclic_ordering,
+    verify_p_ecc,
 )
 
 
@@ -56,13 +57,15 @@ class TestRealize:
 
     @pytest.mark.parametrize(
         "n,p",
-        [(n, p) for n in range(9, 18, 2) for p in range(1, (n - 3) // 2 + 1)]
-        + [(n, p) for n in range(10, 17, 2) for p in range(1, n // 2 + 1)],
+        [(n, p) for n in range(9, 26, 2) for p in range(1, (n - 3) // 2 + 1)]
+        + [(n, p) for n in range(10, 25, 2) for p in range(1, n // 2 + 1)],
     )
     def test_lifted_complement_covers_roundtrip_in_range(self, n, p):
+        g = complement(make_cycle(n))
         f = lift_cover(complement_cycle_cover(n), p)
         assert len(f.sets) <= n
-        assert p_competition_graph(realize(f), p) == complement(make_cycle(n))
+        assert verify_p_ecc(g, f, p).valid
+        assert p_competition_graph(realize(f), p) == g
 
     @given(covers(max_n=7, max_sets=7), st.integers(1, 3))
     def test_prey_counts_equal_shared_set_counts(self, f, p):
