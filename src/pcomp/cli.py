@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     tep.add_argument("graph")
     tep.add_argument("--p", type=int, required=True)
     tep.add_argument("--budget", type=int, help="defaults to the vertex count")
-    tep.add_argument("--guard", type=int, default=8)
+    tep.add_argument("--guard", type=int, default=8,
+                     help="cap on the vertex count and on the number of sets")
     tep.add_argument("--out")
     tep.set_defaults(func=cmd_theta_e_p)
 

@@ -234,7 +234,7 @@ def lift_cover(f: CliqueCover, p: int) -> CliqueCover:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
     if p == 1:
         return f
-    full = range(f.n)
+    full = frozenset(range(f.n))  # one set shared by all p - 1 copies
     return CliqueCover(f.n, [*f.sets, *([full] * (p - 1))])
 
 

@@ -3,46 +3,55 @@
 Three exact searches, all deterministic:
 
   * maximal_cliques   Bron-Kerbosch with pivoting on bitmasks.
-  * exact_theta_e     minimum edge clique cover size: the cover search at
-                      p = 1 over the maximal cliques (growing any cover set
-                      to a maximal clique never hurts coverage).
-  * exact_theta_e_p   minimum p-edge clique cover size up to a budget: the
-                      cover search over every vertex subset of two or more
-                      members (sets in a p-cover need not be cliques).
+  * exact_theta_e     minimum edge clique cover size, by the clique search
+                      over the maximal cliques (growing any cover set to a
+                      maximal clique never hurts coverage).
+  * exact_theta_e_p   minimum p-edge clique cover size up to a budget, by
+                      the row search (sets in a p-cover need not be
+                      cliques).
 
-The one cover search deepens the family size r from p up to the budget.
-At each r a depth-first search runs over nondecreasing sequences of
-alphabet indices, so the first family found is the lexicographically
-least one of the least size, and repeated runs return identical results.
-Pair counts are bit-sliced over pair indices: ge[k] is the mask of pairs
-lying in more than k chosen sets, so each rule is a few ANDs and popcounts.
-A partial family is pruned when
+Both deepen the number of sets r, from p, until a round finds a cover;
+_deepen runs the rounds and _certify checks the cover found.
 
-  * some edge lacks more counts than there are slots left,
-  * some deficient edge lies in no set at or after the current index,
-  * the total deficit exceeds the slots times the most edges one of the
-    remaining sets holds, or
-  * more deficient edges than slots pairwise share no alphabet set, so
-    each needs a set of its own (the packing bound of Gramm, Guo, Hüffner
-    and Niedermeier, ACM JEA 13, 2008; it never fires over all subsets).
+The clique search walks nondecreasing sequences of maximal cliques in
+sorted order, so its cover is the lexicographically least of least size.
+Edges are bits of a mask.  A partial family is pruned when some uncovered
+edge lies in no clique from the current index on, when the slots left
+times the most edges one such clique holds is below the uncovered count,
+or when more uncovered edges than slots pairwise share no clique, so each
+needs a clique of its own (the packing bound of Gramm, Guo, Hüffner and
+Niedermeier, ACM JEA 13, 2008).  A clique holding no uncovered edge is
+skipped: dropping it would leave a cover of r - 1 cliques, which the
+previous round ruled out.  ``nodes`` counts the partial families visited.
 
-A candidate set is skipped when it would put a nonadjacent pair into p
-sets, when it holds no deficient edge (dropping it would leave a valid
-family of r - 1 sets, which the previous round ruled out), or when the
-sets from it on no longer hold every deficient edge.  Scale guards are
-explicit parameters with safe defaults rather than hard limits.
+The row search builds the n x r incidence matrix of the cover one vertex
+at a time, in ascending order.  Vertex v takes an r-bit row, the sets
+that hold it, which is its out-mask in realize.  A pair lies in
+(row_u & row_v).bit_count() sets, so every later vertex keeps the rows it
+may still take as one 2^r-bit domain, and each placed row narrows the
+domains of the later vertices to rows sharing at least p bits with it
+across an edge and fewer than p across a nonedge; an empty domain prunes.
+Columns are kept nonincreasing read from vertex 0 down: while columns
+j - 1 and j agree on every placed row, a row may not set j without j - 1
+(the column half of the double-lex order of Flener et al., CP 2002).
+Rows are tried in ascending order, so the certificate is canonical: of
+the covers of r sets with nonincreasing columns, the one whose rows, read
+as integers from vertex 0 on, form the least sequence.  Its sets are the
+columns in order.  ``nodes`` counts the rows placed.  The guard caps both
+n and r, since a round builds tables of 2^r masks of 2^r bits.
 
 is_p_competition combines the constructive route (cycle and cycle-
 complement covers plus lifting) with the exhaustive route (a graph on n
 vertices is a p-competition graph iff it has a p-edge clique cover of at
 most n sets).  A yes carries that cover; _certify checks every returned
 cover with the verifier and, within n sets, by realizing it back to g.
+Scale guards are explicit parameters with safe defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
+from itertools import combinations
 
 from .competition import p_competition_graph
 from .covers import (
@@ -160,61 +169,54 @@ def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
     return sorted(cliques, key=lambda c: tuple(sorted(c)))
 
 
-def _cover_search(g: Graph, p: int, alphabet: list[tuple[int, ...]],
-                  budget: int) -> SearchResult:
-    """Least r <= budget with a p-edge clique cover of g by r alphabet sets,
-    and the lexicographically least such family over alphabet indices.
+def _deepen(g: Graph, p: int, budget: int, solve) -> SearchResult:
+    """The least r in p..budget at which a kernel round finds a cover of r sets.
 
-    g must have an edge.  Sets may repeat; families are nondecreasing in
-    the alphabet order.
+    solve(r) returns the sets found (or None) and the nodes its kernel has
+    visited so far; the cover is checked by _certify before it is returned.
     """
-    n = g.n
-    pair_index = {pr: k for k, pr in enumerate(combinations(range(n), 2))}
-    edges = 0
-    for e in g.edges:
-        edges |= 1 << pair_index[e]
-    nonedges = ((1 << len(pair_index)) - 1) & ~edges
-    masks = []
-    for s in alphabet:
-        m = 0
-        for pr in combinations(s, 2):
-            m |= 1 << pair_index[pr]
-        masks.append(m)
+    nodes = 0
+    for r in range(p, budget + 1):
+        sets, nodes = solve(r)
+        if sets is not None:
+            certificate = CliqueCover(g.n, sets)
+            _certify(g, certificate, p)
+            return SearchResult(value=r, certificate=certificate, nodes=nodes)
+    return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)
+
+
+def _clique_rounds(g: Graph, cliques: list[frozenset[int]]):
+    """solve(r) for exact_theta_e: the lexicographically least family of r
+    cliques, nondecreasing in their order, that covers every edge."""
+    edge_index = {e: k for k, e in enumerate(sorted(g.edges))}
+    masks = [sum(1 << edge_index[pr] for pr in combinations(sorted(c), 2)) for c in cliques]
     size = len(masks)
-    # reach[i]: pairs held by a set at index >= i; gain[i]: the most edges
-    # one such set holds; together[k]: edges sharing some set with pair k
+    # reach[i]: edges held by a clique at index >= i (reach[0] holds them all);
+    # gain[i]: the most edges one such clique holds; together[k]: edges
+    # sharing some clique with edge k
     reach = [0] * (size + 1)
     gain = [0] * (size + 1)
     for i in range(size - 1, -1, -1):
         reach[i] = reach[i + 1] | masks[i]
-        gain[i] = max(gain[i + 1], (masks[i] & edges).bit_count())
-    together = [0] * len(pair_index)
+        gain[i] = max(gain[i + 1], masks[i].bit_count())
+    together = [0] * len(edge_index)
     for m in masks:
-        for k in iter_bits(m & edges):
-            together[k] |= m & edges
-
-    top = p - 1
-    levels = range(1, p)
+        for k in iter_bits(m):
+            together[k] |= m
     chosen: list[int] = []
     nodes = 0
 
-    def search(ge: list[int], slots: int, lo: int) -> bool:
-        # ge[k]: pairs lying in more than k chosen sets
+    def search(short: int, slots: int, lo: int) -> bool:
+        # short: the edges no chosen clique holds yet
         nonlocal nodes
         nodes += 1
-        short = edges & ~ge[top]
         if not short:
             return True
-        if slots <= top and edges & ~ge[top - slots]:
-            return False  # some edge lacks more counts than slots remain
         if short & ~reach[lo]:
-            return False  # some deficient edge is in no remaining set
-        deficit = 0
-        for at_least in ge:
-            deficit += (edges & ~at_least).bit_count()
-        if deficit > slots * gain[lo]:
-            return False  # the slots left cannot add the missing counts
-        # packing: deficient edges no single set holds together need a set each
+            return False  # some uncovered edge is in no remaining clique
+        if short.bit_count() > slots * gain[lo]:
+            return False  # the slots left cannot hold the uncovered edges
+        # packing: uncovered edges no single clique holds together need a slot each
         packed = 0
         left = short
         while left:
@@ -222,60 +224,92 @@ def _cover_search(g: Graph, p: int, alphabet: list[tuple[int, ...]],
             if packed > slots:
                 return False
             left &= ~together[(left & -left).bit_length() - 1]
-        # candidates end where reach stops holding every deficient edge
-        a, b = lo + 1, size
-        while a < b:
-            mid = (a + b) // 2
-            if short & ~reach[mid]:
-                b = mid
-            else:
-                a = mid + 1
-        blocked = nonedges & ge[top - 1] if top else nonedges
-        for i in range(lo, a):
-            m = masks[i]
-            # a set without a deficient edge could be dropped, leaving a
-            # valid family of r - 1 sets, which the previous round ruled out
-            if not m & short or m & blocked:
-                continue
-            child = [ge[0] | m]
-            for k in levels:
-                child.append(ge[k] | (ge[k - 1] & m))
-            chosen.append(i)
-            if search(child, slots - 1, i):
-                return True
-            chosen.pop()
+        for i in range(lo, size):
+            if short & ~reach[i]:
+                break  # the cliques from i on no longer hold every uncovered edge
+            # a clique without an uncovered edge could be dropped, leaving a
+            # cover of r - 1 cliques, which the previous round ruled out
+            if masks[i] & short:
+                chosen.append(i)
+                if search(short & ~masks[i], slots - 1, i):
+                    return True
+                chosen.pop()
         return False
 
-    for r in range(p, budget + 1):
-        if search([0] * p, r, 0):
-            certificate = CliqueCover(n, tuple(frozenset(alphabet[i]) for i in chosen))
-            _certify(g, certificate, p)
-            return SearchResult(value=r, certificate=certificate, nodes=nodes)
-    return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)
+    def solve(r: int):
+        found = search(reach[0], r, 0)
+        return (tuple(cliques[i] for i in chosen) if found else None), nodes
+
+    return solve
+
+
+def _row_rounds(g: Graph, p: int, guard: int):
+    """solve(r) for exact_theta_e_p: the canonical p-edge clique cover of
+    r sets, found as one r-bit row per vertex (bit j: the vertex is in set j)."""
+    n = g.n
+    adj = [g.neighbor_mask(v) for v in range(n)]
+    rows = [0] * n
+    nodes = 0
+
+    def solve(r: int):
+        if r > guard:
+            raise ScaleError(f"p-cover search allows at most {guard} sets (reached r={r}); "
+                             "raise guard to override")
+        full = (1 << (1 << r)) - 1
+        # least[x][k]: the rows y, as one 2^r-bit mask, with (x & y).bit_count() >= k,
+        # built from x minus its top column j
+        column = [sum(1 << y for y in range(1 << r) if y >> j & 1) for j in range(r)]
+        least = [[full] + [0] * p]
+        for x in range(1, 1 << r):
+            j = x.bit_length() - 1
+            prev = least[x - (1 << j)]
+            least.append([full] + [prev[k] | prev[k - 1] & column[j] for k in range(1, p + 1)])
+
+        def place(v: int, later: list[int], tied: int) -> bool:
+            # later[i]: the rows vertex v + i may still take; bit j of tied:
+            # columns j - 1 and j agree on every placed row
+            nonlocal nodes
+            for x in iter_bits(later[0]):
+                if x & tied & ~(x << 1):
+                    continue  # column j set without column j - 1 while they agree
+                nodes += 1
+                rows[v] = x
+                meet = least[x][p]
+                rest = [d & meet if adj[v] >> w & 1 else d & ~meet
+                        for w, d in enumerate(later[1:], v + 1)]
+                if all(rest) and (v + 1 == n or place(v + 1, rest, tied & ~(x ^ (x << 1)))):
+                    return True
+            return False
+
+        found = place(0, [full] * n, (1 << r) - 2)
+        sets = tuple(frozenset(v for v in range(n) if rows[v] >> j & 1) for j in range(r))
+        return (sets if found else None), nodes
+
+    return solve
 
 
 def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> SearchResult:
     """Exact minimum edge clique cover size, with an optimal cover.
 
-    The cover search at p = 1 over the maximal cliques.  With ``upper``
-    given, returns exceeds-bound instead when the minimum is larger.
-    Edgeless graphs need zero cliques.
+    The clique search over the maximal cliques.  With ``upper`` given,
+    returns exceeds-bound instead when the minimum is larger.  Edgeless
+    graphs need zero cliques.
     """
     if g.n > guard:
         raise ScaleError(
             f"exact cover search requires n <= {guard} (got {g.n}); raise guard to override")
     if not g.edges:
         return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
-    cliques = [tuple(sorted(c)) for c in maximal_cliques(g) if len(c) >= 2]
-    return _cover_search(g, 1, cliques, len(cliques) if upper is None else upper)
+    cliques = [c for c in maximal_cliques(g) if len(c) >= 2]
+    return _deepen(g, 1, len(cliques) if upper is None else upper, _clique_rounds(g, cliques))
 
 
 def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResult:
-    """Smallest r <= budget admitting a p-edge clique cover of r sets.
+    """Smallest r <= budget admitting a p-edge clique cover of r sets, with
+    the canonical cover of that size.
 
-    The cover search over every vertex subset with at least two members,
-    in sorted-tuple order; smaller subsets touch no pair and can be dropped
-    from any valid family.
+    The row search; ``guard`` caps both n and the number of sets, since a
+    round at r sets builds tables of 2^r masks of 2^r bits.
     """
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
@@ -286,9 +320,7 @@ def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResu
             f"p-cover search requires n <= {guard} (got {g.n}); raise guard to override")
     if not g.edges:
         return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
-    alphabet = sorted(
-        chain.from_iterable(combinations(range(g.n), k) for k in range(2, g.n + 1)))
-    return _cover_search(g, p, alphabet, budget)
+    return _deepen(g, p, budget, _row_rounds(g, p, guard))
 
 
 def _constructive_decision(g: Graph, p: int) -> Decision | None:

@@ -93,8 +93,7 @@ def test_criterion_3_cycle_cover_constructions_and_roundtrips():
 
 
 def test_criterion_4_small_cycles_refuted_by_the_oracle():
-    # (5,4) and (6,4) go through the pruned search; the same pairs are also
-    # exercised by the slow-marked oracle unit tests
+    # the same pairs are also refuted by tests/test_oracle.py
     failures = []
     for n, p in [(4, 2), (4, 3), (5, 3), (5, 4), (6, 4)]:
         decision = is_p_competition(make_cycle(n), p, method="oracle")

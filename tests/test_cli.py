@@ -312,6 +312,17 @@ class TestOracleCommands:
         data = json.loads(res.stdout)
         assert data["outcome"] == "exceeds-bound" and data["value"] is None
 
+    def test_theta_e_p_set_count_guard_exit_3(self, tmp_path):
+        # K_{4,4} needs more than 8 sets at p = 2; the guard refuses the
+        # 9-set round instead of searching up to the budget
+        g = tmp_path / "k44.json"
+        g.write_text(json.dumps(
+            {"n": 8, "edges": [[u, v] for u in range(4) for v in range(4, 8)]}))
+        res = run_cli("theta-e-p", g, "--p", 2, "--budget", 40)
+        assert res.returncode == 3 and res.stdout == ""
+        assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
+        assert "at most 8 sets" in res.stderr
+
     def test_theta_e_guard_exit_3(self, tmp_path):
         g = tmp_path / "g.json"
         run_cli("gen", "cycle", "--n", 18, "--out", g)

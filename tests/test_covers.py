@@ -249,6 +249,8 @@ class TestLiftCover:
     def test_appends_full_vertex_sets(self):
         lifted = lift_cover(complement_cycle_cover(10), 3)
         assert lifted.sets[-2:] == (frozenset(range(10)),) * 2
+        # one shared set, so p - 1 copies cost one set's memory
+        assert lifted.sets[-1] is lifted.sets[-2]
 
     def test_lifted_cover_verifies(self):
         g = complement(make_cycle(10))
