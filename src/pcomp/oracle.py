@@ -37,8 +37,11 @@ j - 1 and j agree on every placed row, a row may not set j without j - 1
 Rows are tried in ascending order, so the certificate is canonical: of
 the covers of r sets with nonincreasing columns, the one whose rows, read
 as integers from vertex 0 on, form the least sequence.  Its sets are the
-columns in order.  ``nodes`` counts the rows placed.  The guard caps both
-n and r, since a round builds tables of 2^r masks of 2^r bits.
+columns in order.  ``nodes`` counts the rows placed.  A round at r sets
+reads one table of 2^r masks of 2^r bits, the rows meeting each row in at
+least p bits; _meets builds it once per (r, p) and keeps it for the life
+of the process.  The guard caps both n and r, and MAX_ROW_SETS caps r
+whatever the guard.
 
 is_p_competition combines the constructive route (cycle and cycle-
 complement covers plus lifting) with the exhaustive route (a graph on n
@@ -51,6 +54,7 @@ Scale guards are explicit parameters with safe defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations
 
 from .competition import p_competition_graph
@@ -65,6 +69,10 @@ from .covers import (
 from .errors import InvalidParameterError, PcompError, ScaleError, UnsupportedInstanceError
 from .graphs import Graph, complement, iter_bits, make_cycle
 from .realization import realize
+
+# the row search stops past this many sets whatever its guard: the table of a
+# round at r sets holds 4^r bits (2 MB at r = 12) and stays cached
+MAX_ROW_SETS = 12
 
 
 @dataclass(frozen=True)
@@ -243,6 +251,24 @@ def _clique_rounds(g: Graph, cliques: list[frozenset[int]]):
     return solve
 
 
+@cache
+def _meets(r: int, p: int) -> tuple[int, ...]:
+    """meets[x]: the rows y < 2^r, as one 2^r-bit mask, with (x & y).bit_count() >= p.
+
+    A pure function of (r, p), so each process builds it once per key.
+    """
+    full = (1 << (1 << r)) - 1
+    # levels[x][k]: the rows meeting x in at least k bits; row x + 2^j is x
+    # plus column j, and the mask of rows holding bit j repeats 2^j zeros
+    # then 2^j ones
+    levels = [[full] + [0] * p]
+    for j in range(r):
+        column = full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+        levels += [[full] + [low | high & column for low, high in zip(prev[1:], prev)]
+                   for prev in levels]
+    return tuple(level[p] for level in levels)
+
+
 def _row_rounds(g: Graph, p: int, guard: int):
     """solve(r) for exact_theta_e_p: the canonical p-edge clique cover of
     r sets, found as one r-bit row per vertex (bit j: the vertex is in set j)."""
@@ -255,15 +281,11 @@ def _row_rounds(g: Graph, p: int, guard: int):
         if r > guard:
             raise ScaleError(f"p-cover search allows at most {guard} sets (reached r={r}); "
                              "raise guard to override")
+        if r > MAX_ROW_SETS:
+            raise ScaleError(f"p-cover search allows at most {MAX_ROW_SETS} sets whatever "
+                             f"the guard (reached r={r}): its table holds 4^r bits")
         full = (1 << (1 << r)) - 1
-        # least[x][k]: the rows y, as one 2^r-bit mask, with (x & y).bit_count() >= k,
-        # built from x minus its top column j
-        column = [sum(1 << y for y in range(1 << r) if y >> j & 1) for j in range(r)]
-        least = [[full] + [0] * p]
-        for x in range(1, 1 << r):
-            j = x.bit_length() - 1
-            prev = least[x - (1 << j)]
-            least.append([full] + [prev[k] | prev[k - 1] & column[j] for k in range(1, p + 1)])
+        meets = _meets(r, p)
 
         def place(v: int, later: list[int], tied: int) -> bool:
             # later[i]: the rows vertex v + i may still take; bit j of tied:
@@ -274,7 +296,7 @@ def _row_rounds(g: Graph, p: int, guard: int):
                     continue  # column j set without column j - 1 while they agree
                 nodes += 1
                 rows[v] = x
-                meet = least[x][p]
+                meet = meets[x]
                 rest = [d & meet if adj[v] >> w & 1 else d & ~meet
                         for w, d in enumerate(later[1:], v + 1)]
                 if all(rest) and (v + 1 == n or place(v + 1, rest, tied & ~(x ^ (x << 1)))):
@@ -309,7 +331,9 @@ def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResu
     the canonical cover of that size.
 
     The row search; ``guard`` caps both n and the number of sets, since a
-    round at r sets builds tables of 2^r masks of 2^r bits.
+    round at r sets reads a table of 2^r masks of 2^r bits.  The table is
+    cached per (r, p) for the life of the process, and a round past
+    MAX_ROW_SETS sets raises ScaleError whatever the guard.
     """
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")

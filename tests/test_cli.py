@@ -392,3 +392,13 @@ class TestOptimizedInterpreter:
         assert optimized.stdout == plain.stdout
         data = json.loads(plain.stdout)
         assert data["method"] == "oracle" and data["certificate"] is not None
+
+    def test_theta_e_p_under_O(self, tmp_path):
+        g = tmp_path / "g.json"
+        run_cli("gen", "co-cycle", "--n", 7, "--out", g)
+        plain = run_cli("theta-e-p", g, "--p", 2)
+        optimized = run_cli("theta-e-p", g, "--p", 2, python_flags=("-O",))
+        assert plain.returncode == optimized.returncode == 0
+        assert optimized.stdout == plain.stdout
+        data = json.loads(plain.stdout)
+        assert data["value"] == 7 and data["nodes"] == 439

@@ -29,7 +29,7 @@ from pcomp import (
     verify_ecc,
     verify_p_ecc,
 )
-from pcomp.oracle import survey_decision
+from pcomp.oracle import MAX_ROW_SETS, _meets, _row_rounds, survey_decision
 
 
 class TestMaximalCliques:
@@ -210,7 +210,8 @@ class TestExactThetaEP:
 
     def test_set_count_is_capped_by_the_guard(self):
         # K_{4,4} has no 2-cover of at most 8 sets; the round at 9 sets
-        # would build tables of 2^9 masks, so the guard stops it first
+        # would build and cache a table of 2^9 masks of 2^9 bits, so the
+        # guard stops it first
         k44 = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])
         assert exact_theta_e_p(k44, 2, budget=8).outcome == "exceeds-bound"
         with pytest.raises(ScaleError, match="at most 8 sets"):
@@ -228,6 +229,73 @@ class TestExactThetaEP:
             assert result.value <= n
             assert verify_p_ecc(g, result.certificate, p).valid
             assert p_competition_graph(realize(result.certificate), p) == g
+
+
+
+def _search_outcome(g, p):
+    result = exact_theta_e_p(g, p, g.n)
+    return result.value, result.certificate, result.bound, result.nodes
+
+
+def _decision_outcome(g, p):
+    decision = is_p_competition(g, p, method="oracle")
+    return decision.value, decision.certificate
+
+
+def _cache_runs():
+    """A fixed list of theta_e^p searches and oracle decisions, as
+    (outcome function, graph, p)."""
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    searches = [(make_cycle(n), p) for n in range(4, 9) for p in range(1, n)]
+    searches += [(complement(make_cycle(n)), p) for n in range(5, 9) for p in range(1, n - 1)]
+    decisions = [(make_cycle(6), 3), (make_cycle(6), 4), (complement(make_cycle(7)), 2),
+                 (complement(make_cycle(7)), 3), (complement(make_cycle(8)), 4),
+                 (complement(make_cycle(8)), 5), (k33, 1), (k33, 2)]
+    return ([(_search_outcome, g, p) for g, p in searches]
+            + [(_decision_outcome, g, p) for g, p in decisions])
+
+
+class TestMeetTables:
+    """The row search's per-process table of rows meeting in at least p bits."""
+
+    def test_tables_match_the_definition(self):
+        for r in range(1, 8):
+            for p in range(1, r + 1):
+                meets = _meets(r, p)
+                assert len(meets) == 1 << r
+                for x in range(1 << r):
+                    assert meets[x] == sum(1 << y for y in range(1 << r)
+                                           if (x & y).bit_count() >= p), (r, p, x)
+
+    def test_results_do_not_depend_on_the_cache(self):
+        runs = _cache_runs()
+        assert len(runs) == 51
+        cold = []
+        for run, g, p in runs:
+            _meets.cache_clear()
+            cold.append(run(g, p))
+        warm = [run(g, p) for run, g, p in runs]
+        backwards = [run(g, p) for run, g, p in reversed(runs)][::-1]
+        assert cold == warm == backwards
+        assert any(value is None for value, *_ in cold)
+
+    def test_a_repeated_call_builds_no_table(self):
+        g = complement(make_cycle(7))
+        _meets.cache_clear()
+        first = exact_theta_e_p(g, 2, 7)
+        # one table per round, rounds r = 2..7
+        assert _meets.cache_info().misses == first.value - 2 + 1
+        again = exact_theta_e_p(g, 2, 7)
+        assert _meets.cache_info().misses == first.value - 2 + 1
+        assert again == first
+
+    def test_sets_are_capped_whatever_the_guard(self):
+        assert MAX_ROW_SETS == 12
+        solve = _row_rounds(complement(make_cycle(8)), 2, guard=20)
+        misses = _meets.cache_info().misses
+        with pytest.raises(ScaleError, match="at most 12 sets whatever the guard"):
+            solve(13)
+        assert _meets.cache_info().misses == misses  # refused before its table is built
 
 
 def outcome(result):
