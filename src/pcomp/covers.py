@@ -24,8 +24,7 @@ co-occurring pairs rather than with the sum of C(|S|, 2) over the sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InfeasibleError, InvalidParameterError
 from .graphs import Graph, iter_bits, vertex_lists_from_json
@@ -75,8 +74,7 @@ class CliqueCover:
         return f"CliqueCover(n={self.n}, sets={[sorted(s) for s in self.sets]})"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Verification outcome; invalid verdicts carry a concrete witness pair."""
 
     valid: bool

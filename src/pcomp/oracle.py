@@ -53,9 +53,9 @@ Scale guards are explicit parameters with safe defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .competition import p_competition_graph
 from .covers import (
@@ -75,8 +75,7 @@ from .realization import realize
 MAX_ROW_SETS = 12
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of an exact search.
 
     Either an exact value with a verifying certificate, or exceeds-bound
@@ -104,8 +103,7 @@ class SearchResult:
         }
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Answer of is_p_competition, the path that produced it, and for a yes
     the p-edge clique cover of at most n sets that certifies it."""
 
@@ -313,10 +311,12 @@ def _row_rounds(g: Graph, p: int, guard: int):
 def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> SearchResult:
     """Exact minimum edge clique cover size, with an optimal cover.
 
-    The clique search over the maximal cliques.  With ``upper`` given,
-    returns exceeds-bound instead when the minimum is larger.  Edgeless
-    graphs need zero cliques.
+    The clique search over the maximal cliques.  With ``upper`` given (at
+    least 0), returns exceeds-bound instead when the minimum is larger.
+    Edgeless graphs need zero cliques.
     """
+    if upper is not None and upper < 0:
+        raise InvalidParameterError(f"need upper >= 0, got upper={upper}")
     if g.n > guard:
         raise ScaleError(
             f"exact cover search requires n <= {guard} (got {g.n}); raise guard to override")
@@ -405,7 +405,7 @@ def is_p_competition(g: Graph, p: int, method: str = "auto",
             raise PcompError(
                 f"construction and exhaustive search disagree on n={g.n}, p={p}: "
                 f"{decision.value} vs {oracle.value}")
-        decision = replace(decision, method="both")
+        decision = decision._replace(method="both")
     if decision.certificate is not None:
         _certify(g, decision.certificate, p)
     return decision

@@ -305,6 +305,15 @@ class TestOracleCommands:
         assert data["value"] == 0
         assert data["certificate"] == {"n": 3, "sets": []}
 
+    @pytest.mark.parametrize("edges", [[[0, 1]], []], ids=["edge", "edgeless"])
+    def test_theta_e_negative_upper_exits_2(self, tmp_path, capsys, edges):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 3, "edges": edges}))
+        assert main(["theta-e", str(g), "--upper", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("pcomp: need upper >= 0") and err.count("\n") == 1
+
     def test_theta_e_p_exceeds(self, tmp_path):
         g = tmp_path / "g.json"
         run_cli("gen", "cycle", "--n", 4, "--out", g)

@@ -112,6 +112,13 @@ class TestExactThetaE:
         assert result.value <= bound
         assert verify_ecc(complement(make_cycle(n)), result.certificate).valid
 
+    @pytest.mark.parametrize("g", [complement(make_cycle(7)), Graph(5)], ids=["co-C7", "edgeless"])
+    def test_negative_upper_rejected(self, g):
+        # refused before the edgeless shortcut, which would answer 0
+        with pytest.raises(InvalidParameterError, match="need upper >= 0"):
+            exact_theta_e(g, upper=-1)
+        assert exact_theta_e(g, upper=0).value == (0 if not g.edges else None)
+
     def test_guard_rejects_large_graphs(self):
         with pytest.raises(ScaleError):
             exact_theta_e(Graph(17))
@@ -395,7 +402,7 @@ class TestCoverSearchMatchesReference:
             n = rng.randint(1, 12)
             density = rng.random()
             g = Graph(n, [pr for pr in combinations(range(n), 2) if rng.random() < density])
-            for upper in (None, *range(-1, 9)):
+            for upper in (None, *range(9)):
                 assert (outcome(exact_theta_e(g, upper=upper))
                         == outcome(reference_theta_e(g, upper=upper)))
 

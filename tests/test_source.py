@@ -1,9 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pcomp").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "pcomp").glob("*.py"))
 
 
 def test_sources_found():
@@ -16,3 +20,18 @@ def test_library_has_no_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every python -m pcomp pays for its imports; dataclasses alone pulls in
+    # inspect, ast, dis and tokenize, which no subcommand uses.  Comparing
+    # sys.modules before and after keeps this independent of what site loads.
+    code = ("import sys; before = set(sys.modules); import pcomp.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=env, check=True)
+    loaded = set(res.stdout.split())
+    assert "pcomp.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect"}), sorted(loaded)
