@@ -20,6 +20,12 @@ sets.  rows[v] is the out-mask of v in realize(F), so this is the same
 kernel as the common-prey count of the p-competition map.  Only pairs that
 share at least one set are counted, so verification costs grow with the
 co-occurring pairs rather than with the sum of C(|S|, 2) over the sets.
+Each scan walks its candidate mask lowest bit first, so pairs are met in
+ascending order and the first violation found is the lex-least.
+
+``CliqueCover(n, sets)`` checks every member it is given.  The private
+``CliqueCover._trusted`` checks nothing; the constructions here build
+through it, since their members are below n by construction.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InfeasibleError, InvalidParameterError
-from .graphs import Graph, iter_bits, vertex_lists_from_json
+from .graphs import Graph, vertex_lists_from_json
 
 REASON_UNCOVERED_EDGE = "uncovered-edge"
 REASON_NONEDGE_IN_P_SETS = "nonedge-in-p-sets"
@@ -55,6 +61,14 @@ class CliqueCover:
                         f"set {k} contains vertex {v}, out of range for n={n}")
         self.n = n
         self.sets = frozen
+
+    @classmethod
+    def _trusted(cls, n: int, sets: Iterable[Iterable[int]]) -> CliqueCover:
+        """Cover of ``sets``, trusted to hold only vertices below n >= 1."""
+        f = cls.__new__(cls)
+        f.n = n
+        f.sets = tuple(map(frozenset, sets))
+        return f
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -109,7 +123,8 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
         for u, a in enumerate(adj):
             if a:
                 # the least vertex with a neighbour has none below it
-                return Verdict(False, REASON_FAMILY_SMALLER_THAN_P, (u, next(iter_bits(a))))
+                return Verdict(False, REASON_FAMILY_SMALLER_THAN_P,
+                               (u, (a & -a).bit_length() - 1))
     # rows[v]: the sets holding v; near[v]: the vertices sharing a set with v
     rows = [0] * g.n
     near = [0] * g.n
@@ -121,18 +136,25 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
         for v in s:
             rows[v] |= bit
             near[v] |= members
+    # both scans meet pairs in ascending (u, v) order: the first hit is lex-least
     for u, row in enumerate(rows):
         if row.bit_count() < p:
             continue
-        # nonneighbours above u, ascending, so the first hit is lex-least
-        for v in iter_bits(near[u] & ~adj[u] & -(2 << u)):
+        m = near[u] & ~adj[u] & -(2 << u)  # nonneighbours above u
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
             if (row & rows[v]).bit_count() >= p:
                 return Verdict(False, REASON_NONEDGE_IN_P_SETS, (u, v))
-    # edges in ascending (u, v) order, so the first hit is lex-least
+            m ^= low
     for u, row in enumerate(rows):
-        for v in iter_bits(adj[u] & -(2 << u)):
+        m = adj[u] & -(2 << u)  # neighbours above u
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
             if (row & rows[v]).bit_count() < p:
                 return Verdict(False, REASON_UNCOVERED_EDGE, (u, v))
+            m ^= low
     return Verdict(True)
 
 
@@ -157,10 +179,15 @@ def cycle_cover(n: int, p: int) -> CliqueCover:
     """
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
+    if n < 3:
+        raise InvalidParameterError(f"a cycle requires n >= 3, got n={n}")
     if n < p + 3:
         raise InfeasibleError(f"cycle cover requires n >= p+3 (got n={n}, p={p})")
-    return CliqueCover(
-        n, [frozenset((i + k) % n for k in range(p + 1)) for i in range(n)])
+    wrap = n - p  # runs from i >= wrap pass n - 1 and go on from 0
+    return CliqueCover._trusted(n, [
+        *(frozenset(range(i, i + p + 1)) for i in range(wrap)),
+        *(frozenset((*range(i, n), *range(i + p + 1 - n))) for i in range(wrap, n)),
+    ])
 
 
 # Edge clique covers of complement(C_n) for n = 5..8.  These minima are
@@ -212,10 +239,10 @@ def complement_cycle_cover(n: int) -> CliqueCover:
         raise InvalidParameterError(
             f"complement cycle cover requires n >= 5, got n={n}")
     if n <= 8:
-        return CliqueCover(n, _SMALL_COMPLEMENT_FAMILIES[n])
+        return CliqueCover._trusted(n, _SMALL_COMPLEMENT_FAMILIES[n])
     if n % 2:
-        return CliqueCover(n, _odd_complement_family(n))
-    return CliqueCover(n, _even_complement_family(n))
+        return CliqueCover._trusted(n, _odd_complement_family(n))
+    return CliqueCover._trusted(n, _even_complement_family(n))
 
 
 def lift_cover(f: CliqueCover, p: int) -> CliqueCover:
@@ -233,7 +260,7 @@ def lift_cover(f: CliqueCover, p: int) -> CliqueCover:
     if p == 1:
         return f
     full = frozenset(range(f.n))  # one set shared by all p - 1 copies
-    return CliqueCover(f.n, [*f.sets, *([full] * (p - 1))])
+    return CliqueCover._trusted(f.n, [*f.sets, *([full] * (p - 1))])
 
 
 # --- JSON ---------------------------------------------------------------

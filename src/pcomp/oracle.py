@@ -48,7 +48,8 @@ complement covers plus lifting) with the exhaustive route (a graph on n
 vertices is a p-competition graph iff it has a p-edge clique cover of at
 most n sets).  A yes carries that cover; _certify checks every returned
 cover with the verifier and, within n sets, by realizing it back to g.
-Scale guards are explicit parameters with safe defaults.
+Scale guards are explicit parameters with safe defaults; a negative guard
+is an invalid parameter, not an exceeded guard.
 """
 
 from __future__ import annotations
@@ -308,6 +309,11 @@ def _row_rounds(g: Graph, p: int, guard: int):
     return solve
 
 
+def _check_guard(guard: int) -> None:
+    if guard < 0:
+        raise InvalidParameterError(f"need guard >= 0, got guard={guard}")
+
+
 def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> SearchResult:
     """Exact minimum edge clique cover size, with an optimal cover.
 
@@ -317,6 +323,7 @@ def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> Search
     """
     if upper is not None and upper < 0:
         raise InvalidParameterError(f"need upper >= 0, got upper={upper}")
+    _check_guard(guard)
     if g.n > guard:
         raise ScaleError(
             f"exact cover search requires n <= {guard} (got {g.n}); raise guard to override")
@@ -339,6 +346,7 @@ def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResu
         raise InvalidParameterError(f"need p >= 1, got p={p}")
     if budget < 0:
         raise InvalidParameterError(f"need budget >= 0, got budget={budget}")
+    _check_guard(guard)
     if g.n > guard:
         raise ScaleError(
             f"p-cover search requires n <= {guard} (got {g.n}); raise guard to override")
@@ -388,6 +396,7 @@ def is_p_competition(g: Graph, p: int, method: str = "auto",
         raise InvalidParameterError(f"need p >= 1, got p={p}")
     if method not in ("auto", "construct", "oracle", "both"):
         raise InvalidParameterError(f"unknown method {method!r}")
+    _check_guard(guard)
 
     constructive = None if method == "oracle" else _constructive_decision(g, p)
     if constructive is None and method != "oracle":

@@ -7,7 +7,20 @@ from pathlib import Path
 import pytest
 
 import pcomp.oracle
-from pcomp import CliqueCover, Decision, Verdict, cover_to_json_dict, cycle_cover
+from pcomp import (
+    CliqueCover,
+    Decision,
+    Verdict,
+    complement,
+    complement_cycle_cover,
+    cover_to_json_dict,
+    cycle_cover,
+    digraph_to_json_dict,
+    graph_to_json_dict,
+    lift_cover,
+    make_cycle,
+    realize,
+)
 from pcomp.cli import main
 from pcomp.graphs import MAX_N
 
@@ -76,6 +89,18 @@ class TestCover:
 
     def test_cycle_without_p_exits_2(self):
         assert run_cli("cover", "cycle", "--n", 5).returncode == 2
+
+    @pytest.mark.parametrize("n,code,message", [
+        (-2, 2, "pcomp: a cycle requires n >= 3, got n=-2"),
+        (2, 2, "pcomp: a cycle requires n >= 3, got n=2"),
+        (3, 3, "pcomp: cycle cover requires n >= p+3 (got n=3, p=3)"),
+        (5, 3, "pcomp: cycle cover requires n >= p+3 (got n=5, p=3)"),
+    ])
+    def test_cycle_vertex_count_exit_codes(self, capsys, n, code, message):
+        # no cycle below 3 vertices (exit 2, like gen); 3..p+2 is infeasible
+        assert main(["cover", "cycle", "--n", str(n), "--p", "3"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err == message + "\n"
 
 
 class TestVerify:
@@ -353,6 +378,24 @@ class TestOracleCommands:
             "is_p_competition": False, "method": "construct", "cover_size": None,
             "certificate": None}
 
+    @pytest.mark.parametrize("argv,code_at_0", [
+        (["theta-e", "{g}"], 3),
+        (["theta-e-p", "{g}", "--p", "1"], 3),
+        (["decide", "{g}", "--p", "1", "--method", "oracle"], 3),
+        (["decide", "{g}", "--p", "1"], 0),
+        (["survey", "cycle", "--n", "4..6", "--p", "1..2"], 0),
+    ], ids=["theta-e", "theta-e-p", "decide-oracle", "decide", "survey"])
+    def test_negative_guard_exits_2(self, tmp_path, capsys, argv, code_at_0):
+        g = tmp_path / "c5.json"
+        g.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
+        argv = [a.format(g=g) for a in argv]
+        assert main([*argv, "--guard", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "pcomp: need guard >= 0, got guard=-1\n"
+        # a guard of 0 is a real guard: the search refuses n = 5 (exit 3),
+        # and the constructions answer without the search
+        assert main([*argv, "--guard", "0"]) == code_at_0
+
     def test_decide_unsupported_exits_2(self, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 12, "edges": [[0, 1]]}))
@@ -411,3 +454,26 @@ class TestOptimizedInterpreter:
         assert optimized.stdout == plain.stdout
         data = json.loads(plain.stdout)
         assert data["value"] == 7 and data["nodes"] == 439
+
+    @pytest.mark.parametrize("f,g,p", [
+        (cycle_cover(200, 10), make_cycle(200), 10),
+        (lift_cover(complement_cycle_cover(9), 2), complement(make_cycle(9)), 2),
+    ], ids=["sparse-C200-p10", "dense-co-C9-p2"])
+    def test_compete_under_O(self, tmp_path, f, g, p):
+        # 2,200 arcs on 200 vertices take the prey-sharing scan, 34 arcs
+        # on 9 vertices the all-pairs scan
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(digraph_to_json_dict(realize(f))))
+        res = run_cli("compete", d, "--p", p, python_flags=("-O",))
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout == json.dumps(graph_to_json_dict(g), separators=(",", ":")) + "\n"
+
+    def test_verify_dropped_set_under_O(self, tmp_path):
+        # C12 at p = 3 without the run {0, 1, 2, 3}: edge {0, 1} keeps 2 sets
+        g, f = tmp_path / "g.json", tmp_path / "f.json"
+        g.write_text(json.dumps(graph_to_json_dict(make_cycle(12))))
+        f.write_text(json.dumps({"n": 12, "sets": [sorted(s) for s in cycle_cover(12, 3).sets[1:]]}))
+        res = run_cli("verify", g, f, "--p", 3, python_flags=("-O",))
+        assert res.returncode == 1 and res.stderr == ""
+        assert res.stdout == \
+            '{"valid":false,"witness":{"reason":"uncovered-edge","pair":[0,1]}}\n'

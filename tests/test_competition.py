@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,24 @@ def literal_p_competition_edges(n, arcs, p):
     for x, v in arcs:
         prey[x].add(v)
     return {(x, y) for x, y in combinations(range(n), 2) if len(prey[x] & prey[y]) >= p}
+
+
+@st.composite
+def sparse_arc_sets(draw):
+    """n in 16..64 and at most n/8 prey per vertex, loops allowed, so the
+    arcs stay within n^2/8: the prey-sharing scan of p_competition_graph."""
+    n = draw(st.integers(16, 64))
+    prey = st.lists(st.integers(0, n - 1), max_size=n // 8, unique=True)
+    return n, {(x, v) for x in range(n) for v in draw(prey)}
+
+
+@st.composite
+def dense_arc_sets(draw):
+    """More than n^2/8 arcs on n in 2..24: the all-pairs scan."""
+    n = draw(st.integers(2, 24))
+    pairs = [(x, v) for x in range(n) for v in range(n)]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return n, set(rng.sample(pairs, draw(st.integers(n * n // 8 + 1, n * n))))
 
 
 class TestCommonPreyCount:
@@ -80,6 +99,44 @@ class TestPCompetitionGraph:
         n, arcs = drawn
         assert p_competition_graph(Digraph(n, arcs), p).edges == \
             literal_p_competition_edges(n, arcs, p)
+
+    @given(sparse_arc_sets(), st.integers(1, 4))
+    def test_sparse_digraphs_match_literal_definition(self, drawn, p):
+        n, arcs = drawn
+        assert len(arcs) * 8 <= n * n
+        assert p_competition_graph(Digraph(n, arcs), p).edges == \
+            literal_p_competition_edges(n, arcs, p)
+
+    @given(dense_arc_sets(), st.integers(1, 4))
+    def test_dense_digraphs_match_literal_definition(self, drawn, p):
+        n, arcs = drawn
+        assert len(arcs) * 8 > n * n
+        assert p_competition_graph(Digraph(n, arcs), p).edges == \
+            literal_p_competition_edges(n, arcs, p)
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 24, 40])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_at_the_sparse_dense_threshold(self, n, extra):
+        # the scans switch between n^2/8 arcs (prey-sharing) and one more
+        pairs = [(x, v) for x in range(n) for v in range(n)]
+        for seed in range(5):
+            arcs = random.Random(seed).sample(pairs, n * n // 8 + extra)
+            for p in range(1, 4):
+                assert p_competition_graph(Digraph(n, arcs), p).edges == \
+                    literal_p_competition_edges(n, arcs, p)
+
+    @pytest.mark.parametrize("n,arcs", [
+        (1, []),
+        (1, [(0, 0)]),
+        (16, [(x, x) for x in range(16)]),
+        (16, [*((x, x) for x in range(16)), *((x, 0) for x in range(1, 4))]),
+        (32, [(0, 5), (1, 5), (0, 6), (1, 6), (7, 5), (7, 7), (5, 7)]),
+    ], ids=["n1", "n1-loop", "loops-only", "loops-and-shared-prey", "isolated"])
+    def test_loops_and_isolated_vertices(self, n, arcs):
+        for p in range(1, 4):
+            g = p_competition_graph(Digraph(n, arcs), p)
+            assert g.n == n
+            assert g.edges == literal_p_competition_edges(n, arcs, p)
 
     def test_cycle_cover_realizations_up_to_60(self):
         for n in range(4, 61):

@@ -173,6 +173,20 @@ class TestCycleCover:
     def test_infeasible_below_p_plus_3(self):
         with pytest.raises(InfeasibleError, match="n >= p\\+3"):
             cycle_cover(4, 2)
+        with pytest.raises(InfeasibleError, match="n >= p\\+3"):
+            cycle_cover(3, 1)
+
+    @pytest.mark.parametrize("n", [-2, 0, 1, 2])
+    def test_fewer_than_3_vertices_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match="a cycle requires n >= 3"):
+            cycle_cover(n, 1)
+
+    def test_set_order_is_the_literal_runs(self):
+        # realize feeds set j to prey j, so the order is part of the output
+        for n in range(4, 61):
+            for p in range(1, n - 2):
+                assert cycle_cover(n, p).sets == tuple(
+                    frozenset((i + k) % n for k in range(p + 1)) for i in range(n))
 
     def test_p_below_one_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -265,6 +279,17 @@ class TestLiftCover:
         lifted = lift_cover(f, p)
         assert len(lifted.sets) == len(f.sets) + p - 1
         assert verify_p_ecc(g, lifted, p).valid
+
+
+@pytest.mark.parametrize("n", range(5, 41))
+def test_constructions_pass_the_public_checks(n):
+    # the constructions skip CliqueCover's range check; the public
+    # constructor re-checks every member and freezes every set
+    built = [complement_cycle_cover(n), lift_cover(complement_cycle_cover(n), 3),
+             *(cycle_cover(n, p) for p in range(1, n - 2))]
+    for f in built:
+        assert CliqueCover(f.n, f.sets) == f
+        assert all(type(s) is frozenset for s in f.sets)
 
 
 class TestCoverSerialization:

@@ -495,6 +495,17 @@ class TestIsPCompetition:
             assert decision.value == (n >= p + 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g, guard: exact_theta_e(g, guard=guard),
+    lambda g, guard: exact_theta_e_p(g, 1, g.n, guard=guard),
+    lambda g, guard: is_p_competition(g, 1, guard=guard),
+], ids=["exact_theta_e", "exact_theta_e_p", "is_p_competition"])
+def test_negative_guard_rejected(call):
+    # C5 at p = 1 has a constructive yes, so only the check refuses it
+    with pytest.raises(InvalidParameterError, match="need guard >= 0"):
+        call(make_cycle(5), -1)
+
+
 def _drop_last_set(build):
     def dropped(*args):
         f = build(*args)
