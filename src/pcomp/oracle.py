@@ -141,8 +141,14 @@ def _certify(g: Graph, cover: CliqueCover, p: int) -> None:
             f"certificate does not realize the graph (n={g.n}, p={p})")
 
 
+def _check_guard(guard: int) -> None:
+    if guard < 0:
+        raise InvalidParameterError(f"need guard >= 0, got guard={guard}")
+
+
 def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
     """All inclusion-maximal cliques, each once, in canonical sorted order."""
+    _check_guard(guard)
     if g.n > guard:
         raise ScaleError(
             f"maximal clique enumeration requires n <= {guard} (got {g.n})")
@@ -307,11 +313,6 @@ def _row_rounds(g: Graph, p: int, guard: int):
         return (sets if found else None), nodes
 
     return solve
-
-
-def _check_guard(guard: int) -> None:
-    if guard < 0:
-        raise InvalidParameterError(f"need guard >= 0, got guard={guard}")
 
 
 def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> SearchResult:

@@ -496,10 +496,11 @@ class TestIsPCompetition:
 
 
 @pytest.mark.parametrize("call", [
+    lambda g, guard: maximal_cliques(g, guard=guard),
     lambda g, guard: exact_theta_e(g, guard=guard),
     lambda g, guard: exact_theta_e_p(g, 1, g.n, guard=guard),
     lambda g, guard: is_p_competition(g, 1, guard=guard),
-], ids=["exact_theta_e", "exact_theta_e_p", "is_p_competition"])
+], ids=["maximal_cliques", "exact_theta_e", "exact_theta_e_p", "is_p_competition"])
 def test_negative_guard_rejected(call):
     # C5 at p = 1 has a constructive yes, so only the check refuses it
     with pytest.raises(InvalidParameterError, match="need guard >= 0"):
