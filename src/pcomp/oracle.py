@@ -38,10 +38,9 @@ Rows are tried in ascending order, so the certificate is canonical: of
 the covers of r sets with nonincreasing columns, the one whose rows, read
 as integers from vertex 0 on, form the least sequence.  Its sets are the
 columns in order.  ``nodes`` counts the rows placed.  A round at r sets
-reads one table of 2^r masks of 2^r bits, the rows meeting each row in at
-least p bits; _meets builds it once per (r, p) and keeps it for the life
-of the process.  The guard caps both n and r, and MAX_ROW_SETS caps r
-whatever the guard.
+reads, for each row it places, the 2^r-bit mask of the rows meeting it in
+at least p bits; _meets(r, p) builds each row's mask on first use and
+keeps it for the life of the process.  The guard caps both n and r.
 
 is_p_competition combines the constructive route (cycle and cycle-
 complement covers plus lifting) with the exhaustive route (a graph on n
@@ -70,11 +69,6 @@ from .covers import (
 from .errors import InvalidParameterError, PcompError, ScaleError, UnsupportedInstanceError
 from .graphs import Graph, complement, iter_bits, make_cycle
 from .realization import realize
-
-# the row search stops past this many sets whatever its guard: the table of a
-# round at r sets holds 4^r bits (2 MB at r = 12) and stays cached
-MAX_ROW_SETS = 12
-
 
 class SearchResult(NamedTuple):
     """Outcome of an exact search.
@@ -256,22 +250,29 @@ def _clique_rounds(g: Graph, cliques: list[frozenset[int]]):
     return solve
 
 
-@cache
-def _meets(r: int, p: int) -> tuple[int, ...]:
-    """meets[x]: the rows y < 2^r, as one 2^r-bit mask, with (x & y).bit_count() >= p.
+class _Meets(dict):
+    """meets[x]: the rows y < 2^r, as one 2^r-bit mask, with (x & y).bit_count() >= p,
+    built the first time it is read and then kept."""
 
-    A pure function of (r, p), so each process builds it once per key.
-    """
-    full = (1 << (1 << r)) - 1
-    # levels[x][k]: the rows meeting x in at least k bits; row x + 2^j is x
-    # plus column j, and the mask of rows holding bit j repeats 2^j zeros
-    # then 2^j ones
-    levels = [[full] + [0] * p]
-    for j in range(r):
-        column = full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
-        levels += [[full] + [low | high & column for low, high in zip(prev[1:], prev)]
-                   for prev in levels]
-    return tuple(level[p] for level in levels)
+    def __init__(self, r: int, p: int):
+        self.r, self.p = r, p
+
+    def __missing__(self, x: int) -> int:
+        full = (1 << (1 << self.r)) - 1
+        # at_least[k]: the rows holding at least k of the columns of x seen so
+        # far; the mask of rows holding column j repeats 2^j zeros then 2^j ones
+        at_least = [full] + [0] * self.p
+        for j in iter_bits(x):
+            column = full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+            at_least = [full] + [low | high & column for low, high in zip(at_least[1:], at_least)]
+        self[x] = mask = at_least[self.p]
+        return mask
+
+
+@cache
+def _meets(r: int, p: int) -> _Meets:
+    """The row search's meet masks for (r, p), one mapping per process."""
+    return _Meets(r, p)
 
 
 def _row_rounds(g: Graph, p: int, guard: int):
@@ -286,9 +287,6 @@ def _row_rounds(g: Graph, p: int, guard: int):
         if r > guard:
             raise ScaleError(f"p-cover search allows at most {guard} sets (reached r={r}); "
                              "raise guard to override")
-        if r > MAX_ROW_SETS:
-            raise ScaleError(f"p-cover search allows at most {MAX_ROW_SETS} sets whatever "
-                             f"the guard (reached r={r}): its table holds 4^r bits")
         full = (1 << (1 << r)) - 1
         meets = _meets(r, p)
 
@@ -339,9 +337,9 @@ def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResu
     the canonical cover of that size.
 
     The row search; ``guard`` caps both n and the number of sets, since a
-    round at r sets reads a table of 2^r masks of 2^r bits.  The table is
-    cached per (r, p) for the life of the process, and a round past
-    MAX_ROW_SETS sets raises ScaleError whatever the guard.
+    round at r sets gives each later vertex a domain of 2^r bits and reads
+    a 2^r-bit mask per row it places.  Each row's mask is built on first
+    use and cached per (r, p) for the life of the process.
     """
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")

@@ -423,6 +423,14 @@ class TestSurvey:
         assert rows[("9", "4")][2] == "skipped"
         assert rows[("12", "6")][2] == "yes"
 
+    def test_guard_alone_caps_the_set_count(self):
+        # co-C13 at p = 8 needs a round of 13 sets
+        res = run_cli("survey", "co-cycle", "--n", "13", "--p", "8..9", "--guard", "13")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == ("n\tp\tdecision\tmethod\tcover_size\tagree\n"
+                              "13\t8\tyes\toracle\t13\t-\n"
+                              "13\t9\tno\toracle\t-\t-\n")
+
     def test_bad_range_exits_2(self):
         assert run_cli("survey", "cycle", "--n", "9..4", "--p", "1").returncode == 2
 

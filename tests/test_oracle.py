@@ -29,7 +29,7 @@ from pcomp import (
     verify_ecc,
     verify_p_ecc,
 )
-from pcomp.oracle import MAX_ROW_SETS, _meets, _row_rounds, survey_decision
+from pcomp.oracle import _meets, _row_rounds, survey_decision
 
 
 class TestMaximalCliques:
@@ -216,20 +216,20 @@ class TestExactThetaEP:
             assert exact_theta_e_p(g, 1, 8).value == (theta if theta <= 8 else None)
 
     def test_set_count_is_capped_by_the_guard(self):
-        # K_{4,4} has no 2-cover of at most 8 sets; the round at 9 sets
-        # would build and cache a table of 2^9 masks of 2^9 bits, so the
-        # guard stops it first
+        # K_{4,4} has no 2-cover of at most 8 sets; the guard stops the
+        # round at 9 sets before it places a row
         k44 = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])
         assert exact_theta_e_p(k44, 2, budget=8).outcome == "exceeds-bound"
         with pytest.raises(ScaleError, match="at most 8 sets"):
             exact_theta_e_p(k44, 2, budget=10)
 
-    @pytest.mark.parametrize("n,largest", [(5, 2), (6, 3), (7, 2), (8, 4), (9, 4), (10, 5)])
+    @pytest.mark.parametrize("n,largest", [(5, 2), (6, 3), (7, 2), (8, 4), (9, 4), (10, 5),
+                                           (11, 6), (12, 7), (13, 8), (14, 9)])
     def test_cycle_complement_answers(self, n, largest):
         # the largest p at which co-C_n has a p-cover of at most n sets
         g = complement(make_cycle(n))
         for p in range(1, n):
-            result = exact_theta_e_p(g, p, n, guard=10)
+            result = exact_theta_e_p(g, p, n, guard=n)
             if p > largest:
                 assert result.outcome == "exceeds-bound"
                 continue
@@ -263,16 +263,17 @@ def _cache_runs():
 
 
 class TestMeetTables:
-    """The row search's per-process table of rows meeting in at least p bits."""
+    """The row search's per-process meet masks, built one row at a time."""
 
     def test_tables_match_the_definition(self):
         for r in range(1, 8):
             for p in range(1, r + 1):
                 meets = _meets(r, p)
-                assert len(meets) == 1 << r
                 for x in range(1 << r):
                     assert meets[x] == sum(1 << y for y in range(1 << r)
                                            if (x & y).bit_count() >= p), (r, p, x)
+                # every row has now been read, whatever earlier tests built
+                assert len(meets) == 1 << r
 
     def test_results_do_not_depend_on_the_cache(self):
         runs = _cache_runs()
@@ -290,19 +291,32 @@ class TestMeetTables:
         g = complement(make_cycle(7))
         _meets.cache_clear()
         first = exact_theta_e_p(g, 2, 7)
-        # one table per round, rounds r = 2..7
+        # one mapping per round, rounds r = 2..first.value
         assert _meets.cache_info().misses == first.value - 2 + 1
+        rounds = range(2, first.value + 1)
+        built = sum(len(_meets(r, 2)) for r in rounds)
         again = exact_theta_e_p(g, 2, 7)
         assert _meets.cache_info().misses == first.value - 2 + 1
+        assert sum(len(_meets(r, 2)) for r in rounds) == built
         assert again == first
 
-    def test_sets_are_capped_whatever_the_guard(self):
-        assert MAX_ROW_SETS == 12
-        solve = _row_rounds(complement(make_cycle(8)), 2, guard=20)
-        misses = _meets.cache_info().misses
-        with pytest.raises(ScaleError, match="at most 12 sets whatever the guard"):
+    def test_masks_are_built_only_for_rows_placed(self):
+        _meets.cache_clear()
+        result = exact_theta_e_p(complement(make_cycle(12)), 7, 12, guard=12)
+        assert result.value == 12
+        # a whole table would hold all 4096 rows
+        assert 0 < len(_meets(12, 7)) < 1 << 12
+
+    def test_rounds_past_twelve_sets_run_within_the_guard(self):
+        g = complement(make_cycle(8))
+        sets, _ = _row_rounds(g, 2, guard=20)(13)
+        assert len(sets) == 13
+        assert verify_p_ecc(g, CliqueCover(8, sets), 2).valid
+
+    def test_a_round_past_the_guard_is_refused(self):
+        solve = _row_rounds(complement(make_cycle(8)), 2, guard=12)
+        with pytest.raises(ScaleError, match="at most 12 sets"):
             solve(13)
-        assert _meets.cache_info().misses == misses  # refused before its table is built
 
 
 def outcome(result):
