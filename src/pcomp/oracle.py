@@ -10,8 +10,9 @@ Three exact searches, all deterministic:
                       the row search (sets in a p-cover need not be
                       cliques).
 
-Both deepen the number of sets r, from p, until a round finds a cover;
-_deepen runs the rounds and _certify checks the cover found.
+Both run through _deepen, which owns the guard, the edgeless answer, the
+deepening of the number of sets r from p until a round finds a cover, and
+the certificate check of the cover found.
 
 The clique search walks nondecreasing sequences of maximal cliques in
 sorted order, so its cover is the lexicographically least of least size.
@@ -45,8 +46,9 @@ keeps it for the life of the process.  The guard caps both n and r.
 is_p_competition combines the constructive route (cycle and cycle-
 complement covers plus lifting) with the exhaustive route (a graph on n
 vertices is a p-competition graph iff it has a p-edge clique cover of at
-most n sets).  A yes carries that cover; _certify checks every returned
-cover with the verifier and, within n sets, by realizing it back to g.
+most n sets).  A yes carries that cover; _certify checks each cover once,
+where it is made, with the verifier and, within n sets, by realizing it
+back to g.
 Scale guards are explicit parameters with safe defaults; a negative guard
 is an invalid parameter, not an exceeded guard.
 """
@@ -121,10 +123,10 @@ class Decision(NamedTuple):
         }
 
 
-def _certify(g: Graph, cover: CliqueCover, p: int) -> None:
-    """Refuse a certificate the verifier rejects, or one of at most n sets
-    whose realization does not give g back; unlike an assert, this check
-    also runs under python -O."""
+def _certify(g: Graph, cover: CliqueCover, p: int) -> CliqueCover:
+    """Return cover, or refuse a certificate the verifier rejects, or one of
+    at most n sets whose realization does not give g back; unlike an
+    assert, this check also runs under python -O."""
     verdict = verify_p_ecc(g, cover, p)
     if not verdict.valid:
         raise PcompError(
@@ -133,6 +135,7 @@ def _certify(g: Graph, cover: CliqueCover, p: int) -> None:
     if len(cover) <= g.n and p_competition_graph(realize(cover), p) != g:
         raise PcompError(
             f"certificate does not realize the graph (n={g.n}, p={p})")
+    return cover
 
 
 def _check_guard(guard: int) -> None:
@@ -176,25 +179,37 @@ def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
     return sorted(cliques, key=lambda c: tuple(sorted(c)))
 
 
-def _deepen(g: Graph, p: int, budget: int, solve) -> SearchResult:
+def _deepen(g: Graph, p: int, budget: int | None, guard: int, search: str,
+            rounds) -> SearchResult:
     """The least r in p..budget at which a kernel round finds a cover of r sets.
 
-    solve(r) returns the sets found (or None) and the nodes its kernel has
-    visited so far; the cover is checked by _certify before it is returned.
+    Refuses n above guard and answers an edgeless graph with no sets before
+    rounds(g, p, guard) builds the kernel: solve, and the most sets a round
+    may take, the budget when none is given.  solve(r) returns the sets found
+    (or None) and the nodes visited so far; _certify checks the cover found.
     """
+    _check_guard(guard)
+    if g.n > guard:
+        raise ScaleError(
+            f"{search} requires n <= {guard} (got {g.n}); raise guard to override")
+    if not g.edges:
+        return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
+    solve, most = rounds(g, p, guard)
+    budget = most if budget is None else budget
     nodes = 0
     for r in range(p, budget + 1):
         sets, nodes = solve(r)
         if sets is not None:
-            certificate = CliqueCover(g.n, sets)
-            _certify(g, certificate, p)
+            certificate = _certify(g, CliqueCover(g.n, sets), p)
             return SearchResult(value=r, certificate=certificate, nodes=nodes)
     return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)
 
 
-def _clique_rounds(g: Graph, cliques: list[frozenset[int]]):
+def _clique_rounds(g: Graph, p: int, guard: int):
     """solve(r) for exact_theta_e: the lexicographically least family of r
-    cliques, nondecreasing in their order, that covers every edge."""
+    cliques, nondecreasing in their order, that covers every edge.  The
+    maximal cliques of two or more vertices cover every edge together."""
+    cliques = [c for c in maximal_cliques(g, guard) if len(c) >= 2]
     edge_index = {e: k for k, e in enumerate(sorted(g.edges))}
     masks = [sum(1 << edge_index[pr] for pr in combinations(sorted(c), 2)) for c in cliques]
     size = len(masks)
@@ -219,8 +234,6 @@ def _clique_rounds(g: Graph, cliques: list[frozenset[int]]):
         nodes += 1
         if not short:
             return True
-        if short & ~reach[lo]:
-            return False  # some uncovered edge is in no remaining clique
         if short.bit_count() > slots * gain[lo]:
             return False  # the slots left cannot hold the uncovered edges
         # packing: uncovered edges no single clique holds together need a slot each
@@ -247,7 +260,7 @@ def _clique_rounds(g: Graph, cliques: list[frozenset[int]]):
         found = search(reach[0], r, 0)
         return (tuple(cliques[i] for i in chosen) if found else None), nodes
 
-    return solve
+    return solve, size
 
 
 class _Meets(dict):
@@ -310,26 +323,19 @@ def _row_rounds(g: Graph, p: int, guard: int):
         sets = tuple(frozenset(v for v in range(n) if rows[v] >> j & 1) for j in range(r))
         return (sets if found else None), nodes
 
-    return solve
+    return solve, guard
 
 
 def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> SearchResult:
     """Exact minimum edge clique cover size, with an optimal cover.
 
-    The clique search over the maximal cliques.  With ``upper`` given (at
-    least 0), returns exceeds-bound instead when the minimum is larger.
-    Edgeless graphs need zero cliques.
+    The clique search over the maximal cliques, which ``guard`` alone caps.
+    With ``upper`` given (at least 0), returns exceeds-bound instead when
+    the minimum is larger.  Edgeless graphs need zero cliques.
     """
     if upper is not None and upper < 0:
         raise InvalidParameterError(f"need upper >= 0, got upper={upper}")
-    _check_guard(guard)
-    if g.n > guard:
-        raise ScaleError(
-            f"exact cover search requires n <= {guard} (got {g.n}); raise guard to override")
-    if not g.edges:
-        return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
-    cliques = [c for c in maximal_cliques(g) if len(c) >= 2]
-    return _deepen(g, 1, len(cliques) if upper is None else upper, _clique_rounds(g, cliques))
+    return _deepen(g, 1, upper, guard, "exact cover search", _clique_rounds)
 
 
 def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResult:
@@ -345,13 +351,7 @@ def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResu
         raise InvalidParameterError(f"need p >= 1, got p={p}")
     if budget < 0:
         raise InvalidParameterError(f"need budget >= 0, got budget={budget}")
-    _check_guard(guard)
-    if g.n > guard:
-        raise ScaleError(
-            f"p-cover search requires n <= {guard} (got {g.n}); raise guard to override")
-    if not g.edges:
-        return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
-    return _deepen(g, p, budget, _row_rounds(g, p, guard))
+    return _deepen(g, p, budget, guard, "p-cover search", _row_rounds)
 
 
 def _constructive_decision(g: Graph, p: int) -> Decision | None:
@@ -362,17 +362,18 @@ def _constructive_decision(g: Graph, p: int) -> Decision | None:
     counting refutation uses a nonadjacent pair at cyclic distance 2, which
     a triangle does not have, hence the n >= 4 restriction).  For cycle
     complements only the sufficient direction is known: lifting the cover
-    stays within n sets iff size + p - 1 <= n.
+    stays within n sets iff size + p - 1 <= n.  A yes carries its cover,
+    checked by _certify.
     """
     n = g.n
     if n >= 4 and g == make_cycle(n):
         if n >= p + 3:
-            return Decision(True, "construct", cycle_cover(n, p))
+            return Decision(True, "construct", _certify(g, cycle_cover(n, p), p))
         return Decision(False, "construct")
     if n >= 5 and g == complement(make_cycle(n)):
         base = complement_cycle_cover(n)
         if len(base) + p - 1 <= n:
-            return Decision(True, "construct", lift_cover(base, p))
+            return Decision(True, "construct", _certify(g, lift_cover(base, p), p))
     return None
 
 
@@ -414,8 +415,6 @@ def is_p_competition(g: Graph, p: int, method: str = "auto",
                 f"construction and exhaustive search disagree on n={g.n}, p={p}: "
                 f"{decision.value} vs {oracle.value}")
         decision = decision._replace(method="both")
-    if decision.certificate is not None:
-        _certify(g, decision.certificate, p)
     return decision
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -16,12 +17,15 @@ from pcomp import (
     cover_to_json_dict,
     cycle_cover,
     digraph_to_json_dict,
+    exact_theta_e,
+    exact_theta_e_p,
     graph_to_json_dict,
+    is_p_competition,
     lift_cover,
     make_cycle,
     realize,
 )
-from pcomp.cli import main
+from pcomp.cli import build_parser, main
 from pcomp.graphs import MAX_N
 
 REPO = Path(__file__).resolve().parents[1]
@@ -362,6 +366,28 @@ class TestOracleCommands:
         run_cli("gen", "cycle", "--n", 18, "--out", g)
         assert run_cli("theta-e", g).returncode == 3
         assert run_cli("theta-e", g, "--guard", 18).returncode == 0
+
+    def test_theta_e_guard_alone_caps_the_clique_enumeration(self, tmp_path, capsys):
+        g = tmp_path / "p33.json"
+        g.write_text(json.dumps({"n": 33, "edges": [[v, v + 1] for v in range(32)]}))
+        assert main(["theta-e", str(g), "--guard", "40"]) == 0
+        sets = ",".join(f"[{v},{v + 1}]" for v in range(32))
+        assert capsys.readouterr() == (
+            '{"outcome":"exact","value":32,"certificate":{"n":33,"sets":['
+            + sets + ']},"nodes":64}\n', "")
+        assert main(["theta-e", str(g)]) == 3
+        assert capsys.readouterr() == (
+            "", "pcomp: exact cover search requires n <= 16 (got 33); "
+            "raise guard to override\n")
+
+    @pytest.mark.parametrize("argv,library", [
+        (["theta-e", "g.json"], exact_theta_e),
+        (["theta-e-p", "g.json", "--p", "1"], exact_theta_e_p),
+        (["decide", "g.json", "--p", "1"], is_p_competition),
+    ], ids=["theta-e", "theta-e-p", "decide"])
+    def test_guard_defaults_match_the_library(self, argv, library):
+        default = inspect.signature(library).parameters["guard"].default
+        assert build_parser().parse_args(argv).guard == default
 
     def test_decide_yes_no_exit_codes(self, tmp_path):
         g = tmp_path / "g.json"

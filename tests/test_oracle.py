@@ -130,6 +130,16 @@ class TestExactThetaE:
         b = exact_theta_e(g)
         assert a.certificate == b.certificate and a.nodes == b.nodes
 
+    def test_guard_alone_caps_the_clique_enumeration(self):
+        path = Graph(33, [(v, v + 1) for v in range(32)])
+        result = exact_theta_e(path, guard=40)
+        assert result.value == 32
+        assert sorted(result.certificate.sets, key=sorted) == [
+            frozenset({v, v + 1}) for v in range(32)]
+        # called on its own, maximal_cliques keeps its public guard of 32
+        with pytest.raises(ScaleError, match="requires n <= 32"):
+            maximal_cliques(path)
+
 
 class TestExactThetaEP:
     def test_c4_p2_refuted(self):
@@ -309,12 +319,13 @@ class TestMeetTables:
 
     def test_rounds_past_twelve_sets_run_within_the_guard(self):
         g = complement(make_cycle(8))
-        sets, _ = _row_rounds(g, 2, guard=20)(13)
+        solve, _ = _row_rounds(g, 2, guard=20)
+        sets, _ = solve(13)
         assert len(sets) == 13
         assert verify_p_ecc(g, CliqueCover(8, sets), 2).valid
 
     def test_a_round_past_the_guard_is_refused(self):
-        solve = _row_rounds(complement(make_cycle(8)), 2, guard=12)
+        solve, _ = _row_rounds(complement(make_cycle(8)), 2, guard=12)
         with pytest.raises(ScaleError, match="at most 12 sets"):
             solve(13)
 
@@ -519,6 +530,26 @@ def test_negative_guard_rejected(call):
     # C5 at p = 1 has a constructive yes, so only the check refuses it
     with pytest.raises(InvalidParameterError, match="need guard >= 0"):
         call(make_cycle(5), -1)
+
+
+@pytest.mark.parametrize("call,checks", [
+    (lambda: exact_theta_e(complement(make_cycle(6))), 1),
+    (lambda: exact_theta_e_p(complement(make_cycle(5)), 2, 5), 1),
+    (lambda: is_p_competition(complement(make_cycle(5)), 2, method="oracle"), 1),
+    (lambda: is_p_competition(make_cycle(9), 6), 1),
+    (lambda: is_p_competition(make_cycle(6), 3, method="both"), 2),
+], ids=["theta_e", "theta_e_p", "oracle", "construct", "both"])
+def test_each_cover_is_checked_once(monkeypatch, call, checks):
+    # "both" returns the constructive cover but also checks the search's
+    calls = []
+
+    def counted(g, f, p):
+        calls.append(f)
+        return verify_p_ecc(g, f, p)
+
+    monkeypatch.setattr(pcomp.oracle, "verify_p_ecc", counted)
+    call()
+    assert len(calls) == checks
 
 
 def _drop_last_set(build):
