@@ -8,12 +8,13 @@ digraphs), survey tables as TSV.
 oracle.survey_decision) and only format its Decision.
 
 Exit codes: 0 success / valid / positive decision, 1 invalid cover or
-negative decision, 2 input or parameter problems (including unreadable,
-non-UTF-8 or malformed JSON files, and a vertex count above graphs.MAX_N
-in a file, or --n or --p above it), 3 infeasible parameters, an exceeded
-search guard, or any other pcomp error (a certificate the checks reject,
-or the construction and the search disagreeing in `decide --method both`
-or `survey`).  Every failure ends with a one-line `pcomp:` message on stderr.
+negative decision, 2 input or parameter problems (unreadable, non-UTF-8,
+malformed or too deeply nested JSON files, integers past Python's digit
+limit or a vertex count above graphs.MAX_N in a file, --n or --p above it),
+3 infeasible parameters, an exceeded search guard or recursion limit, or any
+other pcomp error (a certificate the checks reject, or the construction and
+the search disagreeing in `decide --method both` or `survey`).  Every
+failure ends with a one-line `pcomp:` message on stderr.
 """
 
 from __future__ import annotations
@@ -65,8 +66,12 @@ def _emit_json(obj: dict, out: str | None) -> None:
 
 
 def _load_json(path: str) -> dict:
+    """Parse a JSON file; bad bytes, syntax, nesting or digit counts are input errors."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidParameterError(str(exc)) from exc
 
 
 def _check_limit(option: str, value: int | None) -> None:
@@ -298,8 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameterError, UnsupportedInstanceError,
-            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (InvalidParameterError, UnsupportedInstanceError, OSError) as exc:
         print(f"pcomp: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PcompError as exc:

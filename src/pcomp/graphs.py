@@ -4,13 +4,13 @@ The stored form of both structures is one bitmask per vertex: bit v of
 ``Graph._adj[u]`` is set iff {u, v} is an edge, bit v of ``Digraph._out[x]``
 iff (x, v) is an arc.  Pair queries, common-neighbour counts, complements
 and equality are then a few integer operations per vertex, even inside
-exhaustive searches.  ``Graph.edges`` and ``Digraph.arcs`` are derived from
-the masks on first access and cached; the JSON and DOT writers and ``repr``
-read the pairs off the masks, already in ascending order.
+exhaustive searches.  The masks are all an instance holds: ``Graph.edges``
+and ``Digraph.arcs`` build a fresh frozenset from them on every read, and
+the JSON and DOT writers and ``repr`` read the pairs off the masks, already
+in ascending order.
 
-Both structures are immutable after construction, hashable, and safe to
-share between threads: the edge or arc cache is filled by one attribute
-store, and every thread that fills it computes the same value.
+Both structures are immutable after construction and hashable, so they
+are safe to share between threads.
 
 ``Graph(n, edges)`` and ``Digraph(n, arcs)`` check every edge and arc they
 are given.  The private ``_from_masks`` constructors check nothing; they
@@ -61,12 +61,12 @@ class Graph:
     """Simple undirected graph, stored as per-vertex adjacency masks.
 
     ``edges`` is a frozenset of pairs ``(u, v)`` with ``u < v``, built from
-    the masks when first read.  Equality is label-sensitive: two graphs are
+    the masks on each read.  Equality is label-sensitive: two graphs are
     equal iff they have the same vertex count and identical edge sets
     (isomorphism is out of scope here), which is iff their masks are equal.
     """
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
@@ -81,7 +81,6 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
-        self._edges = None
 
     @classmethod
     def _from_masks(cls, n: int, adj: Iterable[int]) -> Graph:
@@ -90,15 +89,11 @@ class Graph:
         g = cls.__new__(cls)
         g.n = n
         g._adj = tuple(adj)
-        g._edges = None
         return g
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        edges = self._edges
-        if edges is None:
-            edges = self._edges = frozenset(_edge_pairs(self._adj))
-        return edges
+        return frozenset(_edge_pairs(self._adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and bool(self._adj[u] >> v & 1)
@@ -126,12 +121,12 @@ class Digraph:
     """Directed graph, stored as per-vertex out-masks; loops (x, x) are
     permitted, duplicate arcs collapse.
 
-    ``arcs`` is a frozenset of pairs ``(x, v)``, built from the masks when
-    first read.  Two digraphs are equal iff they have the same vertex count
+    ``arcs`` is a frozenset of pairs ``(x, v)``, built from the masks on
+    each read.  Two digraphs are equal iff they have the same vertex count
     and identical arc sets, which is iff their out-masks are equal.
     """
 
-    __slots__ = ("n", "_out", "_arcs")
+    __slots__ = ("n", "_out")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
@@ -143,7 +138,6 @@ class Digraph:
             out[x] |= 1 << v
         self.n = n
         self._out = tuple(out)
-        self._arcs = None
 
     @classmethod
     def _from_masks(cls, n: int, out: Iterable[int]) -> Digraph:
@@ -151,15 +145,11 @@ class Digraph:
         d = cls.__new__(cls)
         d.n = n
         d._out = tuple(out)
-        d._arcs = None
         return d
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
-        arcs = self._arcs
-        if arcs is None:
-            arcs = self._arcs = frozenset(_arc_pairs(self._out))
-        return arcs
+        return frozenset(_arc_pairs(self._out))
 
     def out_mask(self, x: int) -> int:
         """Bitmask of prey of x (bit v set iff (x, v) is an arc)."""
@@ -202,14 +192,9 @@ def is_clique(g: Graph, members: Iterable[int]) -> bool:
     for v in vs:
         if not 0 <= v < g.n:
             raise InvalidParameterError(f"vertex {v} out of range for n={g.n}")
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    for v in vs:
-        want = mask & ~(1 << v)
-        if g.neighbor_mask(v) & want != want:
-            return False
-    return True
+    mask = sum(1 << v for v in vs)
+    # v's neighbours hold every other member
+    return all(mask & ~g._adj[v] == 1 << v for v in vs)
 
 
 # --- JSON / DOT ---------------------------------------------------------

@@ -50,7 +50,8 @@ most n sets).  A yes carries that cover; _certify checks each cover once,
 where it is made, with the verifier and, within n sets, by realizing it
 back to g.
 Scale guards are explicit parameters with safe defaults; a negative guard
-is an invalid parameter, not an exceeded guard.
+is an invalid parameter, not an exceeded guard.  A search recursing past
+Python's recursion limit, which it leaves alone, raises ScaleError too.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .covers import (
     verify_p_ecc,
 )
 from .errors import InvalidParameterError, PcompError, ScaleError, UnsupportedInstanceError
-from .graphs import Graph, complement, iter_bits, make_cycle
+from .graphs import Graph, _edge_pairs, complement, iter_bits, make_cycle
 from .realization import realize
 
 class SearchResult(NamedTuple):
@@ -174,7 +175,11 @@ def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
             x |= bit
             candidates &= candidates - 1
 
-    expand(0, (1 << g.n) - 1, 0)
+    try:
+        expand(0, (1 << g.n) - 1, 0)
+    except RecursionError:
+        raise ScaleError(f"maximal clique enumeration on n={g.n} recurses past "
+                         "Python's recursion limit") from None
     cliques = [frozenset(v for v in range(g.n) if mask >> v & 1) for mask in found]
     return sorted(cliques, key=lambda c: tuple(sorted(c)))
 
@@ -192,13 +197,17 @@ def _deepen(g: Graph, p: int, budget: int | None, guard: int, search: str,
     if g.n > guard:
         raise ScaleError(
             f"{search} requires n <= {guard} (got {g.n}); raise guard to override")
-    if not g.edges:
+    if not any(g._adj):
         return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
     solve, most = rounds(g, p, guard)
     budget = most if budget is None else budget
     nodes = 0
     for r in range(p, budget + 1):
-        sets, nodes = solve(r)
+        try:
+            sets, nodes = solve(r)
+        except RecursionError:
+            raise ScaleError(f"{search} on n={g.n} recurses past Python's recursion "
+                             f"limit at r={r}") from None
         if sets is not None:
             certificate = _certify(g, CliqueCover(g.n, sets), p)
             return SearchResult(value=r, certificate=certificate, nodes=nodes)
@@ -210,7 +219,7 @@ def _clique_rounds(g: Graph, p: int, guard: int):
     cliques, nondecreasing in their order, that covers every edge.  The
     maximal cliques of two or more vertices cover every edge together."""
     cliques = [c for c in maximal_cliques(g, guard) if len(c) >= 2]
-    edge_index = {e: k for k, e in enumerate(sorted(g.edges))}
+    edge_index = {e: k for k, e in enumerate(_edge_pairs(g._adj))}
     masks = [sum(1 << edge_index[pr] for pr in combinations(sorted(c), 2)) for c in cliques]
     size = len(masks)
     # reach[i]: edges held by a clique at index >= i (reach[0] holds them all);

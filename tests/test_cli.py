@@ -213,6 +213,24 @@ class TestStrictInput:
         assert res.returncode == 2
         assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
 
+    # json raises RecursionError on deep nesting and ValueError on an integer
+    # past Python's 4,300-digit limit for int(str)
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"n": ' + "9" * 5000 + ', "edges": []}'],
+                             ids=["deep", "bign"])
+    @pytest.mark.parametrize("argv", [
+        ("theta-e", "bad.json"), ("verify", "bad.json", "c.json", "--p", "1"),
+        ("verify", "g.json", "bad.json", "--p", "1"), ("realize", "bad.json"),
+        ("compete", "bad.json", "--p", "1"),
+    ], ids=["theta-e", "verify-graph", "verify-cover", "realize", "compete"])
+    def test_deep_or_oversized_json_exits_2(self, tmp_path, text, argv):
+        (tmp_path / "bad.json").write_text(text)
+        (tmp_path / "g.json").write_text(json.dumps(graph_to_json_dict(make_cycle(5))))
+        (tmp_path / "c.json").write_text(json.dumps(cover_to_json_dict(cycle_cover(5, 1))))
+        res = run_cli(*argv, cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
+
 
 HUGE = "99999999999999999999"
 
@@ -313,6 +331,18 @@ class TestPcompErrorsExit3:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("pcomp: ") and err.count("\n") == 1
+
+
+class TestRecursionLimit:
+    def test_search_past_the_recursion_limit_exits_3(self, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 1200, "edges": [[0, 1]]}))
+        res = run_cli("theta-e-p", g, "--p", "1", "--guard", "2048")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith(
+            "pcomp: p-cover search on n=1200 recurses past Python's recursion limit")
+        assert res.stderr.count("\n") == 1
 
 
 class TestOracleCommands:

@@ -3,7 +3,9 @@ cli.main: each run must end with an exit code in {0, 1, 2, 3} and at most
 one `pcomp:` line on stderr, never a traceback.
 
 Sizes stay small (integers up to 12, --guard up to 8) apart from MAX_N + 1,
-which must be refused before anything of that size is built."""
+which must be refused before anything of that size is built, and BIG, a
+number past Python's 4,300-digit limit for int(str), which options and JSON
+files must refuse as bad input; so must JSON nested 100,000 deep."""
 
 import io
 import json
@@ -31,8 +33,12 @@ ERROR_LINE = re.compile(r"^pcomp( \S+)?: ", re.MULTILINE)
 
 # MAX_N + 1 and the nonpositive values are drawn often enough to be tried
 # on every option, but most runs get past the argument checks
-INTS = st.sampled_from([*range(-2, 13), *range(2, 9), MAX_N + 1])
-TOKENS = st.one_of(INTS.map(str), st.sampled_from(["", "x", "1.5", "--", "-h", "3..", "..4"]))
+INT_VALUES = [*range(-2, 13), *range(2, 9), MAX_N + 1]
+INTS = st.sampled_from(INT_VALUES)
+BIG = "9" * 5000
+# option values: the integers, and now and then BIG
+NUMBERS = st.sampled_from([*INT_VALUES, BIG])
+TOKENS = st.one_of(NUMBERS.map(str), st.sampled_from(["", "x", "1.5", "--", "-h", "3..", "..4"]))
 FAMILIES = st.sampled_from(["cycle", "co-cycle"] * 4 + ["path"])
 
 JSON_VALUES = st.recursive(
@@ -60,7 +66,7 @@ VALID = {
     "cover": ["cover.json"],
     "digraph": ["digraph.json"],
 }
-BROKEN = ["random.json", "random.bin", "missing.json", "."]
+BROKEN = ["random.json", "random.bin", "missing.json", ".", "deep.json", "bign.json"]
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +81,8 @@ def files(tmp_path_factory):
     }
     for name, obj in contents.items():
         (root / name).write_text(json.dumps(obj))
+    (root / "deep.json").write_text("[" * 100_000)
+    (root / "bign.json").write_text(f'{{"n": {BIG}, "edges": [], "arcs": [], "sets": []}}')
     return root
 
 
@@ -111,7 +119,8 @@ def required(data, name, values):
 
 def span(data):
     lo, hi = data.draw(INTS), data.draw(INTS)
-    return data.draw(st.sampled_from([str(lo), f"{lo}..{hi}", f"{min(lo, hi)}..{max(lo, hi)}"]))
+    return data.draw(st.sampled_from(
+        [str(lo), f"{lo}..{hi}", f"{min(lo, hi)}..{max(lo, hi)}", f"{lo}..{BIG}"]))
 
 
 def argv_for(command, files, data):
@@ -119,27 +128,27 @@ def argv_for(command, files, data):
     guard = option("--guard", st.integers(-1, 8))
     fmt = option("--format", st.sampled_from(["json", "json", "dot", "tsv"]))
     if command == "gen":
-        return [draw(FAMILIES), *required(data, "--n", INTS), *draw(fmt)]
+        return [draw(FAMILIES), *required(data, "--n", NUMBERS), *draw(fmt)]
     if command == "cover":
-        return [draw(FAMILIES), *required(data, "--n", INTS), *draw(option("--p", INTS))]
+        return [draw(FAMILIES), *required(data, "--n", NUMBERS), *draw(option("--p", NUMBERS))]
     if command == "verify":
         return [file_arg(files, data, "graph"), file_arg(files, data, "cover"),
-                *required(data, "--p", INTS)]
+                *required(data, "--p", NUMBERS)]
     if command == "realize":
         order = st.permutations(range(6)) | st.lists(SMALL, max_size=7)
         orders = order.map(lambda o: ",".join(map(str, o))) | TOKENS
         return [file_arg(files, data, "cover"), *draw(st.sampled_from([[], ["--acyclic"]])),
                 *draw(option("--order", orders)), *draw(fmt)]
     if command == "compete":
-        return [file_arg(files, data, "digraph"), *required(data, "--p", INTS), *draw(fmt)]
+        return [file_arg(files, data, "digraph"), *required(data, "--p", NUMBERS), *draw(fmt)]
     if command == "theta-e":
-        return [file_arg(files, data, "graph"), *draw(option("--upper", INTS)), *draw(guard)]
+        return [file_arg(files, data, "graph"), *draw(option("--upper", NUMBERS)), *draw(guard)]
     if command == "theta-e-p":
-        return [file_arg(files, data, "graph"), *required(data, "--p", INTS),
-                *draw(option("--budget", INTS)), *draw(guard)]
+        return [file_arg(files, data, "graph"), *required(data, "--p", NUMBERS),
+                *draw(option("--budget", NUMBERS)), *draw(guard)]
     if command == "decide":
         methods = st.sampled_from(["auto", "construct", "oracle", "both", "none"])
-        return [file_arg(files, data, "graph"), *required(data, "--p", INTS),
+        return [file_arg(files, data, "graph"), *required(data, "--p", NUMBERS),
                 *draw(option("--method", methods)), *draw(guard)]
     return [draw(FAMILIES), "--n", span(data), "--p", span(data), *draw(guard)]
 

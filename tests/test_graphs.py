@@ -12,6 +12,7 @@ from pcomp import (
     InvalidParameterError,
     complement,
     cover_from_json_dict,
+    cycle_cover,
     digraph_from_json_dict,
     digraph_to_dot,
     digraph_to_json_dict,
@@ -20,6 +21,7 @@ from pcomp import (
     graph_to_json_dict,
     is_clique,
     make_cycle,
+    realize,
 )
 from pcomp.graphs import MAX_N
 
@@ -146,9 +148,19 @@ class TestEquality:
         assert Graph(3) != Graph(4)
         assert Digraph(2, [(0, 1)]) != Digraph(2, [(1, 0)])
 
-    def test_edges_are_built_once(self):
-        g = complement(make_cycle(7))
-        assert g.edges is g.edges
+    def test_masks_are_all_an_instance_holds(self):
+        assert Graph.__slots__ == ("n", "_adj")
+        assert Digraph.__slots__ == ("n", "_out")
+
+    def test_pairs_are_rebuilt_equal_on_every_read(self):
+        for g, pairs in [(make_cycle(7), cycle_edges(7)),
+                         (complement(make_cycle(7)), literal_nonedges(7, cycle_edges(7))),
+                         (Graph(5, [(3, 0), (1, 4), (2, 3)]), {(0, 3), (1, 4), (2, 3)})]:
+            assert g.edges == g.edges == pairs
+        f = cycle_cover(7, 2)
+        d = realize(f)
+        arcs = {(x, j) for j, members in enumerate(f.sets) for x in members}
+        assert d.arcs == d.arcs == arcs
 
 
 class TestConstruction:

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
@@ -330,6 +331,33 @@ class TestMeetTables:
             solve(13)
 
 
+def complete_bipartite(m):
+    return Graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+
+
+class TestRecursionLimit:
+    """A search that would recurse past Python's recursion limit ends in a
+    ScaleError naming n, and leaves the limit as it was."""
+
+    @pytest.mark.parametrize("run,n", [
+        (lambda: maximal_cliques(complement(Graph(1100)), guard=2048), 1100),
+        (lambda: exact_theta_e(Graph(2048, [(2 * i, 2 * i + 1) for i in range(1024)]),
+                               guard=2048), 2048),
+        (lambda: exact_theta_e_p(Graph(1200, [(0, 1)]), 1, 1200, guard=2048), 1200),
+        # one recursion level per set: theta_e(K_{40,40}) = 1600 on n = 80
+        (lambda: exact_theta_e(complete_bipartite(40), guard=80), 80),
+    ], ids=["K1100 cliques", "matching theta_e", "one edge theta_e_p", "K40,40 theta_e"])
+    def test_overflow_is_a_scale_error(self, run, n):
+        limit = sys.getrecursionlimit()
+        with pytest.raises(ScaleError, match=f"n={n} recurses past Python's recursion limit"):
+            run()
+        assert sys.getrecursionlimit() == limit
+
+    def test_deep_search_within_the_limit_answers(self):
+        result = exact_theta_e(complete_bipartite(20), guard=40)
+        assert result.value == 400 and result.certificate is not None
+
+
 def outcome(result):
     return result.value, result.certificate, result.bound
 
@@ -454,7 +482,9 @@ class TestCoverSearchMatchesReference:
         (lambda: exact_theta_e(complement(make_cycle(14))), 6160),
         (lambda: exact_theta_e_p(complement(make_cycle(7)), 2, 7), 439),
         (lambda: exact_theta_e_p(make_cycle(7), 4, 7), 62),
-    ], ids=["co-C14 theta_e", "co-C7 p=2", "C7 p=4"])
+        (lambda: exact_theta_e(complement(make_cycle(12)), upper=6), 349),
+        (lambda: exact_theta_e(complement(make_cycle(13)), upper=6), 751),
+    ], ids=["co-C14 theta_e", "co-C7 p=2", "C7 p=4", "co-C12 refuted", "co-C13 refuted"])
     def test_node_counts_do_not_regress(self, run, want):
         assert run().nodes == want
 

@@ -22,6 +22,17 @@ def test_library_has_no_assert(path):
     assert lines == [], f"{path.name}: assert on lines {lines}"
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "graphs.py"],
+                         ids=lambda p: p.name)
+def test_library_reads_pairs_from_masks(path):
+    # Graph.edges and Digraph.arcs build a frozenset of every pair on each
+    # read; library code works on the masks instead
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("edges", "arcs")]
+    assert lines == [], f"{path.name}: .edges or .arcs read on lines {lines}"
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # every python -m pcomp pays for its imports; dataclasses alone pulls in
     # inspect, ast, dis and tokenize, which no subcommand uses.  Comparing
