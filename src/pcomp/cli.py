@@ -14,7 +14,8 @@ limit or a vertex count above graphs.MAX_N in a file, --n or --p above it),
 3 infeasible parameters, an exceeded search guard or recursion limit, or any
 other pcomp error (a certificate the checks reject, or the construction and
 the search disagreeing in `decide --method both` or `survey`).  Every
-failure ends with a one-line `pcomp:` message on stderr.
+failure ends with a one-line `pcomp:` message on stderr, which names the
+file for an input error in a JSON file.
 """
 
 from __future__ import annotations
@@ -65,13 +66,20 @@ def _emit_json(obj: dict, out: str | None) -> None:
     _emit(json.dumps(obj, separators=(",", ":")), out)
 
 
-def _load_json(path: str) -> dict:
-    """Parse a JSON file; bad bytes, syntax, nesting or digit counts are input errors."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise InvalidParameterError(str(exc)) from exc
+def _load_json(path: str, from_json_dict):
+    """from_json_dict of the JSON in path.  Bad bytes, syntax, nesting, digit
+    counts and fields are input errors, and each message names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+                raise InvalidParameterError(str(exc)) from exc
+            except ValueError as exc:  # an integer past Python's digit limit for int(str)
+                raise InvalidParameterError("a number has too many digits") from exc
+        return from_json_dict(data)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from exc
 
 
 def _check_limit(option: str, value: int | None) -> None:
@@ -138,15 +146,15 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = graph_from_json_dict(_load_json(args.graph))
-    f = cover_from_json_dict(_load_json(args.cover))
+    g = _load_json(args.graph, graph_from_json_dict)
+    f = _load_json(args.cover, cover_from_json_dict)
     verdict = verify_p_ecc(g, f, args.p)
     _emit_json(verdict.to_json_dict(), args.out)
     return EXIT_OK if verdict.valid else EXIT_INVALID
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    f = cover_from_json_dict(_load_json(args.cover))
+    f = _load_json(args.cover, cover_from_json_dict)
     if args.acyclic:
         if args.order is None:
             raise InvalidParameterError("realize --acyclic requires --order")
@@ -161,7 +169,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 
 def cmd_compete(args: argparse.Namespace) -> int:
-    d = digraph_from_json_dict(_load_json(args.digraph))
+    d = _load_json(args.digraph, digraph_from_json_dict)
     g = p_competition_graph(d, args.p)
     if args.format == "dot":
         _emit(graph_to_dot(g), args.out)
@@ -171,14 +179,14 @@ def cmd_compete(args: argparse.Namespace) -> int:
 
 
 def cmd_theta_e(args: argparse.Namespace) -> int:
-    g = graph_from_json_dict(_load_json(args.graph))
+    g = _load_json(args.graph, graph_from_json_dict)
     result = exact_theta_e(g, upper=args.upper, guard=args.guard)
     _emit_json(result.to_json_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_theta_e_p(args: argparse.Namespace) -> int:
-    g = graph_from_json_dict(_load_json(args.graph))
+    g = _load_json(args.graph, graph_from_json_dict)
     budget = args.budget if args.budget is not None else g.n
     result = exact_theta_e_p(g, args.p, budget, guard=args.guard)
     _emit_json(result.to_json_dict(), args.out)
@@ -186,7 +194,7 @@ def cmd_theta_e_p(args: argparse.Namespace) -> int:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    g = graph_from_json_dict(_load_json(args.graph))
+    g = _load_json(args.graph, graph_from_json_dict)
     decision = is_p_competition(g, args.p, method=args.method, guard=args.guard)
     _emit_json(decision.to_json_dict(), args.out)
     return EXIT_OK if decision.value else EXIT_INVALID

@@ -34,14 +34,18 @@ domains of the later vertices to rows sharing at least p bits with it
 across an edge and fewer than p across a nonedge; an empty domain prunes.
 Columns are kept nonincreasing read from vertex 0 down: while columns
 j - 1 and j agree on every placed row, a row may not set j without j - 1
-(the column half of the double-lex order of Flener et al., CP 2002).
-Rows are tried in ascending order, so the certificate is canonical: of
+(the column half of the double-lex order of Flener et al., CP 2002).  So
+a vertex tries only its domain masked by the tie mask of the columns
+still tied, the 2^r-bit mask of the rows that keep this rule, and it
+tries them in ascending order.  The certificate is thus canonical: of
 the covers of r sets with nonincreasing columns, the one whose rows, read
 as integers from vertex 0 on, form the least sequence.  Its sets are the
-columns in order.  ``nodes`` counts the rows placed.  A round at r sets
-reads, for each row it places, the 2^r-bit mask of the rows meeting it in
-at least p bits; _meets(r, p) builds each row's mask on first use and
-keeps it for the life of the process.  The guard caps both n and r.
+columns in order, built only when a round finds a cover.  ``nodes``
+counts the rows placed.  A round at r sets reads, for each row it places,
+the 2^r-bit mask of the rows meeting it in at least p bits, and for each
+set of tied columns it meets, that set's tie mask.  _meets(r, p) builds
+each row's mask, and _ties(r) each tie mask, on first use, and both keep
+them for the life of the process.  The guard caps both n and r.
 
 is_p_competition combines the constructive route (cycle and cycle-
 complement covers plus lifting) with the exhaustive route (a graph on n
@@ -272,6 +276,12 @@ def _clique_rounds(g: Graph, p: int, guard: int):
     return solve, size
 
 
+def _column(full: int, j: int) -> int:
+    """The rows y < 2^r, as one 2^r-bit mask (full), that hold column j: 2^j
+    zeros then 2^j ones, repeated."""
+    return full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+
+
 class _Meets(dict):
     """meets[x]: the rows y < 2^r, as one 2^r-bit mask, with (x & y).bit_count() >= p,
     built the first time it is read and then kept."""
@@ -281,13 +291,28 @@ class _Meets(dict):
 
     def __missing__(self, x: int) -> int:
         full = (1 << (1 << self.r)) - 1
-        # at_least[k]: the rows holding at least k of the columns of x seen so
-        # far; the mask of rows holding column j repeats 2^j zeros then 2^j ones
+        # at_least[k]: the rows holding at least k of the columns of x seen so far
         at_least = [full] + [0] * self.p
         for j in iter_bits(x):
-            column = full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+            column = _column(full, j)
             at_least = [full] + [low | high & column for low, high in zip(at_least[1:], at_least)]
         self[x] = mask = at_least[self.p]
+        return mask
+
+
+class _Ties(dict):
+    """ties[tied]: the rows x < 2^r, as one 2^r-bit mask, that set no column j
+    in tied without column j - 1 (tied never holds column 0), built the first
+    time it is read and then kept."""
+
+    def __init__(self, r: int):
+        self.r = r
+
+    def __missing__(self, tied: int) -> int:
+        full = mask = (1 << (1 << self.r)) - 1
+        for j in iter_bits(tied):
+            mask &= ~(_column(full, j) & ~_column(full, j - 1))
+        self[tied] = mask
         return mask
 
 
@@ -295,6 +320,12 @@ class _Meets(dict):
 def _meets(r: int, p: int) -> _Meets:
     """The row search's meet masks for (r, p), one mapping per process."""
     return _Meets(r, p)
+
+
+@cache
+def _ties(r: int) -> _Ties:
+    """The row search's tie masks for r sets, one mapping per process."""
+    return _Ties(r)
 
 
 def _row_rounds(g: Graph, p: int, guard: int):
@@ -311,26 +342,31 @@ def _row_rounds(g: Graph, p: int, guard: int):
                              "raise guard to override")
         full = (1 << (1 << r)) - 1
         meets = _meets(r, p)
+        ties = _ties(r)
 
         def place(v: int, later: list[int], tied: int) -> bool:
             # later[i]: the rows vertex v + i may still take; bit j of tied:
             # columns j - 1 and j agree on every placed row
             nonlocal nodes
-            for x in iter_bits(later[0]):
-                if x & tied & ~(x << 1):
-                    continue  # column j set without column j - 1 while they agree
+            near = adj[v]
+            todo = later[0] & ties[tied]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                x = low.bit_length() - 1
                 nodes += 1
                 rows[v] = x
                 meet = meets[x]
-                rest = [d & meet if adj[v] >> w & 1 else d & ~meet
+                miss = ~meet
+                rest = [d & meet if near >> w & 1 else d & miss
                         for w, d in enumerate(later[1:], v + 1)]
                 if all(rest) and (v + 1 == n or place(v + 1, rest, tied & ~(x ^ (x << 1)))):
                     return True
             return False
 
-        found = place(0, [full] * n, (1 << r) - 2)
-        sets = tuple(frozenset(v for v in range(n) if rows[v] >> j & 1) for j in range(r))
-        return (sets if found else None), nodes
+        if not place(0, [full] * n, (1 << r) - 2):
+            return None, nodes
+        return tuple(frozenset(v for v in range(n) if rows[v] >> j & 1) for j in range(r)), nodes
 
     return solve, guard
 
@@ -353,8 +389,10 @@ def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResu
 
     The row search; ``guard`` caps both n and the number of sets, since a
     round at r sets gives each later vertex a domain of 2^r bits and reads
-    a 2^r-bit mask per row it places.  Each row's mask is built on first
-    use and cached per (r, p) for the life of the process.
+    a 2^r-bit mask per row it places.  A vertex tries only the rows of its
+    domain that the column tie rule allows, read off a 2^r-bit tie mask.
+    Each row's mask is built on first use and cached per (r, p), and each
+    tie mask per r, for the life of the process.
     """
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")

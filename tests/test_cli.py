@@ -229,7 +229,19 @@ class TestStrictInput:
         res = run_cli(*argv, cwd=tmp_path)
         assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
+        assert res.stderr.startswith("pcomp: bad.json: ") and res.stderr.count("\n") == 1
+        assert "set_int_max_str_digits" not in res.stderr
+
+    @pytest.mark.parametrize("text", ['{"n": 5, "sets": [["1"]]}', '{"n": 5, "sets": [',
+                                      '{"n": 5, "sets": [], "note": "\udcff"}'],
+                             ids=["field", "syntax", "bytes"])
+    def test_errors_name_the_file(self, tmp_path, text):
+        (tmp_path / "g.json").write_text(json.dumps(graph_to_json_dict(make_cycle(5))))
+        (tmp_path / "f.json").write_text(text, errors="surrogateescape")
+        res = run_cli("verify", "g.json", "f.json", "--p", "1", cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("pcomp: f.json: ") and res.stderr.count("\n") == 1
 
 
 HUGE = "99999999999999999999"

@@ -30,7 +30,7 @@ from pcomp import (
     verify_ecc,
     verify_p_ecc,
 )
-from pcomp.oracle import _meets, _row_rounds, survey_decision
+from pcomp.oracle import _meets, _row_rounds, _ties, survey_decision
 
 
 class TestMaximalCliques:
@@ -235,7 +235,8 @@ class TestExactThetaEP:
             exact_theta_e_p(k44, 2, budget=10)
 
     @pytest.mark.parametrize("n,largest", [(5, 2), (6, 3), (7, 2), (8, 4), (9, 4), (10, 5),
-                                           (11, 6), (12, 7), (13, 8), (14, 9)])
+                                           (11, 6), (12, 7), (13, 8), (14, 9), (15, 10),
+                                           (16, 11)])
     def test_cycle_complement_answers(self, n, largest):
         # the largest p at which co-C_n has a p-cover of at most n sets
         g = complement(make_cycle(n))
@@ -286,12 +287,20 @@ class TestMeetTables:
                 # every row has now been read, whatever earlier tests built
                 assert len(meets) == 1 << r
 
+    def test_tie_masks_match_the_rule(self):
+        for r in range(1, 8):
+            ties = _ties(r)
+            for tied in range(0, 1 << r, 2):
+                assert ties[tied] == sum(1 << x for x in range(1 << r)
+                                         if not x & tied & ~(x << 1)), (r, tied)
+
     def test_results_do_not_depend_on_the_cache(self):
         runs = _cache_runs()
         assert len(runs) == 51
         cold = []
         for run, g, p in runs:
             _meets.cache_clear()
+            _ties.cache_clear()
             cold.append(run(g, p))
         warm = [run(g, p) for run, g, p in runs]
         backwards = [run(g, p) for run, g, p in reversed(runs)][::-1]
@@ -484,7 +493,11 @@ class TestCoverSearchMatchesReference:
         (lambda: exact_theta_e_p(make_cycle(7), 4, 7), 62),
         (lambda: exact_theta_e(complement(make_cycle(12)), upper=6), 349),
         (lambda: exact_theta_e(complement(make_cycle(13)), upper=6), 751),
-    ], ids=["co-C14 theta_e", "co-C7 p=2", "C7 p=4", "co-C12 refuted", "co-C13 refuted"])
+        (lambda: exact_theta_e_p(make_cycle(8), 6, 8), 40),
+        (lambda: exact_theta_e_p(complement(make_cycle(6)), 4, 6), 68),
+        (lambda: exact_theta_e_p(make_cycle(8), 7, 8), 22),
+    ], ids=["co-C14 theta_e", "co-C7 p=2", "C7 p=4", "co-C12 refuted", "co-C13 refuted",
+            "C8 p=6 refuted", "co-C6 p=4 refuted", "C8 p=7 refuted"])
     def test_node_counts_do_not_regress(self, run, want):
         assert run().nodes == want
 
