@@ -71,12 +71,12 @@ def _load_json(path: str, from_json_dict):
     counts and fields are input errors, and each message names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-                raise InvalidParameterError(str(exc)) from exc
-            except ValueError as exc:  # an integer past Python's digit limit for int(str)
-                raise InvalidParameterError("a number has too many digits") from exc
+            data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit for int(str)
+        raise InvalidParameterError(f"{path}: a number has too many digits") from exc
+    try:
         return from_json_dict(data)
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"{path}: {exc}") from exc
