@@ -21,9 +21,15 @@ edge lies in no clique from the current index on, when the slots left
 times the most edges one such clique holds is below the uncovered count,
 or when more uncovered edges than slots pairwise share no clique, so each
 needs a clique of its own (the packing bound of Gramm, Guo, Hüffner and
-Niedermeier, ACM JEA 13, 2008).  A clique holding no uncovered edge is
-skipped: dropping it would leave a cover of r - 1 cliques, which the
-previous round ruled out.  ``nodes`` counts the partial families visited.
+Niedermeier, ACM JEA 13, 2008).  The packing takes the lowest uncovered
+edge first, and edges are numbered so that those sharing a clique with
+the fewest other edges come first, which packs more of them.  When the
+packing holds exactly as many edges as slots are left, each clique still
+to come holds exactly one packed edge, so only cliques holding one are
+tried next; the skipped branches hold no cover, so the cover found stays
+the least.  A clique holding no uncovered edge is skipped: dropping it
+would leave a cover of r - 1 cliques, which the previous round ruled out.
+``nodes`` counts the partial families visited.
 
 The row search builds the n x r incidence matrix of the cover one vertex
 at a time, in ascending order.  Vertex v takes an r-bit row, the sets
@@ -61,7 +67,6 @@ Python's recursion limit, which it leaves alone, raises ScaleError too.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 from typing import NamedTuple
 
 from .competition import p_competition_graph
@@ -221,23 +226,59 @@ def _deepen(g: Graph, p: int, budget: int | None, guard: int, search: str,
 def _clique_rounds(g: Graph, p: int, guard: int):
     """solve(r) for exact_theta_e: the lexicographically least family of r
     cliques, nondecreasing in their order, that covers every edge.  The
-    maximal cliques of two or more vertices cover every edge together."""
+    maximal cliques of two or more vertices cover every edge together.
+
+    Edges are numbered so that an edge sharing a clique with fewer other
+    edges comes first (ties in ascending pair order), so the packing, which
+    takes the lowest uncovered edge first, packs the most isolated edges.
+    The numbering moves only bits: the cliques, their order and the cover
+    found stay the same.
+
+    When the packing holds exactly as many edges as slots are left, a
+    clique tried next must hold one of them.  Any completion is at most
+    that many cliques from index lo on that together hold every packed
+    edge, and no clique holds two packed edges, so each of its cliques
+    holds exactly one, the first (lowest-index) clique included.  Skipping
+    the other cliques skips only subtrees without a cover, so the least
+    cover found does not change.
+    """
     cliques = [c for c in maximal_cliques(g, guard) if len(c) >= 2]
-    edge_index = {e: k for k, e in enumerate(_edge_pairs(g._adj))}
-    masks = [sum(1 << edge_index[pr] for pr in combinations(sorted(c), 2)) for c in cliques]
+    edges = list(_edge_pairs(g._adj))
+
+    def clique_masks(rank) -> tuple[list[int], list[int]]:
+        # edge k is bit rank[k]; star[v]: the edges at v, so a clique's edges
+        # are the bits two or more of its vertices' stars hold
+        star = [0] * g.n
+        for (u, v), position in zip(edges, rank):
+            star[u] |= 1 << position
+            star[v] |= 1 << position
+        masks = []
+        for c in cliques:
+            once = twice = 0
+            for v in c:
+                twice |= once & star[v]
+                once |= star[v]
+            masks.append(twice)
+        # together[k]: edges sharing some clique with the edge at bit k
+        together = [0] * len(edges)
+        for m in masks:
+            for k in iter_bits(m):
+                together[k] |= m
+        return masks, together
+
+    masks, together = clique_masks(range(len(edges)))
+    rank = [0] * len(edges)
+    for position, k in enumerate(sorted(range(len(edges)), key=lambda k: together[k].bit_count())):
+        rank[k] = position
+    masks, together = clique_masks(rank)
     size = len(masks)
     # reach[i]: edges held by a clique at index >= i (reach[0] holds them all);
-    # gain[i]: the most edges one such clique holds; together[k]: edges
-    # sharing some clique with edge k
+    # gain[i]: the most edges one such clique holds
     reach = [0] * (size + 1)
     gain = [0] * (size + 1)
     for i in range(size - 1, -1, -1):
         reach[i] = reach[i + 1] | masks[i]
         gain[i] = max(gain[i + 1], masks[i].bit_count())
-    together = [0] * len(edge_index)
-    for m in masks:
-        for k in iter_bits(m):
-            together[k] |= m
     chosen: list[int] = []
     nodes = 0
 
@@ -250,19 +291,23 @@ def _clique_rounds(g: Graph, p: int, guard: int):
         if short.bit_count() > slots * gain[lo]:
             return False  # the slots left cannot hold the uncovered edges
         # packing: uncovered edges no single clique holds together need a slot each
-        packed = 0
+        packed = count = 0
         left = short
         while left:
-            packed += 1
-            if packed > slots:
+            low = left & -left
+            count += 1
+            if count > slots:
                 return False
-            left &= ~together[(left & -left).bit_length() - 1]
+            packed |= low
+            left &= ~together[low.bit_length() - 1]
+        # a tight packing: the next clique must hold a packed edge
+        need = packed if count == slots else short
         for i in range(lo, size):
             if short & ~reach[i]:
                 break  # the cliques from i on no longer hold every uncovered edge
             # a clique without an uncovered edge could be dropped, leaving a
             # cover of r - 1 cliques, which the previous round ruled out
-            if masks[i] & short:
+            if masks[i] & need:
                 chosen.append(i)
                 if search(short & ~masks[i], slots - 1, i):
                     return True

@@ -5,7 +5,9 @@ one `pcomp:` line on stderr, never a traceback.
 Sizes stay small (integers up to 12, --guard up to 8) apart from MAX_N + 1,
 which must be refused before anything of that size is built, and BIG, a
 number past Python's 4,300-digit limit for int(str), which options and JSON
-files must refuse as bad input; so must JSON nested 100,000 deep."""
+files must refuse as bad input; so must JSON nested 100,000 deep.  Long
+--order lists, of up to 300 vertices, get a test of their own: permutations
+and lists with one vertex repeated or missing."""
 
 import io
 import json
@@ -181,3 +183,41 @@ def test_random_argv_exits_cleanly(files, data):
         assert err == "", (argv, err)
     else:
         assert len(ERROR_LINE.findall(err)) == 1, (argv, err)
+
+
+def run_main(argv):
+    """Exit code and stderr of main(argv), stdout discarded."""
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stderr.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 300), kind=st.sampled_from(["permutation", "repeated", "missing"]),
+       shuffle=st.sampled_from([True, True, False]), rng=st.randoms(use_true_random=False), data=st.data())
+def test_long_orders_exit_cleanly(files, n, kind, shuffle, rng, data):
+    # set 0 is empty and set j holds vertex j - 1, so of the permutations
+    # only the identity keeps every member of set j before position j
+    cover = files / "chain.json"
+    cover.write_text(json.dumps({"n": n, "sets": [[j - 1] if j else [] for j in range(n)]}))
+    order = list(range(n))
+    if shuffle:
+        rng.shuffle(order)
+    if kind == "repeated":
+        i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 2))
+        order[i] = order[k + (k >= i)]
+    elif kind == "missing":
+        del order[data.draw(st.integers(0, n - 1))]
+    code, err = run_main(["realize", str(cover), "--acyclic", "--order", ",".join(map(str, order))])
+    if sorted(order) == list(range(n)):
+        want = 0 if order == list(range(n)) else 3
+    else:
+        want = 2
+    event(f"{kind} exit {code}")
+    assert code == want, (n, kind, code, err)
+    assert "Traceback" not in err
+    assert err.count("\n") == (code != 0) and len(ERROR_LINE.findall(err)) == (code != 0)

@@ -473,6 +473,22 @@ class TestCoverSearchMatchesReference:
         g = relabeled(complement(make_cycle(n)), random.Random(n))
         assert outcome(exact_theta_e(g)) == outcome(reference_theta_e(g))
 
+    @pytest.mark.parametrize("seed", range(1, 4))
+    @pytest.mark.parametrize("n", range(9, 14))
+    def test_theta_e_relabeled_cycle_complements_refuted_one_below(self, n, seed):
+        g = relabeled(complement(make_cycle(n)), random.Random(1000 * n + seed))
+        want = reference_theta_e(g)
+        assert outcome(exact_theta_e(g)) == outcome(want)
+        below = want.value - 1
+        assert outcome(exact_theta_e(g, upper=below)) == outcome(reference_theta_e(g, upper=below))
+
+    @settings(deadline=None, max_examples=100)
+    @given(graphs(max_n=9), st.data())
+    def test_theta_e_random_with_a_drawn_bound(self, g, data):
+        # theta_e <= n^2 / 4 (Erdos, Goodman and Posa), so the draw lands on both sides
+        upper = data.draw(st.none() | st.integers(0, g.n * g.n // 4 + 1))
+        assert outcome(exact_theta_e(g, upper=upper)) == outcome(reference_theta_e(g, upper=upper))
+
     # every C_n and co-C_n with n <= 8 and p <= 6 was compared once outside
     # the suite; these are the ones the reference decides within about 2 s
     @pytest.mark.parametrize("family,n,p", [
@@ -488,15 +504,16 @@ class TestCoverSearchMatchesReference:
         assert p_outcome(g, p, exact_theta_e_p(g, p, n)) == (want.value, want.bound)
 
     @pytest.mark.parametrize("run,want", [
-        (lambda: exact_theta_e(complement(make_cycle(14))), 6160),
+        (lambda: exact_theta_e(complement(make_cycle(14))), 2316),
+        (lambda: exact_theta_e(complement(make_cycle(15))), 75646),
         (lambda: exact_theta_e_p(complement(make_cycle(7)), 2, 7), 439),
         (lambda: exact_theta_e_p(make_cycle(7), 4, 7), 62),
-        (lambda: exact_theta_e(complement(make_cycle(12)), upper=6), 349),
-        (lambda: exact_theta_e(complement(make_cycle(13)), upper=6), 751),
+        (lambda: exact_theta_e(complement(make_cycle(12)), upper=6), 176),
+        (lambda: exact_theta_e(complement(make_cycle(13)), upper=6), 315),
         (lambda: exact_theta_e_p(make_cycle(8), 6, 8), 40),
         (lambda: exact_theta_e_p(complement(make_cycle(6)), 4, 6), 68),
         (lambda: exact_theta_e_p(make_cycle(8), 7, 8), 22),
-    ], ids=["co-C14 theta_e", "co-C7 p=2", "C7 p=4", "co-C12 refuted", "co-C13 refuted",
+    ], ids=["co-C14 theta_e", "co-C15 theta_e", "co-C7 p=2", "C7 p=4", "co-C12 refuted", "co-C13 refuted",
             "C8 p=6 refuted", "co-C6 p=4 refuted", "C8 p=7 refuted"])
     def test_node_counts_do_not_regress(self, run, want):
         assert run().nodes == want
