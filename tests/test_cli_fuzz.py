@@ -159,6 +159,17 @@ COMMANDS = ["gen", "cover", "verify", "realize", "compete", "theta-e", "theta-e-
             "decide", "survey"]
 
 
+def run_main(argv):
+    """Exit code and stderr of main(argv), stdout discarded."""
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    return code, stderr.getvalue()
+
+
 @settings(max_examples=600, deadline=None)
 @given(data=st.data())
 def test_random_argv_exits_cleanly(files, data):
@@ -168,13 +179,7 @@ def test_random_argv_exits_cleanly(files, data):
         argv.append(data.draw(TOKENS))
     out = files / "out.txt"
     argv += data.draw(st.sampled_from([[], ["--out", str(out)], ["--out", str(files)]]))
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse: usage errors and --help
-            code = exc.code
-    err = stderr.getvalue()
+    code, err = run_main(argv)
     event(f"{command} exit {code}")
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
@@ -185,20 +190,10 @@ def test_random_argv_exits_cleanly(files, data):
         assert len(ERROR_LINE.findall(err)) == 1, (argv, err)
 
 
-def run_main(argv):
-    """Exit code and stderr of main(argv), stdout discarded."""
-    stderr = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, stderr.getvalue()
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 300), kind=st.sampled_from(["permutation", "repeated", "missing"]),
-       shuffle=st.sampled_from([True, True, False]), rng=st.randoms(use_true_random=False), data=st.data())
+       shuffle=st.sampled_from([True, True, False]), rng=st.randoms(use_true_random=False),
+       data=st.data())
 def test_long_orders_exit_cleanly(files, n, kind, shuffle, rng, data):
     # set 0 is empty and set j holds vertex j - 1, so of the permutations
     # only the identity keeps every member of set j before position j

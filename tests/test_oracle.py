@@ -513,8 +513,8 @@ class TestCoverSearchMatchesReference:
         (lambda: exact_theta_e_p(make_cycle(8), 6, 8), 40),
         (lambda: exact_theta_e_p(complement(make_cycle(6)), 4, 6), 68),
         (lambda: exact_theta_e_p(make_cycle(8), 7, 8), 22),
-    ], ids=["co-C14 theta_e", "co-C15 theta_e", "co-C7 p=2", "C7 p=4", "co-C12 refuted", "co-C13 refuted",
-            "C8 p=6 refuted", "co-C6 p=4 refuted", "C8 p=7 refuted"])
+    ], ids=["co-C14 theta_e", "co-C15 theta_e", "co-C7 p=2", "C7 p=4", "co-C12 refuted",
+            "co-C13 refuted", "C8 p=6 refuted", "co-C6 p=4 refuted", "C8 p=7 refuted"])
     def test_node_counts_do_not_regress(self, run, want):
         assert run().nodes == want
 
