@@ -160,14 +160,14 @@ COMMANDS = ["gen", "cover", "verify", "realize", "compete", "theta-e", "theta-e-
 
 
 def run_main(argv):
-    """Exit code and stderr of main(argv), stdout discarded."""
-    stderr = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+    """Exit code, stdout and stderr of main(argv)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: usage errors and --help
             code = exc.code
-    return code, stderr.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @settings(max_examples=600, deadline=None)
@@ -179,7 +179,7 @@ def test_random_argv_exits_cleanly(files, data):
         argv.append(data.draw(TOKENS))
     out = files / "out.txt"
     argv += data.draw(st.sampled_from([[], ["--out", str(out)], ["--out", str(files)]]))
-    code, err = run_main(argv)
+    code, _, err = run_main(argv)
     event(f"{command} exit {code}")
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
@@ -207,7 +207,7 @@ def test_long_orders_exit_cleanly(files, n, kind, shuffle, rng, data):
         order[i] = order[k + (k >= i)]
     elif kind == "missing":
         del order[data.draw(st.integers(0, n - 1))]
-    code, err = run_main(["realize", str(cover), "--acyclic", "--order", ",".join(map(str, order))])
+    code, _, err = run_main(["realize", str(cover), "--acyclic", "--order", ",".join(map(str, order))])
     if sorted(order) == list(range(n)):
         want = 0 if order == list(range(n)) else 3
     else:
