@@ -4,18 +4,18 @@ Subcommands: gen, cover, verify, realize, compete, theta-e, theta-e-p,
 decide, survey.  Objects travel as JSON (optionally DOT for graphs and
 digraphs), survey tables as TSV.
 
-`decide` and `survey` both ask oracle.is_p_competition (survey through
-oracle.survey_decision) and only format its Decision.
+`decide` and `survey` both ask oracle.is_p_competition and only format
+its Decision: a survey cell is `decide --method both`, else `skipped`.
 
 Exit codes: 0 success / valid / positive decision, 1 invalid cover or
 negative decision, 2 input or parameter problems (unreadable, non-UTF-8,
 malformed or too deeply nested JSON files, integers past Python's digit
-limit or a vertex count above graphs.MAX_N in a file, --n or --p above it),
-3 infeasible parameters, an exceeded search guard or recursion limit, or any
-other pcomp error (a certificate the checks reject, or the construction and
-the search disagreeing in `decide --method both` or `survey`).  Every
-failure ends with a one-line `pcomp:` message on stderr, which names the
-file for an input error in a JSON file.
+limit or a vertex count above graphs.MAX_N in a file, --n or --p above it,
+--order without --acyclic, no decision route), 3 infeasible parameters, an
+exceeded search guard or recursion limit, or any other pcomp error (a
+certificate the checks reject, or the two decision routes disagreeing).
+Every failure ends with a one-line `pcomp:` message on stderr, which names
+the file for an input error in a JSON file.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .graphs import (
     graph_to_json_dict,
     make_cycle,
 )
-from .oracle import exact_theta_e, exact_theta_e_p, is_p_competition, survey_decision
-from .realization import realize, realize_acyclic
+from .oracle import exact_theta_e, exact_theta_e_p, is_p_competition
+from .realization import excerpt, realize, realize_acyclic
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -105,7 +105,8 @@ def _parse_order(text: str, n: int) -> list[int]:
     try:
         order = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise InvalidParameterError(f"bad order {text!r}: {exc}") from exc
+        raise InvalidParameterError(
+            f"bad order {excerpt(repr(text))}: {excerpt(str(exc))}") from exc
     if len(order) != n:
         raise InvalidParameterError(
             f"order has {len(order)} entries, expected {n}")
@@ -159,6 +160,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
         if args.order is None:
             raise InvalidParameterError("realize --acyclic requires --order")
         d = realize_acyclic(f, _parse_order(args.order, f.n))
+    elif args.order is not None:
+        raise InvalidParameterError("realize --order needs --acyclic")
     else:
         d = realize(f)
     if args.format == "dot":
@@ -213,8 +216,9 @@ def cmd_survey(args: argparse.Namespace) -> int:
     for n in range(n_lo, n_hi + 1):
         g = _family_graph(args.family, n)
         for p in range(p_lo, p_hi + 1):
-            d = survey_decision(g, p, args.guard)
-            if d is None:
+            try:
+                d = is_p_competition(g, p, method="both", guard=args.guard)
+            except UnsupportedInstanceError:
                 cells = "skipped\t-\t-\t-"
             else:
                 size = d.cover_size if d.value else "-"
@@ -257,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     real = sub.add_parser("realize", help="build the digraph realizing a cover")
     real.add_argument("cover")
     real.add_argument("--acyclic", action="store_true")
-    real.add_argument("--order", help="comma-separated vertex permutation")
+    real.add_argument("--order", help="comma-separated vertex permutation (with --acyclic)")
     real.add_argument("--format", choices=["json", "dot"], default="json")
     real.add_argument("--out")
     real.set_defaults(func=cmd_realize)

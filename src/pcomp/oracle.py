@@ -453,25 +453,20 @@ def _constructive_decision(g: Graph, p: int) -> Decision | None:
     exactly when n >= p+3, and below that no family of n sets exists (the
     counting refutation uses a nonadjacent pair at cyclic distance 2, which
     a triangle does not have, hence the n >= 4 restriction).  For cycle
-    complements only the sufficient direction is known: lifting the cover
-    stays within n sets iff size + p - 1 <= n.  A yes carries its cover,
-    checked by _certify.
+    complements only the sufficient direction is known: the lift certifies
+    when it stays within n sets, which no lift for p > n does.  A yes
+    carries its cover, checked by _certify.
     """
     n = g.n
     if n >= 4 and g == make_cycle(n):
         if n >= p + 3:
             return Decision(True, "construct", _certify(g, cycle_cover(n, p), p))
         return Decision(False, "construct")
-    if n >= 5 and g == complement(make_cycle(n)):
-        base = complement_cycle_cover(n)
-        if len(base) + p - 1 <= n:
-            return Decision(True, "construct", _certify(g, lift_cover(base, p), p))
+    if n >= 5 and p <= n and g == complement(make_cycle(n)):
+        lifted = lift_cover(complement_cycle_cover(n), p)
+        if len(lifted) <= n:
+            return Decision(True, "construct", _certify(g, lifted, p))
     return None
-
-
-def _oracle_decision(g: Graph, p: int, guard: int) -> Decision:
-    result = exact_theta_e_p(g, p, budget=g.n, guard=guard)
-    return Decision(result.value is not None, "oracle", result.certificate)
 
 
 def is_p_competition(g: Graph, p: int, method: str = "auto",
@@ -479,10 +474,11 @@ def is_p_competition(g: Graph, p: int, method: str = "auto",
     """Is g the p-competition graph of some digraph?
 
     method "construct" uses the cycle / cycle-complement constructions,
-    "oracle" the exhaustive p-cover search with budget n, "both" runs the
-    two and raises PcompError unless they agree, and "auto" prefers the
-    constructive route and falls back to the oracle within its guard.  A
-    yes carries the constructive cover if any, else the search's.
+    "oracle" the exhaustive p-cover search with budget n, "auto" prefers the
+    constructive route and falls back to the search within its guard, and
+    "both" runs each route that applies (the search when n <= guard) and
+    raises PcompError if two ran and disagree; it answers "both" when two
+    ran.  A yes carries the constructive cover if any, else the search's.
     """
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
@@ -491,32 +487,21 @@ def is_p_competition(g: Graph, p: int, method: str = "auto",
     _check_guard(guard)
 
     constructive = None if method == "oracle" else _constructive_decision(g, p)
-    if constructive is None and method != "oracle":
-        if method != "auto":
-            raise UnsupportedInstanceError(
-                "no constructive decision for this graph/p combination")
-        if g.n > guard:
-            raise UnsupportedInstanceError(
-                f"no decision path applies: not a recognized construction and n={g.n} "
-                f"exceeds the oracle guard {guard}")
-    decision = constructive if constructive is not None else _oracle_decision(g, p, guard)
-    if method == "both":
-        oracle = _oracle_decision(g, p, guard)
-        if oracle.value != decision.value:
-            raise PcompError(
-                f"construction and exhaustive search disagree on n={g.n}, p={p}: "
-                f"{decision.value} vs {oracle.value}")
-        decision = decision._replace(method="both")
-    return decision
-
-
-def survey_decision(g: Graph, p: int, guard: int) -> Decision | None:
-    """One survey cell: "both" within the guard and "construct" beyond it,
-    falling back to "oracle" within the guard; None if nothing applies."""
-    try:
-        return is_p_competition(
-            g, p, method="both" if g.n <= guard else "construct", guard=guard)
-    except UnsupportedInstanceError:
-        if g.n > guard:
-            return None
-        return is_p_competition(g, p, method="oracle", guard=guard)
+    if constructive is not None and (method in ("auto", "construct") or g.n > guard):
+        return constructive
+    if method == "construct":
+        raise UnsupportedInstanceError(
+            "no constructive decision for this graph/p combination")
+    if method != "oracle" and g.n > guard:
+        raise UnsupportedInstanceError(
+            f"no decision path applies: not a recognized construction and n={g.n} "
+            f"exceeds the oracle guard {guard}")
+    result = exact_theta_e_p(g, p, budget=g.n, guard=guard)
+    found = result.value is not None
+    if constructive is None:
+        return Decision(found, "oracle", result.certificate)
+    if constructive.value != found:
+        raise PcompError(
+            f"construction and exhaustive search disagree on n={g.n}, p={p}: "
+            f"{constructive.value} vs {found}")
+    return constructive._replace(method="both")

@@ -45,11 +45,16 @@ def _digraph(f: CliqueCover, prey: Sequence[int]) -> Digraph:
     return Digraph._from_masks(f.n, out)
 
 
+def excerpt(text: str, most: int = 60) -> str:
+    """text as an error line echoes it: whole, or its first `most` characters and its length."""
+    return text if len(text) <= most else f"{text[:most]}... ({len(text)} characters)"
+
+
 def _position_map(order: Sequence[int], n: int) -> dict[int, int]:
     order = list(order)
     if sorted(order) != list(range(n)):
         raise InvalidParameterError(
-            f"order must be a permutation of 0..{n - 1}, got {order}")
+            f"order must be a permutation of 0..{n - 1}, got {excerpt(str(order))}")
     return {v: i for i, v in enumerate(order)}
 
 

@@ -10,7 +10,7 @@ import pytest
 import pcomp.oracle
 from pcomp import (
     CliqueCover,
-    Decision,
+    SearchResult,
     Verdict,
     complement,
     complement_cycle_cover,
@@ -189,6 +189,25 @@ class TestRealizeCommand:
         f.write_text(json.dumps({"n": 2, "sets": [[0], [1], [0, 1]]}))
         assert run_cli("realize", f).returncode == 3
 
+    def test_order_without_acyclic_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"n": 3, "sets": [[], [0], [0, 1]]}))
+        assert main(["realize", str(f), "--order", "9,9"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "pcomp: realize --order needs --acyclic\n"
+
+    @pytest.mark.parametrize("bad", ["149", "x", "9" * 5000, "x" * 1000])
+    def test_long_order_error_line_stays_short(self, tmp_path, capsys, bad):
+        # a 300-set chain cover and the identity order with entry 150 bad
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps({"n": 300, "sets": [[j - 1] if j else [] for j in range(300)]}))
+        order = [str(v) for v in range(300)]
+        order[150] = bad
+        assert main(["realize", str(f), "--acyclic", "--order", ",".join(order)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("pcomp: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200, err
+
 
 class TestStrictInput:
     @pytest.mark.parametrize("argv,name,data", [
@@ -314,8 +333,8 @@ class TestPcompErrorsExit3:
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}))
         monkeypatch.setattr(
-            pcomp.oracle, "_oracle_decision",
-            lambda g, p, guard: Decision(True, "oracle", cycle_cover(4, 1)))
+            pcomp.oracle, "exact_theta_e_p",
+            lambda g, p, budget, guard: SearchResult(4, cycle_cover(4, 1), 0))
         assert main(["decide", str(g), "--p", "2", "--method", "both"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -323,8 +342,8 @@ class TestPcompErrorsExit3:
 
     def test_survey_disagreement(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            pcomp.oracle, "_oracle_decision",
-            lambda g, p, guard: Decision(True, "oracle", cycle_cover(4, 1)))
+            pcomp.oracle, "exact_theta_e_p",
+            lambda g, p, budget, guard: SearchResult(4, cycle_cover(4, 1), 0))
         assert main(["survey", "cycle", "--n", "4", "--p", "2"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -463,6 +482,15 @@ class TestOracleCommands:
         # a guard of 0 is a real guard: the search refuses n = 5 (exit 3),
         # and the constructions answer without the search
         assert main([*argv, "--guard", "0"]) == code_at_0
+
+    def test_decide_both_without_a_construction_searches(self, tmp_path, capsys):
+        # co-C5 at p = 2 has no lifted cover within 5 sets, so "both" runs
+        # the search alone and answers as it does
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(graph_to_json_dict(complement(make_cycle(5)))))
+        assert main(["decide", str(g), "--p", "2", "--method", "both"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["method"] == "oracle"
 
     def test_decide_unsupported_exits_2(self, tmp_path):
         g = tmp_path / "g.json"

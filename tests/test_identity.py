@@ -179,7 +179,7 @@ def cli_entry(argv: list[str], code: int, out: str, err: str) -> dict:
 
 
 def search_entry(call: str, result) -> dict:
-    certificate = cover_to_json_dict(result.certificate) if result.certificate else None
+    certificate = None if result.certificate is None else cover_to_json_dict(result.certificate)
     return {"call": call, "result": digest(json.dumps([result.value, certificate, result.bound])),
             "nodes": result.nodes}
 

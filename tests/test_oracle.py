@@ -10,11 +10,11 @@ from conftest import graphs, literal_verify_p_ecc, reference_theta_e, reference_
 import pcomp.oracle
 from pcomp import (
     CliqueCover,
-    Decision,
     Graph,
     InvalidParameterError,
     PcompError,
     ScaleError,
+    SearchResult,
     UnsupportedInstanceError,
     Verdict,
     complement,
@@ -30,7 +30,7 @@ from pcomp import (
     verify_ecc,
     verify_p_ecc,
 )
-from pcomp.oracle import _meets, _row_rounds, _ties, survey_decision
+from pcomp.oracle import _meets, _row_rounds, _ties
 
 
 class TestMaximalCliques:
@@ -557,14 +557,19 @@ class TestIsPCompetition:
         with pytest.raises(UnsupportedInstanceError):
             is_p_competition(Graph(4, [(0, 1)]), 1, method="construct")
 
+    def test_no_lift_is_built_for_p_above_n(self):
+        # a lift of 10**18 sets could never fit, and building one would fail
+        with pytest.raises(UnsupportedInstanceError):
+            is_p_competition(complement(make_cycle(7)), 10**18, method="construct")
+
     def test_method_both_agrees(self):
         decision = is_p_competition(make_cycle(5), 2, method="both")
         assert decision.value is True and decision.method == "both"
 
     def test_method_both_disagreement_raises_pcomp_error(self, monkeypatch):
         monkeypatch.setattr(
-            pcomp.oracle, "_oracle_decision",
-            lambda g, p, guard: Decision(True, "oracle", cycle_cover(4, 1)))
+            pcomp.oracle, "exact_theta_e_p",
+            lambda g, p, budget, guard: SearchResult(4, cycle_cover(4, 1), 0))
         with pytest.raises(PcompError, match="disagree on n=4, p=2"):
             is_p_competition(make_cycle(4), 2, method="both")
 
@@ -683,25 +688,28 @@ class TestDecisionCertificates:
         assert exact_theta_e(k33).value == 9
 
 
-class TestSurveyDecision:
+class TestMethodBoth:
+    """method "both" runs every route that applies, as each survey cell does."""
+
     def test_both_within_the_guard(self):
-        d = survey_decision(make_cycle(5), 2, guard=5)
+        d = is_p_competition(make_cycle(5), 2, method="both", guard=5)
         assert (d.value, d.method, d.cover_size) == (True, "both", 5)
 
     def test_construct_beyond_the_guard(self):
-        d = survey_decision(make_cycle(9), 7, guard=5)
+        d = is_p_competition(make_cycle(9), 7, method="both", guard=5)
         assert (d.value, d.method, d.cover_size) == (False, "construct", None)
 
     def test_oracle_where_no_construction_applies(self):
-        d = survey_decision(complement(make_cycle(5)), 2, guard=5)
+        d = is_p_competition(complement(make_cycle(5)), 2, method="both", guard=5)
         assert (d.value, d.method, d.cover_size) == (True, "oracle", 5)
 
     def test_nothing_applies(self):
-        assert survey_decision(complement(make_cycle(9)), 4, guard=5) is None
+        with pytest.raises(UnsupportedInstanceError, match="no decision path applies"):
+            is_p_competition(complement(make_cycle(9)), 4, method="both", guard=5)
 
     def test_disagreement_raises(self, monkeypatch):
         monkeypatch.setattr(
-            pcomp.oracle, "_oracle_decision",
-            lambda g, p, guard: Decision(True, "oracle", cycle_cover(4, 1)))
+            pcomp.oracle, "exact_theta_e_p",
+            lambda g, p, budget, guard: SearchResult(4, cycle_cover(4, 1), 0))
         with pytest.raises(PcompError, match="disagree on n=4, p=2"):
-            survey_decision(make_cycle(4), 2, guard=5)
+            is_p_competition(make_cycle(4), 2, method="both", guard=5)
