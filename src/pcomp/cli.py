@@ -190,8 +190,7 @@ def cmd_theta_e(args: argparse.Namespace) -> int:
 
 def cmd_theta_e_p(args: argparse.Namespace) -> int:
     g = _load_json(args.graph, graph_from_json_dict)
-    budget = args.budget if args.budget is not None else g.n
-    result = exact_theta_e_p(g, args.p, budget, guard=args.guard)
+    result = exact_theta_e_p(g, args.p, args.budget, guard=args.guard)
     _emit_json(result.to_json_dict(), args.out)
     return EXIT_OK
 

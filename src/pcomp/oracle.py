@@ -159,7 +159,7 @@ def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
     if g.n > guard:
         raise ScaleError(
             f"maximal clique enumeration requires n <= {guard} (got {g.n})")
-    adj = [g.neighbor_mask(v) for v in range(g.n)]
+    adj = g._adj
     found: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
@@ -193,14 +193,12 @@ def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
     return sorted(cliques, key=lambda c: tuple(sorted(c)))
 
 
-def _deepen(g: Graph, p: int, budget: int | None, guard: int, search: str,
-            rounds) -> SearchResult:
+def _deepen(g: Graph, p: int, budget: int, guard: int, search: str, rounds) -> SearchResult:
     """The least r in p..budget at which a kernel round finds a cover of r sets.
 
     Refuses n above guard and answers an edgeless graph with no sets before
-    rounds(g, p, guard) builds the kernel: solve, and the most sets a round
-    may take, the budget when none is given.  solve(r) returns the sets found
-    (or None) and the nodes visited so far; _certify checks the cover found.
+    rounds(g, p, guard) returns the kernel's solve(r): the sets found (or
+    None) and the nodes visited so far.  _certify checks the cover found.
     """
     _check_guard(guard)
     if g.n > guard:
@@ -208,8 +206,7 @@ def _deepen(g: Graph, p: int, budget: int | None, guard: int, search: str,
             f"{search} requires n <= {guard} (got {g.n}); raise guard to override")
     if not any(g._adj):
         return SearchResult(value=0, certificate=CliqueCover(g.n, ()), nodes=0)
-    solve, most = rounds(g, p, guard)
-    budget = most if budget is None else budget
+    solve = rounds(g, p, guard)
     nodes = 0
     for r in range(p, budget + 1):
         try:
@@ -318,7 +315,7 @@ def _clique_rounds(g: Graph, p: int, guard: int):
         found = search(reach[0], r, 0)
         return (tuple(cliques[i] for i in chosen) if found else None), nodes
 
-    return solve, size
+    return solve
 
 
 def _column(full: int, j: int) -> int:
@@ -377,7 +374,6 @@ def _row_rounds(g: Graph, p: int, guard: int):
     """solve(r) for exact_theta_e_p: the canonical p-edge clique cover of
     r sets, found as one r-bit row per vertex (bit j: the vertex is in set j)."""
     n = g.n
-    adj = [g.neighbor_mask(v) for v in range(n)]
     rows = [0] * n
     nodes = 0
 
@@ -393,7 +389,7 @@ def _row_rounds(g: Graph, p: int, guard: int):
             # later[i]: the rows vertex v + i may still take; bit j of tied:
             # columns j - 1 and j agree on every placed row
             nonlocal nodes
-            near = adj[v]
+            near = g._adj[v]
             todo = later[0] & ties[tied]
             while todo:
                 low = todo & -todo
@@ -413,24 +409,26 @@ def _row_rounds(g: Graph, p: int, guard: int):
             return None, nodes
         return tuple(frozenset(v for v in range(n) if rows[v] >> j & 1) for j in range(r)), nodes
 
-    return solve, guard
+    return solve
 
 
 def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> SearchResult:
     """Exact minimum edge clique cover size, with an optimal cover.
 
     The clique search over the maximal cliques, which ``guard`` alone caps.
-    With ``upper`` given (at least 0), returns exceeds-bound instead when
-    the minimum is larger.  Edgeless graphs need zero cliques.
+    Above ``upper`` (at least 0; |E| by default, as one clique per edge
+    covers) it returns exceeds-bound.  Edgeless graphs need zero cliques.
     """
-    if upper is not None and upper < 0:
+    upper = sum(a.bit_count() for a in g._adj) // 2 if upper is None else upper
+    if upper < 0:
         raise InvalidParameterError(f"need upper >= 0, got upper={upper}")
     return _deepen(g, 1, upper, guard, "exact cover search", _clique_rounds)
 
 
-def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResult:
-    """Smallest r <= budget admitting a p-edge clique cover of r sets, with
-    the canonical cover of that size.
+def exact_theta_e_p(g: Graph, p: int, budget: int | None = None, guard: int = 8) -> SearchResult:
+    """Smallest r <= budget (by default n, the characterization's bound)
+    admitting a p-edge clique cover of r sets, with the canonical cover of
+    that size.
 
     The row search; ``guard`` caps both n and the number of sets, since a
     round at r sets gives each later vertex a domain of 2^r bits and reads
@@ -441,6 +439,7 @@ def exact_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResu
     """
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
+    budget = g.n if budget is None else budget
     if budget < 0:
         raise InvalidParameterError(f"need budget >= 0, got budget={budget}")
     return _deepen(g, p, budget, guard, "p-cover search", _row_rounds)

@@ -21,6 +21,8 @@ from .covers import CliqueCover
 from .errors import InfeasibleError, InvalidParameterError
 from .graphs import Digraph, iter_bits
 
+EXCERPT = 60  # the most characters of an input an error line echoes
+
 
 def realize(f: CliqueCover) -> Digraph:
     """Digraph on f.n vertices with an arc (x, j) for every x in set j.
@@ -45,9 +47,9 @@ def _digraph(f: CliqueCover, prey: Sequence[int]) -> Digraph:
     return Digraph._from_masks(f.n, out)
 
 
-def excerpt(text: str, most: int = 60) -> str:
-    """text as an error line echoes it: whole, or its first `most` characters and its length."""
-    return text if len(text) <= most else f"{text[:most]}... ({len(text)} characters)"
+def excerpt(text: str) -> str:
+    """text as an error line echoes it: whole, or its first EXCERPT characters and its length."""
+    return text if len(text) <= EXCERPT else f"{text[:EXCERPT]}... ({len(text)} characters)"
 
 
 def _position_map(order: Sequence[int], n: int) -> dict[int, int]:

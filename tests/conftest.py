@@ -1,9 +1,10 @@
-import sys
+import io
+import os
 from collections import Counter
+from contextlib import chdir, redirect_stderr, redirect_stdout
 from itertools import chain, combinations
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -21,8 +22,37 @@ from pcomp import (
     Verdict,
     maximal_cliques,
 )
+from pcomp.cli import main
 from pcomp.graphs import iter_bits
 from pcomp.oracle import _certify
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class Run(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_main(argv, cwd=None) -> Run:
+    """Exit code, stdout and stderr of cli.main on argv (each item passed as
+    str), run in-process from cwd, the current directory when None."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with chdir(cwd or os.curdir), redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    return Run(code, stdout.getvalue(), stderr.getvalue())
+
+
+def child_env(**variables: str) -> dict[str, str]:
+    """The environment of a child interpreter that imports pcomp from src/,
+    with variables set on top: for the few checks whose subject is the
+    interpreter itself (-O, PYTHONHASHSEED, a fresh sys.modules)."""
+    path = str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")
+    return {**os.environ, "PYTHONPATH": path, **variables}
 
 
 @st.composite

@@ -11,7 +11,7 @@ import time
 from itertools import combinations
 from pathlib import Path
 
-from conftest import literal_verify_p_ecc, random_instance
+from conftest import literal_verify_p_ecc, random_instance, run_main
 from pcomp import (
     CliqueCover,
     complement,
@@ -30,7 +30,6 @@ from pcomp import (
     verify_ecc,
     verify_p_ecc,
 )
-from test_cli import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -208,7 +207,7 @@ def test_criterion_8_accepted_orderings_realize_acyclically():
 
 def test_criterion_9_golden_survey_table():
     failures = []
-    res = run_cli("survey", "cycle", "--n", "4..12", "--p", "1..6")
+    res = run_main(["survey", "cycle", "--n", "4..12", "--p", "1..6"])
     if res.returncode != 0:
         failures.append(f"survey exited {res.returncode}")
     golden = (GOLDEN / "survey_cycle_n4-12_p1-6.tsv").read_text()

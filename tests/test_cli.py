@@ -1,11 +1,11 @@
 import inspect
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import child_env, run_main
 
 import pcomp.oracle
 from pcomp import (
@@ -25,74 +25,72 @@ from pcomp import (
     make_cycle,
     realize,
 )
-from pcomp.cli import build_parser, main
+from pcomp.cli import build_parser
 from pcomp.graphs import MAX_N
 
-REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*argv, cwd=None, python_flags=()):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, *python_flags, "-m", "pcomp", *map(str, argv)],
-        capture_output=True, text=True, env=env, cwd=cwd)
+def run_optimized(argv):
+    """python -O -m pcomp argv in a child: -O is a flag of the interpreter,
+    so only a fresh one runs under it."""
+    return subprocess.run([sys.executable, "-O", "-m", "pcomp", *map(str, argv)],
+                          capture_output=True, text=True, env=child_env())
 
 
 class TestGen:
     def test_cycle_json(self):
-        res = run_cli("gen", "cycle", "--n", 5)
+        res = run_main(["gen", "cycle", "--n", 5])
         assert res.returncode == 0
         data = json.loads(res.stdout)
         assert data["n"] == 5 and len(data["edges"]) == 5
 
     def test_co_cycle_edge_count(self):
-        res = run_cli("gen", "co-cycle", "--n", 8)
+        res = run_main(["gen", "co-cycle", "--n", 8])
         assert res.returncode == 0
         assert len(json.loads(res.stdout)["edges"]) == 20
 
     def test_bad_n_exits_2(self):
-        res = run_cli("gen", "cycle", "--n", 2)
+        res = run_main(["gen", "cycle", "--n", 2])
         assert res.returncode == 2
         assert res.stderr.strip()
 
     def test_co_cycle_below_5_exits_2(self):
-        assert run_cli("gen", "co-cycle", "--n", 4).returncode == 2
+        assert run_main(["gen", "co-cycle", "--n", 4]).returncode == 2
 
     def test_dot_format(self):
-        res = run_cli("gen", "cycle", "--n", 4, "--format", "dot")
+        res = run_main(["gen", "cycle", "--n", 4, "--format", "dot"])
         assert res.returncode == 0
         assert res.stdout.startswith("graph G {")
 
     def test_deterministic_output(self):
-        a = run_cli("gen", "co-cycle", "--n", 9)
-        b = run_cli("gen", "co-cycle", "--n", 9)
+        a = run_main(["gen", "co-cycle", "--n", 9])
+        b = run_main(["gen", "co-cycle", "--n", 9])
         assert a.stdout == b.stdout
 
 
 class TestCover:
     def test_cycle_cover_shape(self):
-        res = run_cli("cover", "cycle", "--n", 10, "--p", 7)
+        res = run_main(["cover", "cycle", "--n", 10, "--p", 7])
         data = json.loads(res.stdout)
         assert len(data["sets"]) == 10
         assert all(len(s) == 8 for s in data["sets"])
 
     def test_co_cycle_cover_size(self):
-        res = run_cli("cover", "co-cycle", "--n", 9)
+        res = run_main(["cover", "co-cycle", "--n", 9])
         assert len(json.loads(res.stdout)["sets"]) == 7
 
     def test_co_cycle_lifted(self):
-        res = run_cli("cover", "co-cycle", "--n", 10, "--p", 3)
+        res = run_main(["cover", "co-cycle", "--n", 10, "--p", 3])
         assert len(json.loads(res.stdout)["sets"]) == 8
 
     def test_infeasible_exits_3_naming_the_inequality(self):
-        res = run_cli("cover", "cycle", "--n", 5, "--p", 3)
+        res = run_main(["cover", "cycle", "--n", 5, "--p", 3])
         assert res.returncode == 3
         assert "n >= p+3" in res.stderr
 
     def test_cycle_without_p_exits_2(self):
-        assert run_cli("cover", "cycle", "--n", 5).returncode == 2
+        assert run_main(["cover", "cycle", "--n", 5]).returncode == 2
 
     @pytest.mark.parametrize("n,code,message", [
         (-2, 2, "pcomp: a cycle requires n >= 3, got n=-2"),
@@ -100,10 +98,10 @@ class TestCover:
         (3, 3, "pcomp: cycle cover requires n >= p+3 (got n=3, p=3)"),
         (5, 3, "pcomp: cycle cover requires n >= p+3 (got n=5, p=3)"),
     ])
-    def test_cycle_vertex_count_exit_codes(self, capsys, n, code, message):
+    def test_cycle_vertex_count_exit_codes(self, n, code, message):
         # no cycle below 3 vertices (exit 2, like gen); 3..p+2 is infeasible
-        assert main(["cover", "cycle", "--n", str(n), "--p", "3"]) == code
-        out, err = capsys.readouterr()
+        exit_code, out, err = run_main(["cover", "cycle", "--n", n, "--p", "3"])
+        assert exit_code == code
         assert out == "" and err == message + "\n"
 
 
@@ -111,31 +109,31 @@ class TestVerify:
     def test_valid_cover_exits_0(self, tmp_path):
         g = tmp_path / "g.json"
         f = tmp_path / "f.json"
-        run_cli("gen", "cycle", "--n", 5, "--out", g)
-        run_cli("cover", "cycle", "--n", 5, "--p", 2, "--out", f)
-        res = run_cli("verify", g, f, "--p", 2)
+        run_main(["gen", "cycle", "--n", 5, "--out", g])
+        run_main(["cover", "cycle", "--n", 5, "--p", 2, "--out", f])
+        res = run_main(["verify", g, f, "--p", 2])
         assert res.returncode == 0
         assert json.loads(res.stdout)["valid"] is True
 
     def test_invalid_cover_exits_1_with_witness(self, tmp_path):
         g = tmp_path / "g.json"
         f = tmp_path / "f.json"
-        run_cli("gen", "cycle", "--n", 4, "--out", g)
+        run_main(["gen", "cycle", "--n", 4, "--out", g])
         f.write_text(json.dumps({"n": 4, "sets": [[0, 1], [0, 1], [0, 1], [0, 1]]}))
-        res = run_cli("verify", g, f, "--p", 2)
+        res = run_main(["verify", g, f, "--p", 2])
         assert res.returncode == 1
         verdict = json.loads(res.stdout)
         assert verdict["valid"] is False
         assert verdict["witness"]["reason"] == "uncovered-edge"
 
     def test_missing_file_exits_2(self, tmp_path):
-        res = run_cli("verify", tmp_path / "nope.json", tmp_path / "nope2.json", "--p", 1)
+        res = run_main(["verify", tmp_path / "nope.json", tmp_path / "nope2.json", "--p", 1])
         assert res.returncode == 2
 
     def test_garbage_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        res = run_cli("verify", bad, bad, "--p", 1)
+        res = run_main(["verify", bad, bad, "--p", 1])
         assert res.returncode == 2
 
 
@@ -145,11 +143,11 @@ class TestPipeline:
         f = tmp_path / "f.json"
         d = tmp_path / "d.json"
         g2 = tmp_path / "g2.json"
-        assert run_cli("gen", "cycle", "--n", 8, "--out", g).returncode == 0
-        assert run_cli("cover", "cycle", "--n", 8, "--p", 3, "--out", f).returncode == 0
-        assert run_cli("verify", g, f, "--p", 3).returncode == 0
-        assert run_cli("realize", f, "--out", d).returncode == 0
-        assert run_cli("compete", d, "--p", 3, "--out", g2).returncode == 0
+        assert run_main(["gen", "cycle", "--n", 8, "--out", g]).returncode == 0
+        assert run_main(["cover", "cycle", "--n", 8, "--p", 3, "--out", f]).returncode == 0
+        assert run_main(["verify", g, f, "--p", 3]).returncode == 0
+        assert run_main(["realize", f, "--out", d]).returncode == 0
+        assert run_main(["compete", d, "--p", 3, "--out", g2]).returncode == 0
         assert g.read_text() == g2.read_text()
 
     def test_co_cycle_lifted_pipeline(self, tmp_path):
@@ -157,11 +155,11 @@ class TestPipeline:
         f = tmp_path / "f.json"
         d = tmp_path / "d.json"
         g2 = tmp_path / "g2.json"
-        assert run_cli("gen", "co-cycle", "--n", 10, "--out", g).returncode == 0
-        assert run_cli("cover", "co-cycle", "--n", 10, "--p", 5, "--out", f).returncode == 0
-        assert run_cli("verify", g, f, "--p", 5).returncode == 0
-        assert run_cli("realize", f, "--out", d).returncode == 0
-        assert run_cli("compete", d, "--p", 5, "--out", g2).returncode == 0
+        assert run_main(["gen", "co-cycle", "--n", 10, "--out", g]).returncode == 0
+        assert run_main(["cover", "co-cycle", "--n", 10, "--p", 5, "--out", f]).returncode == 0
+        assert run_main(["verify", g, f, "--p", 5]).returncode == 0
+        assert run_main(["realize", f, "--out", d]).returncode == 0
+        assert run_main(["compete", d, "--p", 5, "--out", g2]).returncode == 0
         assert g.read_text() == g2.read_text()
 
 
@@ -169,7 +167,7 @@ class TestRealizeCommand:
     def test_acyclic_with_order(self, tmp_path):
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"n": 3, "sets": [[], [0], [0, 1]]}))
-        res = run_cli("realize", f, "--acyclic", "--order", "0,1,2")
+        res = run_main(["realize", f, "--acyclic", "--order", "0,1,2"])
         assert res.returncode == 0
         arcs = {tuple(a) for a in json.loads(res.stdout)["arcs"]}
         assert arcs == {(0, 1), (0, 2), (1, 2)}
@@ -177,34 +175,34 @@ class TestRealizeCommand:
     def test_acyclic_violation_exits_3(self, tmp_path):
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"n": 3, "sets": [[0], [1], [2]]}))
-        assert run_cli("realize", f, "--acyclic", "--order", "0,1,2").returncode == 3
+        assert run_main(["realize", f, "--acyclic", "--order", "0,1,2"]).returncode == 3
 
     def test_acyclic_without_order_exits_2(self, tmp_path):
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"n": 3, "sets": [[], [], []]}))
-        assert run_cli("realize", f, "--acyclic").returncode == 2
+        assert run_main(["realize", f, "--acyclic"]).returncode == 2
 
     def test_too_many_sets_exits_3(self, tmp_path):
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"n": 2, "sets": [[0], [1], [0, 1]]}))
-        assert run_cli("realize", f).returncode == 3
+        assert run_main(["realize", f]).returncode == 3
 
-    def test_order_without_acyclic_exits_2(self, tmp_path, capsys):
+    def test_order_without_acyclic_exits_2(self, tmp_path):
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"n": 3, "sets": [[], [0], [0, 1]]}))
-        assert main(["realize", str(f), "--order", "9,9"]) == 2
-        out, err = capsys.readouterr()
+        code, out, err = run_main(["realize", f, "--order", "9,9"])
+        assert code == 2
         assert out == "" and err == "pcomp: realize --order needs --acyclic\n"
 
     @pytest.mark.parametrize("bad", ["149", "x", "9" * 5000, "x" * 1000])
-    def test_long_order_error_line_stays_short(self, tmp_path, capsys, bad):
+    def test_long_order_error_line_stays_short(self, tmp_path, bad):
         # a 300-set chain cover and the identity order with entry 150 bad
         f = tmp_path / "chain.json"
         f.write_text(json.dumps({"n": 300, "sets": [[j - 1] if j else [] for j in range(300)]}))
         order = [str(v) for v in range(300)]
         order[150] = bad
-        assert main(["realize", str(f), "--acyclic", "--order", ",".join(order)]) == 2
-        out, err = capsys.readouterr()
+        code, out, err = run_main(["realize", f, "--acyclic", "--order", ",".join(order)])
+        assert code == 2
         assert out == "" and err.startswith("pcomp: ") and err.count("\n") == 1
         assert len(err.encode()) < 200, err
 
@@ -220,7 +218,7 @@ class TestStrictInput:
     def test_non_integer_fields_exit_2(self, tmp_path, argv, name, data):
         path = tmp_path / name
         path.write_text(json.dumps(data))
-        res = run_cli(argv[0], path, *argv[1:])
+        res = run_main([argv[0], path, *argv[1:]])
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
@@ -228,7 +226,7 @@ class TestStrictInput:
     def test_non_utf8_file_exits_2(self, tmp_path):
         g = tmp_path / "g.json"
         g.write_bytes(b'{"n": 3, "edges": [], "note": "\xff\xfe"}')
-        res = run_cli("theta-e", g)
+        res = run_main(["theta-e", g])
         assert res.returncode == 2
         assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
 
@@ -245,7 +243,7 @@ class TestStrictInput:
         (tmp_path / "bad.json").write_text(text)
         (tmp_path / "g.json").write_text(json.dumps(graph_to_json_dict(make_cycle(5))))
         (tmp_path / "c.json").write_text(json.dumps(cover_to_json_dict(cycle_cover(5, 1))))
-        res = run_cli(*argv, cwd=tmp_path)
+        res = run_main(argv, cwd=tmp_path)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("pcomp: bad.json: ") and res.stderr.count("\n") == 1
@@ -257,7 +255,7 @@ class TestStrictInput:
     def test_errors_name_the_file(self, tmp_path, text):
         (tmp_path / "g.json").write_text(json.dumps(graph_to_json_dict(make_cycle(5))))
         (tmp_path / "f.json").write_text(text, errors="surrogateescape")
-        res = run_cli("verify", "g.json", "f.json", "--p", "1", cwd=tmp_path)
+        res = run_main(["verify", "g.json", "f.json", "--p", "1"], cwd=tmp_path)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("pcomp: f.json: ") and res.stderr.count("\n") == 1
@@ -284,9 +282,9 @@ class TestVertexLimit:
         ["survey", "cycle", "--n", "4..5", "--p", f"{MAX_N}..{MAX_N + 1}"],
         ["survey", "co-cycle", "--n", "5", "--p", HUGE],
     ])
-    def test_n_option_above_limit_exits_2(self, argv, capsys):
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
+    def test_n_option_above_limit_exits_2(self, argv):
+        code, out, err = run_main(argv)
+        assert code == 2
         assert out == ""
         assert err.startswith("pcomp: ") and str(MAX_N) in err and err.count("\n") == 1
 
@@ -295,22 +293,22 @@ class TestVertexLimit:
         (["compete", "--p", "1"], {"n": int(HUGE), "arcs": []}),
         (["realize"], {"n": MAX_N + 1, "sets": []}),
     ])
-    def test_file_n_above_limit_exits_2(self, tmp_path, capsys, argv, data):
+    def test_file_n_above_limit_exits_2(self, tmp_path, argv, data):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(data))
-        assert main([argv[0], str(path), *argv[1:]]) == 2
-        out, err = capsys.readouterr()
+        code, out, err = run_main([argv[0], path, *argv[1:]])
+        assert code == 2
         assert out == ""
         assert err.startswith("pcomp: ") and str(MAX_N) in err and err.count("\n") == 1
 
     def test_limit_itself_is_accepted(self, tmp_path):
         g = tmp_path / "g.json"
-        assert main(["gen", "cycle", "--n", str(MAX_N), "--out", str(g)]) == 0
+        assert run_main(["gen", "cycle", "--n", MAX_N, "--out", g]).returncode == 0
         assert json.loads(g.read_text())["n"] == MAX_N
 
     def test_p_at_the_limit_is_accepted(self, tmp_path):
         f = tmp_path / "f.json"
-        assert main(["cover", "co-cycle", "--n", "5", "--p", str(MAX_N), "--out", str(f)]) == 0
+        assert run_main(["cover", "co-cycle", "--n", 5, "--p", MAX_N, "--out", f]).returncode == 0
         assert len(json.loads(f.read_text())["sets"]) == 5 + MAX_N - 1
 
 
@@ -319,37 +317,37 @@ class TestPcompErrorsExit3:
     exit 3 and one stderr line, never a traceback (run in-process so the
     library can be patched)."""
 
-    def test_rejected_search_certificate(self, tmp_path, monkeypatch, capsys):
+    def test_rejected_search_certificate(self, tmp_path, monkeypatch):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 3, "edges": [[0, 1]]}))
         monkeypatch.setattr(
             pcomp.oracle, "verify_p_ecc", lambda g, f, p: Verdict(False, "stub", (0, 2)))
-        assert main(["theta-e", str(g)]) == 3
-        out, err = capsys.readouterr()
+        code, out, err = run_main(["theta-e", g])
+        assert code == 3
         assert out == ""
         assert err.startswith("pcomp: ") and err.count("\n") == 1
 
-    def test_decide_both_disagreement(self, tmp_path, monkeypatch, capsys):
+    def test_decide_both_disagreement(self, tmp_path, monkeypatch):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}))
         monkeypatch.setattr(
             pcomp.oracle, "exact_theta_e_p",
             lambda g, p, budget, guard: SearchResult(4, cycle_cover(4, 1), 0))
-        assert main(["decide", str(g), "--p", "2", "--method", "both"]) == 3
-        out, err = capsys.readouterr()
+        code, out, err = run_main(["decide", g, "--p", "2", "--method", "both"])
+        assert code == 3
         assert out == ""
         assert err.startswith("pcomp: ") and "disagree" in err and err.count("\n") == 1
 
-    def test_survey_disagreement(self, monkeypatch, capsys):
+    def test_survey_disagreement(self, monkeypatch):
         monkeypatch.setattr(
             pcomp.oracle, "exact_theta_e_p",
             lambda g, p, budget, guard: SearchResult(4, cycle_cover(4, 1), 0))
-        assert main(["survey", "cycle", "--n", "4", "--p", "2"]) == 3
-        out, err = capsys.readouterr()
+        code, out, err = run_main(["survey", "cycle", "--n", "4", "--p", "2"])
+        assert code == 3
         assert out == ""
         assert err.startswith("pcomp: ") and "disagree" in err and err.count("\n") == 1
 
-    def test_rejected_decision_certificate(self, tmp_path, monkeypatch, capsys):
+    def test_rejected_decision_certificate(self, tmp_path, monkeypatch):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 9, "edges": [[i, (i + 1) % 9] for i in range(9)]}))
 
@@ -358,8 +356,8 @@ class TestPcompErrorsExit3:
             return CliqueCover(n, f.sets[:-1])
 
         monkeypatch.setattr(pcomp.oracle, "cycle_cover", dropped)
-        assert main(["decide", str(g), "--p", "6"]) == 3
-        out, err = capsys.readouterr()
+        code, out, err = run_main(["decide", g, "--p", "6"])
+        assert code == 3
         assert out == ""
         assert err.startswith("pcomp: ") and err.count("\n") == 1
 
@@ -368,7 +366,7 @@ class TestRecursionLimit:
     def test_search_past_the_recursion_limit_exits_3(self, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 1200, "edges": [[0, 1]]}))
-        res = run_cli("theta-e-p", g, "--p", "1", "--guard", "2048")
+        res = run_main(["theta-e-p", g, "--p", "1", "--guard", "2048"])
         assert res.returncode == 3
         assert res.stdout == ""
         assert res.stderr.startswith(
@@ -379,8 +377,8 @@ class TestRecursionLimit:
 class TestOracleCommands:
     def test_theta_e(self, tmp_path):
         g = tmp_path / "g.json"
-        run_cli("gen", "co-cycle", "--n", 6, "--out", g)
-        res = run_cli("theta-e", g)
+        run_main(["gen", "co-cycle", "--n", 6, "--out", g])
+        res = run_main(["theta-e", g])
         data = json.loads(res.stdout)
         assert data["outcome"] == "exact" and data["value"] == 5
         assert len(data["certificate"]["sets"]) == 5
@@ -389,25 +387,25 @@ class TestOracleCommands:
     def test_theta_e_edgeless_prints_empty_certificate(self, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 3, "edges": []}))
-        res = run_cli("theta-e", g)
+        res = run_main(["theta-e", g])
         assert res.returncode == 0
         data = json.loads(res.stdout)
         assert data["value"] == 0
         assert data["certificate"] == {"n": 3, "sets": []}
 
     @pytest.mark.parametrize("edges", [[[0, 1]], []], ids=["edge", "edgeless"])
-    def test_theta_e_negative_upper_exits_2(self, tmp_path, capsys, edges):
+    def test_theta_e_negative_upper_exits_2(self, tmp_path, edges):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 3, "edges": edges}))
-        assert main(["theta-e", str(g), "--upper", "-1"]) == 2
-        out, err = capsys.readouterr()
+        code, out, err = run_main(["theta-e", g, "--upper", "-1"])
+        assert code == 2
         assert out == ""
         assert err.startswith("pcomp: need upper >= 0") and err.count("\n") == 1
 
     def test_theta_e_p_exceeds(self, tmp_path):
         g = tmp_path / "g.json"
-        run_cli("gen", "cycle", "--n", 4, "--out", g)
-        res = run_cli("theta-e-p", g, "--p", 2, "--budget", 4)
+        run_main(["gen", "cycle", "--n", 4, "--out", g])
+        res = run_main(["theta-e-p", g, "--p", 2, "--budget", 4])
         data = json.loads(res.stdout)
         assert data["outcome"] == "exceeds-bound" and data["value"] is None
 
@@ -417,27 +415,29 @@ class TestOracleCommands:
         g = tmp_path / "k44.json"
         g.write_text(json.dumps(
             {"n": 8, "edges": [[u, v] for u in range(4) for v in range(4, 8)]}))
-        res = run_cli("theta-e-p", g, "--p", 2, "--budget", 40)
+        res = run_main(["theta-e-p", g, "--p", 2, "--budget", 40])
         assert res.returncode == 3 and res.stdout == ""
         assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
         assert "at most 8 sets" in res.stderr
 
     def test_theta_e_guard_exit_3(self, tmp_path):
         g = tmp_path / "g.json"
-        run_cli("gen", "cycle", "--n", 18, "--out", g)
-        assert run_cli("theta-e", g).returncode == 3
-        assert run_cli("theta-e", g, "--guard", 18).returncode == 0
+        run_main(["gen", "cycle", "--n", 18, "--out", g])
+        assert run_main(["theta-e", g]).returncode == 3
+        assert run_main(["theta-e", g, "--guard", 18]).returncode == 0
 
-    def test_theta_e_guard_alone_caps_the_clique_enumeration(self, tmp_path, capsys):
+    def test_theta_e_guard_alone_caps_the_clique_enumeration(self, tmp_path):
         g = tmp_path / "p33.json"
         g.write_text(json.dumps({"n": 33, "edges": [[v, v + 1] for v in range(32)]}))
-        assert main(["theta-e", str(g), "--guard", "40"]) == 0
+        code, out, err = run_main(["theta-e", g, "--guard", "40"])
+        assert code == 0
         sets = ",".join(f"[{v},{v + 1}]" for v in range(32))
-        assert capsys.readouterr() == (
+        assert (out, err) == (
             '{"outcome":"exact","value":32,"certificate":{"n":33,"sets":['
             + sets + ']},"nodes":64}\n', "")
-        assert main(["theta-e", str(g)]) == 3
-        assert capsys.readouterr() == (
+        code, out, err = run_main(["theta-e", g])
+        assert code == 3
+        assert (out, err) == (
             "", "pcomp: exact cover search requires n <= 16 (got 33); "
             "raise guard to override\n")
 
@@ -452,14 +452,14 @@ class TestOracleCommands:
 
     def test_decide_yes_no_exit_codes(self, tmp_path):
         g = tmp_path / "g.json"
-        run_cli("gen", "cycle", "--n", 9, "--out", g)
-        yes = run_cli("decide", g, "--p", 6)
+        run_main(["gen", "cycle", "--n", 9, "--out", g])
+        yes = run_main(["decide", g, "--p", 6])
         assert yes.returncode == 0
         assert json.loads(yes.stdout) == {
             "is_p_competition": True, "method": "construct", "cover_size": 9,
             "certificate": cover_to_json_dict(cycle_cover(9, 6))}
-        run_cli("gen", "cycle", "--n", 4, "--out", g)
-        no = run_cli("decide", g, "--p", 2)
+        run_main(["gen", "cycle", "--n", 4, "--out", g])
+        no = run_main(["decide", g, "--p", 2])
         assert no.returncode == 1
         assert json.loads(no.stdout) == {
             "is_p_competition": False, "method": "construct", "cover_size": None,
@@ -472,47 +472,47 @@ class TestOracleCommands:
         (["decide", "{g}", "--p", "1"], 0),
         (["survey", "cycle", "--n", "4..6", "--p", "1..2"], 0),
     ], ids=["theta-e", "theta-e-p", "decide-oracle", "decide", "survey"])
-    def test_negative_guard_exits_2(self, tmp_path, capsys, argv, code_at_0):
+    def test_negative_guard_exits_2(self, tmp_path, argv, code_at_0):
         g = tmp_path / "c5.json"
         g.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
         argv = [a.format(g=g) for a in argv]
-        assert main([*argv, "--guard", "-1"]) == 2
-        out, err = capsys.readouterr()
+        code, out, err = run_main([*argv, "--guard", "-1"])
+        assert code == 2
         assert out == "" and err == "pcomp: need guard >= 0, got guard=-1\n"
         # a guard of 0 is a real guard: the search refuses n = 5 (exit 3),
         # and the constructions answer without the search
-        assert main([*argv, "--guard", "0"]) == code_at_0
+        assert run_main([*argv, "--guard", "0"]).returncode == code_at_0
 
-    def test_decide_both_without_a_construction_searches(self, tmp_path, capsys):
+    def test_decide_both_without_a_construction_searches(self, tmp_path):
         # co-C5 at p = 2 has no lifted cover within 5 sets, so "both" runs
         # the search alone and answers as it does
         g = tmp_path / "g.json"
         g.write_text(json.dumps(graph_to_json_dict(complement(make_cycle(5)))))
-        assert main(["decide", str(g), "--p", "2", "--method", "both"]) == 0
-        out, err = capsys.readouterr()
+        code, out, err = run_main(["decide", g, "--p", "2", "--method", "both"])
+        assert code == 0
         assert err == "" and json.loads(out)["method"] == "oracle"
 
     def test_decide_unsupported_exits_2(self, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 12, "edges": [[0, 1]]}))
-        assert run_cli("decide", g, "--p", 1).returncode == 2
+        assert run_main(["decide", g, "--p", 1]).returncode == 2
 
 
 class TestSurvey:
     def test_golden_cycle_table(self):
-        res = run_cli("survey", "cycle", "--n", "4..12", "--p", "1..6")
+        res = run_main(["survey", "cycle", "--n", "4..12", "--p", "1..6"])
         assert res.returncode == 0
         golden = (GOLDEN / "survey_cycle_n4-12_p1-6.tsv").read_text()
         assert res.stdout == golden
 
     def test_single_value_ranges(self):
-        res = run_cli("survey", "cycle", "--n", "7", "--p", "4")
+        res = run_main(["survey", "cycle", "--n", "7", "--p", "4"])
         lines = res.stdout.strip().split("\n")
         assert len(lines) == 2
         assert lines[1].startswith("7\t4\tyes")
 
     def test_co_cycle_rows(self):
-        res = run_cli("survey", "co-cycle", "--n", "9..13", "--p", "1..6")
+        res = run_main(["survey", "co-cycle", "--n", "9..13", "--p", "1..6"])
         rows = {tuple(line.split("\t")[:2]): line.split("\t")
                 for line in res.stdout.strip().split("\n")[1:]}
         assert rows[("9", "3")][2] == "yes"
@@ -521,29 +521,29 @@ class TestSurvey:
 
     def test_guard_alone_caps_the_set_count(self):
         # co-C13 at p = 8 needs a round of 13 sets
-        res = run_cli("survey", "co-cycle", "--n", "13", "--p", "8..9", "--guard", "13")
+        res = run_main(["survey", "co-cycle", "--n", "13", "--p", "8..9", "--guard", "13"])
         assert res.returncode == 0, res.stderr
         assert res.stdout == ("n\tp\tdecision\tmethod\tcover_size\tagree\n"
                               "13\t8\tyes\toracle\t13\t-\n"
                               "13\t9\tno\toracle\t-\t-\n")
 
     def test_bad_range_exits_2(self):
-        assert run_cli("survey", "cycle", "--n", "9..4", "--p", "1").returncode == 2
+        assert run_main(["survey", "cycle", "--n", "9..4", "--p", "1"]).returncode == 2
 
 
 class TestOptimizedInterpreter:
     """Certificate checks are plain raises, so `python -O` prints the same."""
 
     def test_golden_survey_under_O(self):
-        res = run_cli("survey", "cycle", "--n", "4..12", "--p", "1..6", python_flags=("-O",))
+        res = run_optimized(["survey", "cycle", "--n", "4..12", "--p", "1..6"])
         assert res.returncode == 0
         assert res.stdout == (GOLDEN / "survey_cycle_n4-12_p1-6.tsv").read_text()
 
     def test_oracle_decision_under_O(self, tmp_path):
         g = tmp_path / "g.json"
-        run_cli("gen", "co-cycle", "--n", 7, "--out", g)
-        plain = run_cli("decide", g, "--p", 2)
-        optimized = run_cli("decide", g, "--p", 2, python_flags=("-O",))
+        run_main(["gen", "co-cycle", "--n", 7, "--out", g])
+        plain = run_main(["decide", g, "--p", 2])
+        optimized = run_optimized(["decide", g, "--p", 2])
         assert plain.returncode == optimized.returncode == 0
         assert optimized.stdout == plain.stdout
         data = json.loads(plain.stdout)
@@ -551,9 +551,9 @@ class TestOptimizedInterpreter:
 
     def test_theta_e_p_under_O(self, tmp_path):
         g = tmp_path / "g.json"
-        run_cli("gen", "co-cycle", "--n", 7, "--out", g)
-        plain = run_cli("theta-e-p", g, "--p", 2)
-        optimized = run_cli("theta-e-p", g, "--p", 2, python_flags=("-O",))
+        run_main(["gen", "co-cycle", "--n", 7, "--out", g])
+        plain = run_main(["theta-e-p", g, "--p", 2])
+        optimized = run_optimized(["theta-e-p", g, "--p", 2])
         assert plain.returncode == optimized.returncode == 0
         assert optimized.stdout == plain.stdout
         data = json.loads(plain.stdout)
@@ -568,7 +568,7 @@ class TestOptimizedInterpreter:
         # on 9 vertices the all-pairs scan
         d = tmp_path / "d.json"
         d.write_text(json.dumps(digraph_to_json_dict(realize(f))))
-        res = run_cli("compete", d, "--p", p, python_flags=("-O",))
+        res = run_optimized(["compete", d, "--p", p])
         assert res.returncode == 0 and res.stderr == ""
         assert res.stdout == json.dumps(graph_to_json_dict(g), separators=(",", ":")) + "\n"
 
@@ -577,7 +577,7 @@ class TestOptimizedInterpreter:
         g, f = tmp_path / "g.json", tmp_path / "f.json"
         g.write_text(json.dumps(graph_to_json_dict(make_cycle(12))))
         f.write_text(json.dumps({"n": 12, "sets": [sorted(s) for s in cycle_cover(12, 3).sets[1:]]}))
-        res = run_cli("verify", g, f, "--p", 3, python_flags=("-O",))
+        res = run_optimized(["verify", g, f, "--p", 3])
         assert res.returncode == 1 and res.stderr == ""
         assert res.stdout == \
             '{"valid":false,"witness":{"reason":"uncovered-edge","pair":[0,1]}}\n'

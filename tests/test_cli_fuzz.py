@@ -2,19 +2,21 @@
 cli.main: each run must end with an exit code in {0, 1, 2, 3} and at most
 one `pcomp:` line on stderr, never a traceback.
 
-Sizes stay small (integers up to 12, --guard up to 8) apart from MAX_N + 1,
-which must be refused before anything of that size is built, and BIG, a
-number past Python's 4,300-digit limit for int(str), which options and JSON
-files must refuse as bad input; so must JSON nested 100,000 deep.  Long
---order lists, of up to 300 vertices, get a test of their own: permutations
-and lists with one vertex repeated or missing."""
+Sizes stay small (integers up to 12, --guard up to 8) apart from three kinds
+of draw.  Now and then an integer from 13 to 300 is drawn for --n and --p of
+gen and cover, and for --p, --budget and --upper of the other subcommands;
+survey spans stay within 12, since a 300 x 300 span is 90,000 cells.
+MAX_N + 1 must be refused before anything of that size is built, and BIG, a
+number past Python's 4,300-digit limit for int(str), must be refused as bad
+input by options and JSON files alike; so must JSON nested 100,000 deep.
+Long --order lists, of up to 300 vertices, get a test of their own:
+permutations and lists with one vertex repeated or missing."""
 
-import io
 import json
 import re
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from conftest import run_main
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,6 @@ from pcomp import (
     make_cycle,
     realize,
 )
-from pcomp.cli import main
 from pcomp.graphs import MAX_N
 
 # the error line of pcomp itself ("pcomp: ...") or of argparse ("pcomp gen: error: ...")
@@ -40,6 +41,8 @@ INTS = st.sampled_from(INT_VALUES)
 BIG = "9" * 5000
 # option values: the integers, and now and then BIG
 NUMBERS = st.sampled_from([*INT_VALUES, BIG])
+# the same, and in about one draw in ten an integer from 13 to 300
+WIDE = st.one_of(*[NUMBERS] * 9, st.integers(13, 300))
 TOKENS = st.one_of(NUMBERS.map(str), st.sampled_from(["", "x", "1.5", "--", "-h", "3..", "..4"]))
 FAMILIES = st.sampled_from(["cycle", "co-cycle"] * 4 + ["path"])
 
@@ -130,44 +133,33 @@ def argv_for(command, files, data):
     guard = option("--guard", st.integers(-1, 8))
     fmt = option("--format", st.sampled_from(["json", "json", "dot", "tsv"]))
     if command == "gen":
-        return [draw(FAMILIES), *required(data, "--n", NUMBERS), *draw(fmt)]
+        return [draw(FAMILIES), *required(data, "--n", WIDE), *draw(fmt)]
     if command == "cover":
-        return [draw(FAMILIES), *required(data, "--n", NUMBERS), *draw(option("--p", NUMBERS))]
+        return [draw(FAMILIES), *required(data, "--n", WIDE), *draw(option("--p", WIDE))]
     if command == "verify":
         return [file_arg(files, data, "graph"), file_arg(files, data, "cover"),
-                *required(data, "--p", NUMBERS)]
+                *required(data, "--p", WIDE)]
     if command == "realize":
         order = st.permutations(range(6)) | st.lists(SMALL, max_size=7)
         orders = order.map(lambda o: ",".join(map(str, o))) | TOKENS
         return [file_arg(files, data, "cover"), *draw(st.sampled_from([[], ["--acyclic"]])),
                 *draw(option("--order", orders)), *draw(fmt)]
     if command == "compete":
-        return [file_arg(files, data, "digraph"), *required(data, "--p", NUMBERS), *draw(fmt)]
+        return [file_arg(files, data, "digraph"), *required(data, "--p", WIDE), *draw(fmt)]
     if command == "theta-e":
-        return [file_arg(files, data, "graph"), *draw(option("--upper", NUMBERS)), *draw(guard)]
+        return [file_arg(files, data, "graph"), *draw(option("--upper", WIDE)), *draw(guard)]
     if command == "theta-e-p":
-        return [file_arg(files, data, "graph"), *required(data, "--p", NUMBERS),
-                *draw(option("--budget", NUMBERS)), *draw(guard)]
+        return [file_arg(files, data, "graph"), *required(data, "--p", WIDE),
+                *draw(option("--budget", WIDE)), *draw(guard)]
     if command == "decide":
         methods = st.sampled_from(["auto", "construct", "oracle", "both", "none"])
-        return [file_arg(files, data, "graph"), *required(data, "--p", NUMBERS),
+        return [file_arg(files, data, "graph"), *required(data, "--p", WIDE),
                 *draw(option("--method", methods)), *draw(guard)]
     return [draw(FAMILIES), "--n", span(data), "--p", span(data), *draw(guard)]
 
 
 COMMANDS = ["gen", "cover", "verify", "realize", "compete", "theta-e", "theta-e-p",
             "decide", "survey"]
-
-
-def run_main(argv):
-    """Exit code, stdout and stderr of main(argv)."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse: usage errors and --help
-            code = exc.code
-    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @settings(max_examples=600, deadline=None)

@@ -12,15 +12,14 @@ as one, never a way to make these tests pass.
 
 import hashlib
 import json
-import os
 import random
 import re
 import subprocess
 import sys
-from contextlib import chdir
 from pathlib import Path
 
 import pytest
+from conftest import child_env, run_main
 
 from pcomp import (
     Graph,
@@ -38,9 +37,7 @@ from pcomp import (
     realize,
 )
 from pcomp.graphs import MAX_N
-from test_cli_fuzz import run_main
 
-REPO = Path(__file__).resolve().parents[1]
 CORPUS = Path(__file__).resolve().parent / "golden" / "identity.json"
 NODES = re.compile(r'"nodes":(\d+)')
 SECTIONS = ["cli", "exact_theta_e", "exact_theta_e_p", "maximal_cliques"]
@@ -204,8 +201,7 @@ def search_sections() -> dict[str, list[dict]]:
 
 def corpus_at(root: Path) -> dict[str, list[dict]]:
     """The corpus as the code gives it, reading the CLI inputs from root."""
-    with chdir(root):
-        cli = [cli_entry(argv, *run_main(argv)) for argv in cli_vectors()]
+    cli = [cli_entry(argv, *run_main(argv, cwd=root)) for argv in cli_vectors()]
     return {"cli": cli, **search_sections()}
 
 
@@ -274,10 +270,8 @@ def test_outputs_do_not_depend_on_the_hash_seed(recorded, inputs, seed):
              ["decide", "r6.json", "--p", "2", "--method", "both", "--guard", "8"],
              ["realize", "co-c9p2.json", "--format", "dot"]]
     want = {key(e): e for e in recorded["cli"]}
-    env = dict(os.environ, PYTHONHASHSEED=seed,
-               PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
     for argv in picks:
         res = subprocess.run([sys.executable, "-m", "pcomp", *argv], capture_output=True,
-                             text=True, env=env, cwd=inputs)
+                             text=True, env=child_env(PYTHONHASHSEED=seed), cwd=inputs)
         got = cli_entry(argv, res.returncode, res.stdout, res.stderr)
         assert got == want[key(got)]

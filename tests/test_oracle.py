@@ -194,6 +194,13 @@ class TestExactThetaEP:
             assert len(result.certificate.sets) == result.value
             assert verify_p_ecc(g, result.certificate, p).valid
 
+    @settings(deadline=None)
+    @given(graphs(max_n=7), st.integers(1, 3))
+    def test_default_bounds(self, g, p):
+        # the budget defaults to n; without upper, theta_e stops by |E| sets
+        assert exact_theta_e_p(g, p) == exact_theta_e_p(g, p, g.n)
+        assert exact_theta_e(g) == exact_theta_e(g, upper=len(g.edges))
+
     def test_matches_naive_enumeration(self):
         # second opinion: minimum over all nondecreasing multifamilies of
         # arbitrary subsets, judged by the literal all-p-subsets checker
@@ -329,13 +336,13 @@ class TestMeetTables:
 
     def test_rounds_past_twelve_sets_run_within_the_guard(self):
         g = complement(make_cycle(8))
-        solve, _ = _row_rounds(g, 2, guard=20)
+        solve = _row_rounds(g, 2, guard=20)
         sets, _ = solve(13)
         assert len(sets) == 13
         assert verify_p_ecc(g, CliqueCover(8, sets), 2).valid
 
     def test_a_round_past_the_guard_is_refused(self):
-        solve, _ = _row_rounds(complement(make_cycle(8)), 2, guard=12)
+        solve = _row_rounds(complement(make_cycle(8)), 2, guard=12)
         with pytest.raises(ScaleError, match="at most 12 sets"):
             solve(13)
 

@@ -5,6 +5,7 @@ callers and the CLI rely on."""
 import json
 
 import pytest
+from conftest import run_main
 
 from pcomp import (
     CliqueCover,
@@ -17,7 +18,6 @@ from pcomp import (
     is_p_competition,
     make_cycle,
 )
-from pcomp.cli import main
 
 C4_COVER = CliqueCover(4, [(0, 1), (0, 3), (1, 2), (2, 3)])
 
@@ -92,11 +92,11 @@ def test_to_json_dict():
         "certificate": None}
 
 
-def test_decide_both_prints_method_and_certificate(tmp_path, capsys):
+def test_decide_both_prints_method_and_certificate(tmp_path):
     g = tmp_path / "g.json"
     g.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
-    assert main(["decide", str(g), "--p", "2", "--method", "both"]) == 0
-    out, err = capsys.readouterr()
+    code, out, err = run_main(["decide", g, "--p", "2", "--method", "both"])
+    assert code == 0
     assert err == ""
     cert = json.dumps(cover_to_json_dict(cycle_cover(5, 2)), separators=(",", ":"))
     assert out == (

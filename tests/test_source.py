@@ -1,12 +1,10 @@
 import ast
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import SRC, child_env
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "pcomp").glob("*.py"))
 
 
@@ -39,10 +37,8 @@ def test_cli_import_skips_dataclasses_and_inspect():
     # sys.modules before and after keeps this independent of what site loads.
     code = ("import sys; before = set(sys.modules); import pcomp.cli; "
             "print(*sorted(set(sys.modules) - before))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     res = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, env=env, check=True)
+                         capture_output=True, text=True, env=child_env(), check=True)
     loaded = set(res.stdout.split())
     assert "pcomp.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect"}), sorted(loaded)
