@@ -8,17 +8,19 @@ full vertex set even for isolated vertices.  p = 1 is the ordinary
 competition graph.
 
 The count for a pair is the popcount of the AND of two out-masks.  On a
-sparse digraph (at most n^2/8 arcs, mean out-degree at most n/8) only the
-pairs that share some prey are counted: each prey's predators are gathered
-into one mask, and x's candidates are the union of those masks over x's
-prey.  Denser digraphs share prey between most pairs anyway, and there the
-plain scan of all n(n-1)/2 pairs is faster.  Both give the same graph.
+sparse digraph (at most n^2/8 arcs, mean out-degree at most n/8) only
+candidate pairs are counted: each prey's predators are gathered into one
+mask, and x's candidates are the union of those masks over the lowest
+k - p + 1 of x's k prey, which by ``graphs._sharers`` holds every vertex
+sharing p prey with x.  Denser digraphs share prey between most pairs
+anyway, and there the plain scan of all n(n-1)/2 pairs is faster.  Both
+give the same graph.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidParameterError
-from .graphs import Digraph, Graph
+from .graphs import Digraph, Graph, _sharers
 
 
 def common_prey_count(d: Digraph, x: int, y: int) -> int:
@@ -54,14 +56,8 @@ def p_competition_graph(d: Digraph, p: int) -> Graph:
             preds[low.bit_length() - 1] |= bit
             ox ^= low
     for x, ox in enumerate(out):
-        near = 0
-        m = ox
-        while m:
-            low = m & -m
-            near |= preds[low.bit_length() - 1]
-            m ^= low
         bit = 1 << x
-        near &= -(bit << 1)  # candidates above x
+        near = _sharers(ox, preds, p) & -(bit << 1)  # candidates above x
         while near:
             low = near & -near
             y = low.bit_length() - 1

@@ -17,11 +17,14 @@ all-p-subsets definition on small instances.
 Pair counts are popcounts of per-vertex set masks: with bit j of rows[v]
 set iff v is in S_j, the pair {u, v} lies in (rows[u] & rows[v]).bit_count()
 sets.  rows[v] is the out-mask of v in realize(F), so this is the same
-kernel as the common-prey count of the p-competition map.  Only pairs that
-share at least one set are counted, so verification costs grow with the
-co-occurring pairs rather than with the sum of C(|S|, 2) over the sets.
-Each scan walks its candidate mask lowest bit first, so pairs are met in
-ascending order and the first violation found is the lex-least.
+kernel as the common-prey count of the p-competition map.  The edge scan
+counts every edge.  The nonedge scan counts a nonneighbour v above u only
+if v lies in one of the lowest k - p + 1 sets holding u, where k is the
+number of sets holding u; ``graphs._sharers`` shows that no pair sharing p
+sets is skipped.  When u has at most k - p nonneighbours above it, it
+counts them all, which is cheaper than narrowing them.  Each scan walks
+its candidate mask lowest bit first, so pairs are met in ascending order
+and the first violation found is the lex-least.
 
 ``CliqueCover(n, sets)`` checks every member it is given.  The private
 ``CliqueCover._trusted`` checks nothing; the constructions here build
@@ -33,7 +36,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InfeasibleError, InvalidParameterError
-from .graphs import Graph, vertex_lists_from_json
+from .graphs import Graph, _sharers, vertex_lists_from_json
 
 REASON_UNCOVERED_EDGE = "uncovered-edge"
 REASON_NONEDGE_IN_P_SETS = "nonedge-in-p-sets"
@@ -125,22 +128,25 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
                 # the least vertex with a neighbour has none below it
                 return Verdict(False, REASON_FAMILY_SMALLER_THAN_P,
                                (u, (a & -a).bit_length() - 1))
-    # rows[v]: the sets holding v; near[v]: the vertices sharing a set with v
+    # rows[v]: the sets holding v; members[j]: the vertices of set j
     rows = [0] * g.n
-    near = [0] * g.n
+    members = []
     for j, s in enumerate(f.sets):
         bit = 1 << j
-        members = 0
-        for v in s:
-            members |= 1 << v
+        m = 0
         for v in s:
             rows[v] |= bit
-            near[v] |= members
+            m |= 1 << v
+        members.append(m)
+    full = (1 << g.n) - 1
     # both scans meet pairs in ascending (u, v) order: the first hit is lex-least
     for u, row in enumerate(rows):
-        if row.bit_count() < p:
+        spare = row.bit_count() - p  # sets of u a violator may miss
+        if spare < 0:
             continue
-        m = near[u] & ~adj[u] & -(2 << u)  # nonneighbours above u
+        m = full & ~adj[u] & -(2 << u)  # nonneighbours above u
+        if m.bit_count() > spare:  # else checking them costs less than narrowing
+            m &= _sharers(row, members, p)
         while m:
             low = m & -m
             v = low.bit_length() - 1

@@ -47,6 +47,24 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
+def _sharers(row: int, masks: list[int], p: int) -> int:
+    """OR of masks[j] over the lowest k - p + 1 set bits j of row, where k
+    is the popcount of row; 0 when k < p.
+
+    Read row as the sets a vertex u lies in (or the prey of a predator) and
+    masks[j] as the vertices in set j (the predators of prey j).  A vertex
+    v that shares at least p of u's k sets misses at most k - p of them, so
+    by pigeonhole it lies in at least one of any k - p + 1 of them: every
+    such v is in the returned mask.  It may hold vertices sharing fewer.
+    """
+    near = 0
+    for _ in range(row.bit_count() - p + 1):
+        low = row & -row
+        near |= masks[low.bit_length() - 1]
+        row ^= low
+    return near
+
+
 def _edge_pairs(adj: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """Edges (u, v) with u < v read off adjacency masks, in ascending order."""
     return ((u, v) for u, a in enumerate(adj) for v in iter_bits(a & -(2 << u)))

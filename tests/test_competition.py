@@ -44,6 +44,47 @@ def dense_arc_sets(draw):
     return n, set(rng.sample(pairs, draw(st.integers(n * n // 8 + 1, n * n))))
 
 
+def _counted_arcs(rng, n, p):
+    """Each predator x has 0, p - 1, p or p + 1 prey, drawn from x itself
+    and the first p + 2 vertices, so loops are prey and many pairs share
+    about p of them."""
+    arcs = set()
+    for x in range(n):
+        k = rng.choice((0, p - 1, p, p + 1))
+        arcs |= {(x, v) for v in rng.sample(sorted({*range(p + 2), x}), k)}
+    return arcs
+
+
+class TestPreyFilter:
+    """The prey-sharing scan ORs the predator masks of only the lowest
+    k - p + 1 prey of x (k: x's prey); predators with k - p at -1, 0 and
+    1, with loops among the prey, give the literal graph on both scans."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sparse_scan(self, seed):
+        rng = random.Random(f"sparse-{seed}")
+        n, p = rng.randint(40, 80), rng.randint(1, 4)
+        arcs = _counted_arcs(rng, n, p)
+        assert len(arcs) * 8 <= n * n
+        assert any(x == v for x, v in arcs)
+        assert p_competition_graph(Digraph(n, arcs), p).edges == \
+            literal_p_competition_edges(n, arcs, p)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_dense_scan(self, seed):
+        rng = random.Random(f"dense-{seed}")
+        p = rng.randint(1, 3)
+        n = rng.randint(p + 3, 16)
+        arcs = _counted_arcs(rng, n, p)
+        for x in rng.sample(range(n), n):  # predators of every vertex, loop included
+            arcs |= {(x, v) for v in range(n)}
+            if len(arcs) * 8 > n * n:
+                break
+        assert any(x == v for x, v in arcs)
+        assert p_competition_graph(Digraph(n, arcs), p).edges == \
+            literal_p_competition_edges(n, arcs, p)
+
+
 class TestCommonPreyCount:
     def test_single_shared_prey(self):
         d = Digraph(3, [(0, 2), (1, 2)])

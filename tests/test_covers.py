@@ -159,6 +159,103 @@ class TestVerdictMatchesReference:
         assert saturated.reason == REASON_NONEDGE_IN_P_SETS
 
 
+def _counted_family(rng, n, r, counts):
+    """r sets over n vertices, vertex v in exactly counts[v] of them."""
+    sets = [[] for _ in range(r)]
+    for v, k in enumerate(counts):
+        for j in rng.sample(range(r), k):
+            sets[j].append(v)
+    return CliqueCover(n, sets)
+
+
+def _share_graph(f, p):
+    """The graph of the pairs that f holds in at least p sets."""
+    return Graph(f.n, [pr for pr in combinations(range(f.n), 2)
+                       if co_occurrences(f, *pr) >= p])
+
+
+def _nonedge_scans(g, f, p):
+    """How verify_p_ecc treats the nonneighbours above each vertex that
+    lies in k >= p sets: "narrowed" to the sharers of its lowest k - p + 1
+    sets when it has more than k - p of them, else "direct"."""
+    scans = set()
+    for u in range(g.n):
+        k = sum(1 for s in f.sets if u in s)
+        if k >= p:
+            above = sum(1 for v in range(u + 1, g.n) if not g.has_edge(u, v))
+            scans.add("narrowed" if above > k - p else "direct")
+    return scans
+
+
+class TestPigeonholeFilter:
+    """The nonedge scan checks a nonneighbour v of u only if v lies in one
+    of u's lowest k - p + 1 sets (k: the sets holding u), or all of them
+    when u has at most k - p above it.  Verdicts and witnesses match the
+    Counter-based reference on families at the edge of the filter."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_vertices_in_p_minus_one_to_p_plus_one_sets(self, seed):
+        rng = random.Random(f"filter-{seed}")
+        n, p = rng.randint(20, 80), rng.randint(1, 4)
+        # k - p is -1, 0 or 1 for every vertex, and some lie in no set
+        counts = [rng.choice((0, p - 1, p, p, p + 1, p + 1)) for _ in range(n)]
+        f = _counted_family(rng, n, rng.randint(p + 1, 3 * p + 6), counts)
+        g = _share_graph(f, p)
+        assert verify_p_ecc(g, f, p) == reference_verdict(g, f, p) == (True, None, None)
+        edges, nonedges = sorted(g.edges), sorted(complement(g).edges)
+        mutants = [Graph(n, rng.sample(edges, len(edges) - 1)) if edges else g,
+                   Graph(n, [*edges, rng.choice(nonedges)]) if nonedges else g,
+                   Graph(n, rng.sample(edges, len(edges) // 2))]
+        for h in mutants:
+            assert verify_p_ecc(h, f, p) == reference_verdict(h, f, p)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_small_and_large_nonneighbour_targets(self, seed):
+        rng = random.Random(f"targets-{seed}")
+        n, p = rng.randint(12, 80), rng.randint(1, 3)
+        counts = [rng.randint(p, p + 4) for _ in range(n)]
+        f = _counted_family(rng, n, rng.randint(p + 4, 3 * p + 12), counts)
+        u = rng.randrange(n - 1)
+        # co-C_n leaves each vertex at most two nonneighbours above it, so
+        # most rows are checked directly; the share graph of f leaves many,
+        # so most are narrowed.  Saturating {u, u + 1} puts a violation in
+        # each: a cycle edge of C_n, and a nonedge once removed from g.
+        saturated = CliqueCover(n, [*f.sets, *[(u, u + 1)] * p])
+        dense = complement(make_cycle(n))
+        sparse = Graph(n, _share_graph(saturated, p).edges - {(u, u + 1)})
+        assert _nonedge_scans(dense, f, p) >= {"direct"}
+        assert _nonedge_scans(sparse, f, p) >= {"narrowed"}
+        for g in (dense, sparse):
+            for h in (f, saturated):
+                verdict = verify_p_ecc(g, h, p)
+                assert verdict == reference_verdict(g, h, p)
+            assert verdict.reason == REASON_NONEDGE_IN_P_SETS
+
+    def test_both_scans_met_within_one_graph(self):
+        # the upper half lies in many sets with few nonneighbours above, so
+        # is checked directly; the lower half is narrowed, and holds the
+        # one violation: an edge of the share graph taken out
+        rng = random.Random("mixed")
+        for n in (30, 55, 80):
+            for p in (1, 2, 4):
+                half, r = n // 2, 2 * p + 10
+                sets = [[] for _ in range(r)]
+                for v in range(n):
+                    # the lower half picks p of p + 1 sets, so shares them often
+                    picks = rng.sample(range(p + 1), p) if v <= half else rng.sample(range(r), p + 5)
+                    for j in picks:
+                        sets[j].append(v)
+                f = CliqueCover(n, sets)
+                edges = _share_graph(f, p).edges
+                upper = {(u, v) for u, v in combinations(range(half + 1, n), 2) if v > u + 3}
+                lower = sorted(e for e in edges if e[1] <= half)
+                g = Graph(n, (edges | upper) - {rng.choice(lower)})
+                assert _nonedge_scans(g, f, p) == {"direct", "narrowed"}
+                verdict = verify_p_ecc(g, f, p)
+                assert verdict == reference_verdict(g, f, p)
+                assert verdict.reason == REASON_NONEDGE_IN_P_SETS
+
+
 class TestCycleCover:
     def test_5_2_sets(self):
         assert [sorted(s) for s in cycle_cover(5, 2).sets] == [

@@ -23,7 +23,7 @@ from pcomp import (
     make_cycle,
     realize,
 )
-from pcomp.graphs import MAX_N
+from pcomp.graphs import MAX_N, _sharers, iter_bits
 
 
 def cycle_edges(n):
@@ -32,6 +32,35 @@ def cycle_edges(n):
 
 def literal_nonedges(n, edges):
     return {pr for pr in combinations(range(n), 2) if pr not in edges}
+
+
+class TestSharers:
+    """_sharers(row, masks, p) ORs masks over the lowest k - p + 1 bits of
+    row: it holds every vertex whose row shares p bits with row."""
+
+    @given(st.integers(0, 12), st.data())
+    def test_holds_every_vertex_sharing_p_bits(self, r, data):
+        n = data.draw(st.integers(1, 40))
+        rows = data.draw(st.lists(st.integers(0, (1 << r) - 1), min_size=n, max_size=n))
+        p = data.draw(st.integers(1, 4))
+        masks = [sum(1 << v for v, row in enumerate(rows) if row >> j & 1) for j in range(r)]
+        for row in rows:
+            near = _sharers(row, masks, p)
+            for v, other in enumerate(rows):
+                if (row & other).bit_count() >= p:
+                    assert near >> v & 1
+
+    def test_or_of_the_lowest_k_minus_p_plus_1_masks(self):
+        masks = [1 << j for j in range(8)]
+        row = 0b10110110  # bits 1, 2, 4, 5, 7
+        assert _sharers(row, masks, 5) == 0b10
+        assert _sharers(row, masks, 4) == 0b110
+        assert _sharers(row, masks, 1) == row
+        assert [*iter_bits(_sharers(row, masks, 3))] == [1, 2, 4]
+
+    @pytest.mark.parametrize("row,p", [(0, 1), (0b1, 2), (0b1011, 4)])
+    def test_empty_below_p_bits(self, row, p):
+        assert _sharers(row, [-1] * 4, p) == 0
 
 
 class TestMakeCycle:
