@@ -17,7 +17,12 @@ all-p-subsets definition on small instances.
 Pair counts are popcounts of per-vertex set masks: with bit j of rows[v]
 set iff v is in S_j, the pair {u, v} lies in (rows[u] & rows[v]).bit_count()
 sets.  rows[v] is the out-mask of v in realize(F), so this is the same
-kernel as the common-prey count of the p-competition map.  The edge scan
+kernel as the common-prey count of the p-competition map.  A cover holds
+this incidence, rows and members (bit v of members[j] set iff v is in
+S_j), in one private slot that ``CliqueCover._incidence`` fills on first
+use and keeps, so verify_p_ecc and realize build it once between them.
+``cycle_cover`` fills it in closed form, and ``lift_cover`` extends a
+base cover's incidence when the base already has one.  The edge scan
 counts every edge.  The nonedge scan counts a nonneighbour v above u only
 if v lies in one of the lowest k - p + 1 sets holding u, where k is the
 number of sets holding u; ``graphs._sharers`` shows that no pair sharing p
@@ -28,7 +33,8 @@ and the first violation found is the lex-least.
 
 ``CliqueCover(n, sets)`` checks every member it is given.  The private
 ``CliqueCover._trusted`` checks nothing; the constructions here build
-through it, since their members are below n by construction.
+through it, since their members are below n by construction, and hand it
+the incidence when they have it in closed form.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ class CliqueCover:
     p >= 2 that is often necessary.
     """
 
-    __slots__ = ("n", "sets")
+    __slots__ = ("n", "sets", "_inc")
 
     def __init__(self, n: int, sets: Iterable[Iterable[int]]) -> None:
         if n < 1:
@@ -64,14 +70,36 @@ class CliqueCover:
                         f"set {k} contains vertex {v}, out of range for n={n}")
         self.n = n
         self.sets = frozen
+        self._inc = None
 
     @classmethod
-    def _trusted(cls, n: int, sets: Iterable[Iterable[int]]) -> CliqueCover:
-        """Cover of ``sets``, trusted to hold only vertices below n >= 1."""
+    def _trusted(cls, n: int, sets: Iterable[Iterable[int]],
+                 inc: tuple[tuple[int, ...], tuple[int, ...]] | None = None) -> CliqueCover:
+        """Cover of ``sets``, trusted to hold only vertices below n >= 1,
+        and ``inc``, when given, trusted to be their incidence."""
         f = cls.__new__(cls)
         f.n = n
         f.sets = tuple(map(frozenset, sets))
+        f._inc = inc
         return f
+
+    def _incidence(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(rows, members): bit j of rows[v] and bit v of members[j] are set
+        iff v is in set j.  Built on first use and kept; it depends only on
+        n and the sets, so threads racing to fill it store equal values."""
+        inc = self._inc
+        if inc is None:
+            rows = [0] * self.n
+            members = []
+            for j, s in enumerate(self.sets):
+                bit = 1 << j
+                m = 0
+                for v in s:
+                    rows[v] |= bit
+                    m |= 1 << v
+                members.append(m)
+            inc = self._inc = (tuple(rows), tuple(members))
+        return inc
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -128,16 +156,7 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
                 # the least vertex with a neighbour has none below it
                 return Verdict(False, REASON_FAMILY_SMALLER_THAN_P,
                                (u, (a & -a).bit_length() - 1))
-    # rows[v]: the sets holding v; members[j]: the vertices of set j
-    rows = [0] * g.n
-    members = []
-    for j, s in enumerate(f.sets):
-        bit = 1 << j
-        m = 0
-        for v in s:
-            rows[v] |= bit
-            m |= 1 << v
-        members.append(m)
+    rows, members = f._incidence()
     full = (1 << g.n) - 1
     # both scans meet pairs in ascending (u, v) order: the first hit is lex-least
     for u, row in enumerate(rows):
@@ -190,10 +209,15 @@ def cycle_cover(n: int, p: int) -> CliqueCover:
     if n < p + 3:
         raise InfeasibleError(f"cycle cover requires n >= p+3 (got n={n}, p={p})")
     wrap = n - p  # runs from i >= wrap pass n - 1 and go on from 0
+    run, full = (1 << (p + 1)) - 1, (1 << n) - 1
+    # members[i] is the run rotated by i; v lies in sets v-p..v, whose mask
+    # is the run rotated by v - p, which is members[(v + wrap) % n]
+    members = (*(run << i for i in range(wrap)),
+               *(((run << i) & full) | (run >> (n - i)) for i in range(wrap, n)))
     return CliqueCover._trusted(n, [
         *(frozenset(range(i, i + p + 1)) for i in range(wrap)),
         *(frozenset((*range(i, n), *range(i + p + 1 - n))) for i in range(wrap, n)),
-    ])
+    ], (members[wrap:] + members[:wrap], members))
 
 
 # Edge clique covers of complement(C_n) for n = 5..8.  These minima are
@@ -266,7 +290,12 @@ def lift_cover(f: CliqueCover, p: int) -> CliqueCover:
     if p == 1:
         return f
     full = frozenset(range(f.n))  # one set shared by all p - 1 copies
-    return CliqueCover._trusted(f.n, [*f.sets, *([full] * (p - 1))])
+    inc = f._inc
+    if inc is not None:  # else the lift's incidence is built if it is used
+        rows, members = inc
+        high = ((1 << (p - 1)) - 1) << len(f.sets)  # every vertex is in every copy
+        inc = (tuple(r | high for r in rows), members + ((1 << f.n) - 1,) * (p - 1))
+    return CliqueCover._trusted(f.n, [*f.sets, *([full] * (p - 1))], inc)
 
 
 # --- JSON ---------------------------------------------------------------

@@ -116,10 +116,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and bool(self._adj[u] >> v & 1)
 
-    def neighbor_mask(self, v: int) -> int:
-        """Bitmask with bit u set iff {u, v} is an edge."""
-        return self._adj[v]
-
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 

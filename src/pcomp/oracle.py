@@ -78,7 +78,13 @@ from .covers import (
     lift_cover,
     verify_p_ecc,
 )
-from .errors import InvalidParameterError, PcompError, ScaleError, UnsupportedInstanceError
+from .errors import (
+    InfeasibleError,
+    InvalidParameterError,
+    PcompError,
+    ScaleError,
+    UnsupportedInstanceError,
+)
 from .graphs import Graph, _edge_pairs, complement, iter_bits, make_cycle
 from .realization import realize
 
@@ -458,9 +464,11 @@ def _constructive_decision(g: Graph, p: int) -> Decision | None:
     """
     n = g.n
     if n >= 4 and g == make_cycle(n):
-        if n >= p + 3:
-            return Decision(True, "construct", _certify(g, cycle_cover(n, p), p))
-        return Decision(False, "construct")
+        try:
+            cover = cycle_cover(n, p)
+        except InfeasibleError:
+            return Decision(False, "construct")
+        return Decision(True, "construct", _certify(g, cover, p))
     if n >= 5 and p <= n and g == complement(make_cycle(n)):
         lifted = lift_cover(complement_cycle_cover(n), p)
         if len(lifted) <= n:

@@ -9,8 +9,11 @@ acyclic variant.
 
 The digraphs are built as out-masks: bit j of the out-mask of x is set iff
 x lies in set j, the same per-vertex set masks the cover verifier counts
-pairs with.  No arc tuples are formed; ``Digraph.arcs`` derives them on
-demand.
+pairs with.  realize reads them from the cover's incidence, which the cover
+builds on first use and keeps (see ``covers``), so realizing a verified
+cover builds nothing new.  realize_acyclic moves set j's bit to order[j]
+and builds its masks itself.  No arc tuples are formed; ``Digraph.arcs``
+derives them on demand.
 """
 
 from __future__ import annotations
@@ -33,18 +36,7 @@ def realize(f: CliqueCover) -> Digraph:
     if len(f.sets) > f.n:
         raise InfeasibleError(
             f"realization requires |sets| <= n ({len(f.sets)} sets on {f.n} vertices)")
-    return _digraph(f, range(len(f.sets)))
-
-
-def _digraph(f: CliqueCover, prey: Sequence[int]) -> Digraph:
-    """Digraph with an arc (x, prey[j]) for every x in set j; prey holds
-    distinct vertices below f.n, one per set."""
-    out = [0] * f.n
-    for s, v in zip(f.sets, prey):
-        bit = 1 << v
-        for x in s:
-            out[x] |= bit
-    return Digraph._from_masks(f.n, out)
+    return Digraph._from_masks(f.n, f._incidence()[0])
 
 
 def excerpt(text: str) -> str:
@@ -79,7 +71,12 @@ def realize_acyclic(f: CliqueCover, order: Sequence[int]) -> Digraph:
     if not satisfies_acyclic_ordering(f, order):
         raise InfeasibleError(
             "ordering condition violated: some set j contains a vertex at position >= j")
-    return _digraph(f, order)
+    out = [0] * f.n
+    for s, v in zip(f.sets, order):
+        bit = 1 << v
+        for x in s:
+            out[x] |= bit
+    return Digraph._from_masks(f.n, out)
 
 
 def is_acyclic(d: Digraph) -> bool:

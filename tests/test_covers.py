@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -386,7 +388,80 @@ def test_constructions_pass_the_public_checks(n):
              *(cycle_cover(n, p) for p in range(1, n - 2))]
     for f in built:
         assert CliqueCover(f.n, f.sets) == f
+        assert hash(CliqueCover(f.n, f.sets)) == hash(f)
         assert all(type(s) is frozenset for s in f.sets)
+
+
+def loop_incidence(f):
+    """The incidence of a fresh cover with f's sets, built by the loop."""
+    fresh = CliqueCover(f.n, f.sets)
+    assert fresh._inc is None
+    return fresh._incidence()
+
+
+class TestIncidence:
+    def test_rows_and_members_are_the_memberships(self):
+        rows, members = CliqueCover(4, [(0, 2), (), (2, 3), (0, 2)])._incidence()
+        assert rows == (0b1001, 0b0000, 0b1101, 0b0100)
+        assert members == (0b0101, 0b0000, 0b1100, 0b0101)
+
+    def test_built_once_and_kept(self):
+        f = CliqueCover(6, [(0, 1), (1, 2, 3)])
+        first = f._incidence()
+        assert f._incidence() is first
+
+    def test_cycle_closed_form_equals_the_loop(self):
+        for n in range(3, 61):
+            for p in range(1, n - 2):
+                f = cycle_cover(n, p)
+                assert f._inc is not None  # filled by the construction
+                assert f._inc == loop_incidence(f), (n, p)
+
+    @pytest.mark.parametrize("n", range(5, 41))
+    def test_lift_extends_a_cached_base_and_stays_lazy_otherwise(self, n):
+        for q in range(1, 5):
+            lazy = lift_cover(complement_cycle_cover(n), q)
+            assert lazy._inc is None
+            assert lazy._incidence() == loop_incidence(lazy)
+            base = complement_cycle_cover(n)
+            base._incidence()
+            extended = lift_cover(base, q)
+            assert extended._inc == loop_incidence(extended) == lazy._inc
+            if n >= q + 3:
+                # a closed-form base, extended in turn
+                lifted = lift_cover(cycle_cover(n, 1), q)
+                assert lifted._inc == loop_incidence(lifted)
+
+    @given(st.integers(1, 9), st.lists(st.frozensets(st.integers(0, 8)), max_size=8))
+    def test_filled_incidence_keeps_equality_and_hash(self, n, sets):
+        sets = [{v for v in s if v < n} for s in sets]
+        filled = CliqueCover(n, sets)
+        filled._incidence()
+        fresh = CliqueCover(n, sets)
+        assert filled == fresh and fresh == filled
+        assert hash(filled) == hash(fresh)
+        assert {fresh: "key"}[filled] == "key"
+        assert repr(filled) == repr(fresh)
+
+    def test_threads_racing_to_fill_it_agree(self):
+        f = CliqueCover(300, [range(j, 300, 1 + j % 7) for j in range(300)])
+        g = p_competition_graph(realize(CliqueCover(f.n, f.sets)), 3)
+        results = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(
+                (verify_p_ecc(g, f, 3), realize(f)))) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 6 and len(set(results)) == 1
+        assert results[0][0].valid
+        assert f._incidence() == loop_incidence(f)
 
 
 class TestCoverSerialization:

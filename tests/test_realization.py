@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import arc_sets, covers
+from conftest import arc_sets, covers, graph_cover_p
 from pcomp import (
     CliqueCover,
     Digraph,
+    Graph,
     InfeasibleError,
     InvalidParameterError,
     common_prey_count,
@@ -50,6 +51,28 @@ class TestRealize:
         assert d == listed and listed == d
         assert hash(d) == hash(listed)
         assert {d: "key"}[listed] == "key"
+
+    @given(graph_cover_p(max_n=8, max_sets=8))
+    def test_arcs_and_verdicts_do_not_depend_on_call_order(self, instance):
+        # realize reads the incidence verify_p_ecc fills, and fills it itself
+        # when it comes first
+        g, f, p = instance
+        n = max(g.n, len(f.sets))
+        g = Graph(n, g.edges)
+        literal = {(x, j) for j, s in enumerate(f.sets) for x in s}
+        verified_first = CliqueCover(n, f.sets)
+        realized_first = CliqueCover(n, f.sets)
+        before = verify_p_ecc(g, verified_first, p)
+        assert realize(verified_first).arcs == literal
+        assert realize(realized_first).arcs == literal
+        assert verify_p_ecc(g, verified_first, p) == before
+        assert verify_p_ecc(g, realized_first, p) == before
+
+    def test_constructions_realize_their_literal_memberships(self):
+        base = complement_cycle_cover(9)
+        base._incidence()
+        for f in (cycle_cover(9, 3), lift_cover(base, 2), lift_cover(complement_cycle_cover(9), 2)):
+            assert realize(f).arcs == {(x, j) for j, s in enumerate(f.sets) for x in s}
 
     def test_lifted_complement_cover_roundtrip(self):
         f = lift_cover(complement_cycle_cover(10), 5)
