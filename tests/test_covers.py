@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_cover_p, literal_verify_p_ecc, reference_verdict
+from conftest import covers, graph_cover_p, literal_verify_p_ecc, reference_verdict
 from pcomp import (
     REASON_FAMILY_SMALLER_THAN_P,
     REASON_NONEDGE_IN_P_SETS,
@@ -427,17 +427,13 @@ class TestIncidence:
             base._incidence()
             extended = lift_cover(base, q)
             assert extended._inc == loop_incidence(extended) == lazy._inc
-            if n >= q + 3:
-                # a closed-form base, extended in turn
-                lifted = lift_cover(cycle_cover(n, 1), q)
-                assert lifted._inc == loop_incidence(lifted)
+            lifted = lift_cover(cycle_cover(n, 1), q)  # a closed-form base, extended
+            assert lifted._inc == loop_incidence(lifted)
 
-    @given(st.integers(1, 9), st.lists(st.frozensets(st.integers(0, 8)), max_size=8))
-    def test_filled_incidence_keeps_equality_and_hash(self, n, sets):
-        sets = [{v for v in s if v < n} for s in sets]
-        filled = CliqueCover(n, sets)
+    @given(covers(max_n=9, max_sets=8))
+    def test_filled_incidence_keeps_equality_and_hash(self, filled):
         filled._incidence()
-        fresh = CliqueCover(n, sets)
+        fresh = CliqueCover(filled.n, filled.sets)
         assert filled == fresh and fresh == filled
         assert hash(filled) == hash(fresh)
         assert {fresh: "key"}[filled] == "key"
