@@ -21,8 +21,7 @@ kernel as the common-prey count of the p-competition map.  A cover holds
 this incidence, rows and members (bit v of members[j] set iff v is in
 S_j), in one private slot that ``CliqueCover._incidence`` fills on first
 use and keeps, so verify_p_ecc and realize build it once between them.
-``cycle_cover`` fills it in closed form, and ``lift_cover`` extends a
-base cover's incidence when the base already has one.  The edge scan
+``cycle_cover`` fills it in closed form.  The edge scan
 counts every edge.  The nonedge scan counts a nonneighbour v above u only
 if v lies in one of the lowest k - p + 1 sets holding u, where k is the
 number of sets holding u; ``graphs._sharers`` shows that no pair sharing p
@@ -33,8 +32,8 @@ and the first violation found is the lex-least.
 
 ``CliqueCover(n, sets)`` checks every member it is given.  The private
 ``CliqueCover._trusted`` checks nothing; the constructions here build
-through it, since their members are below n by construction, and hand it
-the incidence when they have it in closed form.
+through it, since their members are below n by construction, and
+``cycle_cover`` hands it the incidence as well.
 """
 
 from __future__ import annotations
@@ -290,12 +289,7 @@ def lift_cover(f: CliqueCover, p: int) -> CliqueCover:
     if p == 1:
         return f
     full = frozenset(range(f.n))  # one set shared by all p - 1 copies
-    inc = f._inc
-    if inc is not None:  # else the lift's incidence is built if it is used
-        rows, members = inc
-        high = ((1 << (p - 1)) - 1) << len(f.sets)  # every vertex is in every copy
-        inc = (tuple(r | high for r in rows), members + ((1 << f.n) - 1,) * (p - 1))
-    return CliqueCover._trusted(f.n, [*f.sets, *([full] * (p - 1))], inc)
+    return CliqueCover._trusted(f.n, [*f.sets, *([full] * (p - 1))])
 
 
 # --- JSON ---------------------------------------------------------------

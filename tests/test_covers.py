@@ -418,17 +418,11 @@ class TestIncidence:
                 assert f._inc == loop_incidence(f), (n, p)
 
     @pytest.mark.parametrize("n", range(5, 41))
-    def test_lift_extends_a_cached_base_and_stays_lazy_otherwise(self, n):
+    def test_lift_stays_lazy_and_equals_the_loop(self, n):
         for q in range(1, 5):
             lazy = lift_cover(complement_cycle_cover(n), q)
             assert lazy._inc is None
             assert lazy._incidence() == loop_incidence(lazy)
-            base = complement_cycle_cover(n)
-            base._incidence()
-            extended = lift_cover(base, q)
-            assert extended._inc == loop_incidence(extended) == lazy._inc
-            lifted = lift_cover(cycle_cover(n, 1), q)  # a closed-form base, extended
-            assert lifted._inc == loop_incidence(lifted)
 
     @given(covers(max_n=9, max_sets=8))
     def test_filled_incidence_keeps_equality_and_hash(self, filled):
