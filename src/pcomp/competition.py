@@ -7,14 +7,21 @@ themselves (loops contribute like any other arc), and the output keeps the
 full vertex set even for isolated vertices.  p = 1 is the ordinary
 competition graph.
 
-The count for a pair is the popcount of the AND of two out-masks.  On a
-sparse digraph (at most n^2/8 arcs, mean out-degree at most n/8) only
-candidate pairs are counted: each prey's predators are gathered into one
-mask, and x's candidates are the union of those masks over the lowest
-k - p + 1 of x's k prey, which by ``graphs._sharers`` holds every vertex
-sharing p prey with x.  Denser digraphs share prey between most pairs
-anyway, and there the plain scan of all n(n-1)/2 pairs is faster.  Both
-give the same graph.
+The count for a pair is the popcount of the AND of two out-masks.  Two
+scans give the same graph.  The all-pairs scan counts all n(n-1)/2 pairs.
+The prey scan counts only candidate pairs: x's candidates are the union
+of the in-masks (predator masks) of the lowest k - p + 1 of x's k prey,
+which by ``graphs._sharers`` holds every vertex sharing p prey with x, and
+only candidates above x are counted.  The digraph's in-masks come with a
+realization for free (see ``realization``) and are otherwise built once.
+
+The prey scan wins when the candidates are few, and loses when prey are
+shared so widely that most pairs are candidates, since a candidate costs
+about two all-pairs pair tests.  ``_all_pairs_cheaper`` estimates the
+candidates from the in-masks in O(n) bit counts: for each x, the k - p + 1
+ORed masks times the predators above x of x's lowest prey.  Counting only
+predators above x matters: in a cycle cover's realization the lowest prey
+of most x is a set ending at x, so the scan meets almost no candidates.
 """
 
 from __future__ import annotations
@@ -36,33 +43,51 @@ def p_competition_graph(d: Digraph, p: int) -> Graph:
     """Graph on d's vertices with {x, y} an edge iff they share >= p prey."""
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
-    n = d.n
-    out = d._out
+    return (_all_pairs_scan if _all_pairs_cheaper(d, p) else _prey_scan)(d, p)
+
+
+def _all_pairs_cheaper(d: Digraph, p: int) -> bool:
+    """True iff the estimated cost of the prey scan exceeds n(n-1)/2 pair
+    tests: each ORed in-mask costs one, each candidate two, and x's
+    candidates are taken as its k - p + 1 ORed masks times the predators
+    above x of its lowest prey."""
+    preds = d._in_masks()
+    cost = 0
+    for x, ox in enumerate(d._out):
+        r = ox.bit_count() - p + 1
+        if r > 0:
+            above = (preds[(ox & -ox).bit_length() - 1] >> x + 1).bit_count()
+            cost += r * (2 * above + 1)
+    return cost > d.n * (d.n - 1) // 2
+
+
+def _all_pairs_scan(d: Digraph, p: int) -> Graph:
+    """p_competition_graph counted over all n(n-1)/2 pairs."""
+    n, out = d.n, d._out
     adj = [0] * n
-    if sum(o.bit_count() for o in out) * 8 > n * n:
-        for x in range(n):
-            ox = out[x]
-            for y in range(x + 1, n):
-                if (ox & out[y]).bit_count() >= p:
-                    adj[x] |= 1 << y
-                    adj[y] |= 1 << x
-        return Graph._from_masks(n, adj)
-    # preds[v]: the vertices with an arc to v
-    preds = [0] * n
     for x, ox in enumerate(out):
-        bit = 1 << x
-        while ox:
-            low = ox & -ox
-            preds[low.bit_length() - 1] |= bit
-            ox ^= low
+        bit, row = 1 << x, 0
+        for y in range(x + 1, n):
+            if (ox & out[y]).bit_count() >= p:
+                row |= 1 << y
+                adj[y] |= bit
+        adj[x] |= row
+    return Graph._from_masks(n, adj)
+
+
+def _prey_scan(d: Digraph, p: int) -> Graph:
+    """p_competition_graph counted over the pairs that may share p prey."""
+    out, preds = d._out, d._in_masks()
+    adj = [0] * d.n
     for x, ox in enumerate(out):
-        bit = 1 << x
+        bit, row = 1 << x, 0
         near = _sharers(ox, preds, p) & -(bit << 1)  # candidates above x
         while near:
             low = near & -near
             y = low.bit_length() - 1
             if (ox & out[y]).bit_count() >= p:
-                adj[x] |= low
+                row |= low
                 adj[y] |= bit
             near ^= low
-    return Graph._from_masks(n, adj)
+        adj[x] |= row
+    return Graph._from_masks(d.n, adj)

@@ -7,10 +7,14 @@ and equality are then a few integer operations per vertex, even inside
 exhaustive searches.  The masks are all an instance holds: ``Graph.edges``
 and ``Digraph.arcs`` build a fresh frozenset from them on every read, and
 the JSON and DOT writers and ``repr`` read the pairs off the masks, already
-in ascending order.
+in ascending order.  A digraph also keeps its in-masks (bit x of
+``Digraph._in_masks()[v]`` set iff (x, v) is an arc) in one private slot:
+the realizations hand them over with the out-masks, and otherwise they
+are built from the out-masks on first use and kept.
 
 Both structures are immutable after construction and hashable, so they
-are safe to share between threads.
+are safe to share between threads: the in-masks depend only on the
+out-masks, so threads racing to fill them store equal values.
 
 ``Graph(n, edges)`` and ``Digraph(n, arcs)`` check every edge and arc they
 are given.  The private ``_from_masks`` constructors check nothing; they
@@ -137,10 +141,11 @@ class Digraph:
 
     ``arcs`` is a frozenset of pairs ``(x, v)``, built from the masks on
     each read.  Two digraphs are equal iff they have the same vertex count
-    and identical arc sets, which is iff their out-masks are equal.
+    and identical arc sets, which is iff their out-masks are equal; whether
+    the in-masks are filled yet changes neither equality, hash nor repr.
     """
 
-    __slots__ = ("n", "_out")
+    __slots__ = ("n", "_out", "_in")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
@@ -152,14 +157,33 @@ class Digraph:
             out[x] |= 1 << v
         self.n = n
         self._out = tuple(out)
+        self._in = None
 
     @classmethod
-    def _from_masks(cls, n: int, out: Iterable[int]) -> Digraph:
-        """Digraph with out-masks ``out``, trusted to be within n bits."""
+    def _from_masks(cls, n: int, out: Iterable[int],
+                    in_: tuple[int, ...] | None = None) -> Digraph:
+        """Digraph with out-masks ``out``, trusted to be within n bits, and
+        ``in_``, when given, trusted to be their in-masks."""
         d = cls.__new__(cls)
         d.n = n
         d._out = tuple(out)
+        d._in = in_
         return d
+
+    def _in_masks(self) -> tuple[int, ...]:
+        """Bit x of the v-th mask is set iff (x, v) is an arc.  Built on
+        first use and kept."""
+        masks = self._in
+        if masks is None:
+            preds = [0] * self.n
+            for x, ox in enumerate(self._out):
+                bit = 1 << x
+                while ox:
+                    low = ox & -ox
+                    preds[low.bit_length() - 1] |= bit
+                    ox ^= low
+            masks = self._in = tuple(preds)
+        return masks
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:

@@ -9,10 +9,13 @@ acyclic variant.
 
 The digraphs are built as out-masks: bit j of the out-mask of x is set iff
 x lies in set j, the same per-vertex set masks the cover verifier counts
-pairs with.  realize reads them from the cover's incidence, which the cover
-builds on first use and keeps (see ``covers``), so realizing a verified
-cover builds nothing new.  realize_acyclic moves set j's bit to order[j]
-and builds its masks itself.  No arc tuples are formed; ``Digraph.arcs``
+pairs with.  Their in-masks are the sets' member masks: the predators of
+prey j are the members of set j.  realize reads both from the cover's
+incidence, which the cover builds on first use and keeps (see ``covers``),
+so realizing a verified cover builds nothing new, and p_competition_graph
+reads the members as the digraph's in-masks.  realize_acyclic moves set
+j's bit to order[j], builds its out-masks itself and puts the members of
+set j at prey order[j].  No arc tuples are formed; ``Digraph.arcs``
 derives them on demand.
 """
 
@@ -36,7 +39,8 @@ def realize(f: CliqueCover) -> Digraph:
     if len(f.sets) > f.n:
         raise InfeasibleError(
             f"realization requires |sets| <= n ({len(f.sets)} sets on {f.n} vertices)")
-    return Digraph._from_masks(f.n, f._incidence()[0])
+    rows, members = f._incidence()
+    return Digraph._from_masks(f.n, rows, members + (0,) * (f.n - len(members)))
 
 
 def excerpt(text: str) -> str:
@@ -71,21 +75,19 @@ def realize_acyclic(f: CliqueCover, order: Sequence[int]) -> Digraph:
     if not satisfies_acyclic_ordering(f, order):
         raise InfeasibleError(
             "ordering condition violated: some set j contains a vertex at position >= j")
-    out = [0] * f.n
-    for s, v in zip(f.sets, order):
+    out, preds = [0] * f.n, [0] * f.n
+    for s, m, v in zip(f.sets, f._incidence()[1], order):
         bit = 1 << v
         for x in s:
             out[x] |= bit
-    return Digraph._from_masks(f.n, out)
+        preds[v] = m
+    return Digraph._from_masks(f.n, out, tuple(preds))
 
 
 def is_acyclic(d: Digraph) -> bool:
     """True iff d has no directed cycle; a loop counts as a cycle."""
     out = d._out
-    indeg = [0] * d.n
-    for a in out:
-        for v in iter_bits(a):
-            indeg[v] += 1
+    indeg = [m.bit_count() for m in d._in_masks()]
     # Kahn's peeling; a vertex with a loop never reaches in-degree 0
     stack = [v for v in range(d.n) if indeg[v] == 0]
     seen = 0

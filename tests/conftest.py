@@ -83,6 +83,16 @@ def digraphs(draw, min_n=1, max_n=8):
     return Digraph(*draw(arc_sets(min_n, max_n)))
 
 
+def literal_predators(n, arcs):
+    """The predator sets {x : (x, v) in arcs}, for v = 0..n-1."""
+    return [{x for x, w in arcs if w == v} for v in range(n)]
+
+
+def predator_sets(d: Digraph):
+    """d's in-masks read back as vertex sets."""
+    return [set(iter_bits(m)) for m in d._in_masks()]
+
+
 @st.composite
 def covers(draw, n=None, max_n=8, max_sets=12):
     if n is None:

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -10,11 +11,14 @@ from pcomp import (
     Digraph,
     InvalidParameterError,
     common_prey_count,
+    complement_cycle_cover,
     cycle_cover,
+    lift_cover,
     make_cycle,
     p_competition_graph,
     realize,
 )
+from pcomp.competition import _all_pairs_cheaper, _all_pairs_scan, _prey_scan
 
 
 def literal_p_competition_edges(n, arcs, p):
@@ -26,10 +30,32 @@ def literal_p_competition_edges(n, arcs, p):
     return {(x, y) for x, y in combinations(range(n), 2) if len(prey[x] & prey[y]) >= p}
 
 
+def assert_scans_match_literal(n, arcs, p):
+    """p_competition_graph and both scans it chooses between, each run
+    directly, give the literal graph."""
+    literal = literal_p_competition_edges(n, arcs, p)
+    for scan in (p_competition_graph, _all_pairs_scan, _prey_scan):
+        assert scan(Digraph(n, arcs), p).edges == literal, scan.__name__
+
+
+@cache
+def first_all_pairs_prefix(n, seed, p):
+    """The shortest prefix of a seeded arc order on which _all_pairs_cheaper
+    holds, as (length, arc order); masks grow one arc at a time."""
+    order = random.Random(seed).sample([(x, v) for x in range(n) for v in range(n)], n * n)
+    out, preds = [0] * n, [0] * n
+    for k, (x, v) in enumerate(order, 1):
+        out[x] |= 1 << v
+        preds[v] |= 1 << x
+        if _all_pairs_cheaper(Digraph._from_masks(n, out, tuple(preds)), p):
+            return k, order
+    raise AssertionError(f"the complete digraph on {n} vertices keeps the prey scan at p={p}")
+
+
 @st.composite
 def sparse_arc_sets(draw):
     """n in 16..64 and at most n/8 prey per vertex, loops allowed, so the
-    arcs stay within n^2/8: the prey-sharing scan of p_competition_graph."""
+    arcs stay within n^2/8."""
     n = draw(st.integers(16, 64))
     prey = st.lists(st.integers(0, n - 1), max_size=n // 8, unique=True)
     return n, {(x, v) for x in range(n) for v in draw(prey)}
@@ -37,7 +63,7 @@ def sparse_arc_sets(draw):
 
 @st.composite
 def dense_arc_sets(draw):
-    """More than n^2/8 arcs on n in 2..24: the all-pairs scan."""
+    """More than n^2/8 arcs on n in 2..24."""
     n = draw(st.integers(2, 24))
     pairs = [(x, v) for x in range(n) for v in range(n)]
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -56,9 +82,10 @@ def _counted_arcs(rng, n, p):
 
 
 class TestPreyFilter:
-    """The prey-sharing scan ORs the predator masks of only the lowest
-    k - p + 1 prey of x (k: x's prey); predators with k - p at -1, 0 and
-    1, with loops among the prey, give the literal graph on both scans."""
+    """The prey scan ORs the predator masks of only the lowest k - p + 1
+    prey of x (k: x's prey); predators with k - p at -1, 0 and 1, with
+    loops among the prey, give the literal graph on both scans, sparse
+    (at most n^2/8 arcs) or dense."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_sparse_scan(self, seed):
@@ -67,8 +94,7 @@ class TestPreyFilter:
         arcs = _counted_arcs(rng, n, p)
         assert len(arcs) * 8 <= n * n
         assert any(x == v for x, v in arcs)
-        assert p_competition_graph(Digraph(n, arcs), p).edges == \
-            literal_p_competition_edges(n, arcs, p)
+        assert_scans_match_literal(n, arcs, p)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_dense_scan(self, seed):
@@ -81,8 +107,7 @@ class TestPreyFilter:
             if len(arcs) * 8 > n * n:
                 break
         assert any(x == v for x, v in arcs)
-        assert p_competition_graph(Digraph(n, arcs), p).edges == \
-            literal_p_competition_edges(n, arcs, p)
+        assert_scans_match_literal(n, arcs, p)
 
 
 class TestCommonPreyCount:
@@ -138,33 +163,40 @@ class TestPCompetitionGraph:
     @given(arc_sets(), st.integers(1, 4))
     def test_matches_literal_definition(self, drawn, p):
         n, arcs = drawn
-        assert p_competition_graph(Digraph(n, arcs), p).edges == \
-            literal_p_competition_edges(n, arcs, p)
+        assert_scans_match_literal(n, arcs, p)
 
     @given(sparse_arc_sets(), st.integers(1, 4))
     def test_sparse_digraphs_match_literal_definition(self, drawn, p):
         n, arcs = drawn
         assert len(arcs) * 8 <= n * n
-        assert p_competition_graph(Digraph(n, arcs), p).edges == \
-            literal_p_competition_edges(n, arcs, p)
+        assert_scans_match_literal(n, arcs, p)
 
     @given(dense_arc_sets(), st.integers(1, 4))
     def test_dense_digraphs_match_literal_definition(self, drawn, p):
         n, arcs = drawn
         assert len(arcs) * 8 > n * n
-        assert p_competition_graph(Digraph(n, arcs), p).edges == \
-            literal_p_competition_edges(n, arcs, p)
+        assert_scans_match_literal(n, arcs, p)
 
     @pytest.mark.parametrize("n", [4, 8, 16, 24, 40])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_at_the_sparse_dense_threshold(self, n, extra):
-        # the scans switch between n^2/8 arcs (prey-sharing) and one more
-        pairs = [(x, v) for x in range(n) for v in range(n)]
+        # arcs added one at a time switch _all_pairs_cheaper from the prey
+        # scan to the all-pairs scan at prefix k; test k - 1, k and k + 1
         for seed in range(5):
-            arcs = random.Random(seed).sample(pairs, n * n // 8 + extra)
             for p in range(1, 4):
-                assert p_competition_graph(Digraph(n, arcs), p).edges == \
-                    literal_p_competition_edges(n, arcs, p)
+                k, order = first_all_pairs_prefix(n, seed, p)
+                assert not _all_pairs_cheaper(Digraph(n, order[:k - 1]), p)
+                assert _all_pairs_cheaper(Digraph(n, order[:k]), p)
+                assert_scans_match_literal(n, order[:k + extra], p)
+
+    def test_chooser_follows_the_candidate_pairs(self):
+        # more than n^2/8 arcs, but the lowest prey of most x is a set
+        # ending at x, so the prey scan meets few candidates above x
+        for n, p in [(200, 50), (500, 100)]:
+            assert not _all_pairs_cheaper(realize(cycle_cover(n, p)), p)
+        # the p - 1 full sets make every pair a candidate
+        assert _all_pairs_cheaper(realize(lift_cover(complement_cycle_cover(101), 3)), 3)
+        assert not _all_pairs_cheaper(Digraph(40), 1)
 
     @pytest.mark.parametrize("n,arcs", [
         (1, []),
@@ -175,18 +207,19 @@ class TestPCompetitionGraph:
     ], ids=["n1", "n1-loop", "loops-only", "loops-and-shared-prey", "isolated"])
     def test_loops_and_isolated_vertices(self, n, arcs):
         for p in range(1, 4):
-            g = p_competition_graph(Digraph(n, arcs), p)
-            assert g.n == n
-            assert g.edges == literal_p_competition_edges(n, arcs, p)
+            assert p_competition_graph(Digraph(n, arcs), p).n == n
+            assert_scans_match_literal(n, arcs, p)
 
     def test_cycle_cover_realizations_up_to_60(self):
         for n in range(4, 61):
             for p in sorted({1, 2, n // 2, n - 3} & set(range(1, n - 2))):
                 f = cycle_cover(n, p)
                 arcs = {(x, j) for j, s in enumerate(f.sets) for x in s}
-                back = p_competition_graph(realize(f), p)
-                assert back.edges == literal_p_competition_edges(n, arcs, p)
-                assert back == make_cycle(n)
+                literal = literal_p_competition_edges(n, arcs, p)
+                for scan in (p_competition_graph, _all_pairs_scan, _prey_scan):
+                    back = scan(realize(f), p)
+                    assert back.edges == literal
+                    assert back == make_cycle(n)
 
     @given(digraphs(), st.integers(1, 4))
     def test_monotone_in_p(self, d, p):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import arc_sets, covers, graph_cover_p
+from conftest import arc_sets, covers, graph_cover_p, literal_predators, predator_sets
 from pcomp import (
     CliqueCover,
     Digraph,
@@ -47,10 +47,25 @@ class TestRealize:
         literal = {(x, j) for j, s in enumerate(padded.sets) for x in s}
         d = realize(padded)
         assert d.arcs == literal
+        assert d._in is not None  # the members, handed over by realize
+        assert predator_sets(d) == literal_predators(padded.n, literal)
         listed = Digraph(padded.n, literal)
         assert d == listed and listed == d
         assert hash(d) == hash(listed)
         assert {d: "key"}[listed] == "key"
+        assert repr(d) == repr(listed)
+
+    @pytest.mark.parametrize("f", [
+        CliqueCover(5, [(0, 1), (1, 2, 4)]),
+        CliqueCover(4, [(0, 3), (), (1, 2, 3), (0,)]),
+        cycle_cover(7, 2),
+        lift_cover(complement_cycle_cover(9), 2),
+    ], ids=["fewer-sets", "exactly-n", "cycle-exactly-n", "lift-fewer-sets"])
+    def test_in_masks_are_the_literal_predators(self, f):
+        literal = {(x, j) for j, s in enumerate(f.sets) for x in s}
+        d = realize(f)
+        assert d._in is not None
+        assert predator_sets(d) == literal_predators(f.n, literal)
 
     @given(graph_cover_p(max_n=8, max_sets=8))
     def test_arcs_and_verdicts_do_not_depend_on_call_order(self, instance):
@@ -175,7 +190,10 @@ class TestRealizeAcyclic:
         p = data.draw(st.integers(1, 3))
         assert satisfies_acyclic_ordering(f, order)
         d = realize_acyclic(f, order)
-        assert d.arcs == {(x, order[j]) for j, s in enumerate(sets) for x in s}
+        arcs = {(x, order[j]) for j, s in enumerate(sets) for x in s}
+        assert d.arcs == arcs
+        assert d._in is not None  # set j's members, put at prey order[j]
+        assert predator_sets(d) == literal_predators(n, arcs)
         assert is_acyclic(d)
         assert p_competition_graph(d, p) == p_competition_graph(realize(f), p)
 
