@@ -12,8 +12,8 @@ scans give the same graph.  The all-pairs scan counts all n(n-1)/2 pairs.
 The prey scan counts only candidate pairs: x's candidates are the union
 of the in-masks (predator masks) of the lowest k - p + 1 of x's k prey,
 which by ``graphs._sharers`` holds every vertex sharing p prey with x, and
-only candidates above x are counted.  The digraph's in-masks come with a
-realization for free (see ``realization``) and are otherwise built once.
+only candidates above x are counted.  The scans read the digraph's
+in-masks, which every digraph holds from construction (see ``graphs``).
 
 The prey scan wins when the candidates are few, and loses when prey are
 shared so widely that most pairs are candidates, since a candidate costs
@@ -51,7 +51,7 @@ def _all_pairs_cheaper(d: Digraph, p: int) -> bool:
     tests: each ORed in-mask costs one, each candidate two, and x's
     candidates are taken as its k - p + 1 ORed masks times the predators
     above x of its lowest prey."""
-    preds = d._in_masks()
+    preds = d._in
     cost = 0
     for x, ox in enumerate(d._out):
         r = ox.bit_count() - p + 1
@@ -77,7 +77,7 @@ def _all_pairs_scan(d: Digraph, p: int) -> Graph:
 
 def _prey_scan(d: Digraph, p: int) -> Graph:
     """p_competition_graph counted over the pairs that may share p prey."""
-    out, preds = d._out, d._in_masks()
+    out, preds = d._out, d._in
     adj = [0] * d.n
     for x, ox in enumerate(out):
         bit, row = 1 << x, 0

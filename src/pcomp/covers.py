@@ -86,6 +86,9 @@ class CliqueCover:
         """(rows, members): bit j of rows[v] and bit v of members[j] are set
         iff v is in set j.  Built on first use and kept; it depends only on
         n and the sets, so threads racing to fill it store equal values."""
+        # lazy, not built at construction: cover-pipeline's co-cycle drop and
+        # append ops build a lifted cover only to slice its sets, and building
+        # its incidence there made those ops 1.5-2.9x slower
         inc = self._inc
         if inc is None:
             rows = [0] * self.n

@@ -7,14 +7,13 @@ and equality are then a few integer operations per vertex, even inside
 exhaustive searches.  The masks are all an instance holds: ``Graph.edges``
 and ``Digraph.arcs`` build a fresh frozenset from them on every read, and
 the JSON and DOT writers and ``repr`` read the pairs off the masks, already
-in ascending order.  A digraph also keeps its in-masks (bit x of
-``Digraph._in_masks()[v]`` set iff (x, v) is an arc) in one private slot:
-the realizations hand them over with the out-masks, and otherwise they
-are built from the out-masks on first use and kept.
+in ascending order.  A digraph also holds its in-masks (bit x of
+``Digraph._in[v]`` set iff (x, v) is an arc) in one private slot:
+``Digraph(n, arcs)`` fills them in the loop that fills the out-masks, and
+the realizations hand them over with the out-masks.
 
 Both structures are immutable after construction and hashable, so they
-are safe to share between threads: the in-masks depend only on the
-out-masks, so threads racing to fill them store equal values.
+are safe to share between threads.
 
 ``Graph(n, edges)`` and ``Digraph(n, arcs)`` check every edge and arc they
 are given.  The private ``_from_masks`` constructors check nothing; they
@@ -141,8 +140,9 @@ class Digraph:
 
     ``arcs`` is a frozenset of pairs ``(x, v)``, built from the masks on
     each read.  Two digraphs are equal iff they have the same vertex count
-    and identical arc sets, which is iff their out-masks are equal; whether
-    the in-masks are filled yet changes neither equality, hash nor repr.
+    and identical arc sets, which is iff their out-masks are equal; the
+    in-masks follow from the out-masks, so equality, hash and repr read
+    only those.
     """
 
     __slots__ = ("n", "_out", "_in")
@@ -150,40 +150,25 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
             raise InvalidParameterError(f"need at least one vertex, got n={n}")
-        out = [0] * n
+        out, in_ = [0] * n, [0] * n
         for x, v in arcs:
             if not (0 <= x < n and 0 <= v < n):
                 raise InvalidParameterError(f"arc ({x},{v}) out of range for n={n}")
             out[x] |= 1 << v
+            in_[v] |= 1 << x
         self.n = n
         self._out = tuple(out)
-        self._in = None
+        self._in = tuple(in_)
 
     @classmethod
-    def _from_masks(cls, n: int, out: Iterable[int],
-                    in_: tuple[int, ...] | None = None) -> Digraph:
+    def _from_masks(cls, n: int, out: Iterable[int], in_: tuple[int, ...]) -> Digraph:
         """Digraph with out-masks ``out``, trusted to be within n bits, and
-        ``in_``, when given, trusted to be their in-masks."""
+        in-masks ``in_``, trusted to be theirs."""
         d = cls.__new__(cls)
         d.n = n
         d._out = tuple(out)
         d._in = in_
         return d
-
-    def _in_masks(self) -> tuple[int, ...]:
-        """Bit x of the v-th mask is set iff (x, v) is an arc.  Built on
-        first use and kept."""
-        masks = self._in
-        if masks is None:
-            preds = [0] * self.n
-            for x, ox in enumerate(self._out):
-                bit = 1 << x
-                while ox:
-                    low = ox & -ox
-                    preds[low.bit_length() - 1] |= bit
-                    ox ^= low
-            masks = self._in = tuple(preds)
-        return masks
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:

@@ -17,19 +17,18 @@ the certificate check of the cover found.
 The clique search walks nondecreasing sequences of maximal cliques in
 sorted order, so its cover is the lexicographically least of least size.
 Edges are bits of a mask.  A partial family is pruned when some uncovered
-edge lies in no clique from the current index on, when the slots left
-times the most edges one such clique holds is below the uncovered count,
-or when more uncovered edges than slots pairwise share no clique, so each
-needs a clique of its own (the packing bound of Gramm, Guo, Hüffner and
-Niedermeier, ACM JEA 13, 2008).  The packing takes the lowest uncovered
-edge first, and edges are numbered so that those sharing a clique with
-the fewest other edges come first, which packs more of them.  When the
-packing holds exactly as many edges as slots are left, each clique still
-to come holds exactly one packed edge, so only cliques holding one are
-tried next; the skipped branches hold no cover, so the cover found stays
-the least.  A clique holding no uncovered edge is skipped: dropping it
-would leave a cover of r - 1 cliques, which the previous round ruled out.
-``nodes`` counts the partial families visited.
+edge lies in no clique from the current index on, or when more uncovered
+edges than slots pairwise share no clique, so each needs a clique of its
+own (the packing bound of Gramm, Guo, Hüffner and Niedermeier, ACM JEA
+13, 2008).  The packing takes the lowest uncovered edge first, and edges
+are numbered so that those sharing a clique with the fewest other edges
+come first, which packs more of them.  When the packing holds exactly as
+many edges as slots are left, each clique still to come holds exactly
+one packed edge, so only cliques holding one are tried next; the skipped
+branches hold no cover, so the cover found stays the least.  A clique
+holding no uncovered edge is skipped: dropping it would leave a cover of
+r - 1 cliques, which the previous round ruled out.  ``nodes`` counts the
+partial families visited.
 
 The row search builds the n x r incidence matrix of the cover one vertex
 at a time, in ascending order.  Vertex v takes an r-bit row, the sets
@@ -275,13 +274,10 @@ def _clique_rounds(g: Graph, p: int, guard: int):
         rank[k] = position
     masks, together = clique_masks(rank)
     size = len(masks)
-    # reach[i]: edges held by a clique at index >= i (reach[0] holds them all);
-    # gain[i]: the most edges one such clique holds
+    # reach[i]: edges held by a clique at index >= i (reach[0] holds them all)
     reach = [0] * (size + 1)
-    gain = [0] * (size + 1)
     for i in range(size - 1, -1, -1):
         reach[i] = reach[i + 1] | masks[i]
-        gain[i] = max(gain[i + 1], masks[i].bit_count())
     chosen: list[int] = []
     nodes = 0
 
@@ -291,8 +287,6 @@ def _clique_rounds(g: Graph, p: int, guard: int):
         nodes += 1
         if not short:
             return True
-        if short.bit_count() > slots * gain[lo]:
-            return False  # the slots left cannot hold the uncovered edges
         # packing: uncovered edges no single clique holds together need a slot each
         packed = count = 0
         left = short

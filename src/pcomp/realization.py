@@ -9,14 +9,14 @@ acyclic variant.
 
 The digraphs are built as out-masks: bit j of the out-mask of x is set iff
 x lies in set j, the same per-vertex set masks the cover verifier counts
-pairs with.  Their in-masks are the sets' member masks: the predators of
-prey j are the members of set j.  realize reads both from the cover's
-incidence, which the cover builds on first use and keeps (see ``covers``),
-so realizing a verified cover builds nothing new, and p_competition_graph
-reads the members as the digraph's in-masks.  realize_acyclic moves set
-j's bit to order[j], builds its out-masks itself and puts the members of
-set j at prey order[j].  No arc tuples are formed; ``Digraph.arcs``
-derives them on demand.
+pairs with.  A digraph takes its in-masks at construction, and here they
+are the sets' member masks: the predators of prey j are the members of
+set j.  realize reads both from the cover's incidence, which the cover
+builds on first use and keeps (see ``covers``), so realizing a verified
+cover builds nothing new.  realize_acyclic moves set j's bit to
+order[j], builds its out-masks itself and puts the members of set j at
+prey order[j].  No arc tuples are formed; ``Digraph.arcs`` derives them
+on demand.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def realize_acyclic(f: CliqueCover, order: Sequence[int]) -> Digraph:
 def is_acyclic(d: Digraph) -> bool:
     """True iff d has no directed cycle; a loop counts as a cycle."""
     out = d._out
-    indeg = [m.bit_count() for m in d._in_masks()]
+    indeg = [m.bit_count() for m in d._in]
     # Kahn's peeling; a vertex with a loop never reaches in-degree 0
     stack = [v for v in range(d.n) if indeg[v] == 0]
     seen = 0

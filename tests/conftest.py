@@ -90,7 +90,7 @@ def literal_predators(n, arcs):
 
 def predator_sets(d: Digraph):
     """d's in-masks read back as vertex sets."""
-    return [set(iter_bits(m)) for m in d._in_masks()]
+    return [set(iter_bits(m)) for m in d._in]
 
 
 @st.composite

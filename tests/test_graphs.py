@@ -1,10 +1,8 @@
 import json
-import sys
-import threading
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import arc_sets, digraphs, edge_sets, graphs, literal_predators, predator_sets
@@ -23,7 +21,6 @@ from pcomp import (
     graph_to_json_dict,
     is_clique,
     make_cycle,
-    p_competition_graph,
     realize,
 )
 from pcomp.graphs import MAX_N, _sharers, iter_bits
@@ -184,15 +181,6 @@ class TestEquality:
         assert Graph.__slots__ == ("n", "_adj")
         assert Digraph.__slots__ == ("n", "_out", "_in")
 
-    @given(arc_sets())
-    def test_filled_in_masks_keep_equality_hash_and_repr(self, drawn):
-        n, arcs = drawn
-        filled, fresh = Digraph(n, arcs), Digraph(n, arcs)
-        filled._in_masks()
-        assert fresh._in is None
-        self.assert_interchangeable(filled, fresh)
-        assert repr(filled) == repr(fresh)
-
     def test_pairs_are_rebuilt_equal_on_every_read(self):
         for g, pairs in [(make_cycle(7), cycle_edges(7)),
                          (complement(make_cycle(7)), literal_nonedges(7, cycle_edges(7))),
@@ -205,47 +193,20 @@ class TestEquality:
 
 
 class TestInMasks:
-    """Bit x of Digraph._in_masks()[v] is set iff (x, v) is an arc."""
+    """Bit x of Digraph._in[v] is set iff (x, v) is an arc."""
+
+    @given(digraphs())
+    @example(Digraph(1))
+    @example(Digraph(1, [(0, 0), (0, 0)]))
+    @example(Digraph(3, [(0, 1), (2, 1), (0, 1), (1, 1), (1, 0)]))
+    def test_filled_with_the_out_masks(self, d):
+        assert predator_sets(d) == literal_predators(d.n, d.arcs)
 
     @given(arc_sets())
-    def test_built_on_first_use_and_kept(self, drawn):
+    def test_from_masks_keeps_the_in_masks_it_is_handed(self, drawn):
         n, arcs = drawn
         d = Digraph(n, arcs)
-        assert d._in is None
-        first = d._in_masks()
-        assert predator_sets(d) == literal_predators(n, arcs)
-        assert d._in_masks() is first
-
-    @given(arc_sets())
-    def test_from_masks_builds_or_keeps_them(self, drawn):
-        n, arcs = drawn
-        out = Digraph(n, arcs)._out
-        lazy = Digraph._from_masks(n, out)
-        assert lazy._in is None
-        assert predator_sets(lazy) == literal_predators(n, arcs)
-        given_masks = lazy._in_masks()
-        assert Digraph._from_masks(n, out, given_masks)._in_masks() is given_masks
-
-    def test_threads_racing_to_fill_them_agree(self):
-        n = 300
-        arcs = {(x, v) for x in range(n) for v in range(x % 7, n, 1 + x % 11)}
-        d = Digraph(n, arcs)
-        results = []
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=lambda: results.append(
-                (d._in_masks(), p_competition_graph(d, 3)))) for _ in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        assert len(results) == 6 and len(set(results)) == 1
-        assert predator_sets(d) == literal_predators(n, arcs)
-        assert results[0][1] == p_competition_graph(Digraph(n, arcs), 3)
+        assert Digraph._from_masks(n, d._out, d._in)._in is d._in
 
 
 class TestConstruction:

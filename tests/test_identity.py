@@ -11,6 +11,7 @@ as one, never a way to make these tests pass.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
 import re
@@ -275,3 +276,18 @@ def test_outputs_do_not_depend_on_the_hash_seed(recorded, inputs, seed):
                              text=True, env=child_env(PYTHONHASHSEED=seed), cwd=inputs)
         got = cli_entry(argv, res.returncode, res.stdout, res.stderr)
         assert got == want[key(got)]
+
+
+def test_regenerate_reports_each_moved_entry(recorded):
+    spec = importlib.util.spec_from_file_location("regenerate", CORPUS.parent / "regenerate.py")
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    assert regenerate.changes(recorded, recorded) == []
+    moved = json.loads(json.dumps(recorded))
+    moved["exact_theta_e"][0]["nodes"] += 1
+    moved["cli"].append({"argv": ["gen"], "exit": 2})
+    first = recorded["exact_theta_e"][0]
+    assert regenerate.changes(recorded, moved) == [
+        "cli gen: argv None -> ['gen'], exit None -> 2",
+        f"exact_theta_e {first['call']}: nodes {first['nodes']} -> {first['nodes'] + 1}",
+    ]
