@@ -181,6 +181,19 @@ class TestEquality:
         assert Graph.__slots__ == ("n", "_adj")
         assert Digraph.__slots__ == ("n", "_out", "_in")
 
+    @given(arc_sets())
+    def test_filled_in_masks_keep_equality_hash_and_repr(self, drawn):
+        n, arcs = drawn
+        # in-masks filled by the arc loop against in-masks handed over by a
+        # builder, as realize does, both built from the literal arc set
+        filled = Digraph(n, arcs)
+        out = [sum(1 << v for x, v in arcs if x == u) for u in range(n)]
+        in_ = tuple(sum(1 << x for x in preds) for preds in literal_predators(n, arcs))
+        handed = Digraph._from_masks(n, out, in_)
+        assert filled._in == handed._in
+        self.assert_interchangeable(filled, handed)
+        assert repr(filled) == repr(handed)
+
     def test_pairs_are_rebuilt_equal_on_every_read(self):
         for g, pairs in [(make_cycle(7), cycle_edges(7)),
                          (complement(make_cycle(7)), literal_nonedges(7, cycle_edges(7))),
