@@ -26,9 +26,13 @@ counts every edge.  The nonedge scan counts a nonneighbour v above u only
 if v lies in one of the lowest k - p + 1 sets holding u, where k is the
 number of sets holding u; ``graphs._sharers`` shows that no pair sharing p
 sets is skipped.  When u has at most k - p nonneighbours above it, it
-counts them all, which is cheaper than narrowing them.  Each scan walks
-its candidate mask lowest bit first, so pairs are met in ascending order
-and the first violation found is the lex-least.
+counts them all, which is cheaper than narrowing them; a vertex in fewer
+than p sets narrows to no candidates.  Each scan walks its candidate mask
+lowest bit first, so pairs are met in ascending order.  The nonedge scan
+runs first, so a verdict names the least nonedge in p sets if there is
+one, and only otherwise the least edge in fewer than p sets; that edge
+is reported as ``family-smaller-than-p`` when the family has fewer than
+p sets, since then every edge is uncovered.
 
 ``CliqueCover(n, sets)`` checks every member it is given.  The private
 ``CliqueCover._trusted`` checks nothing; the constructions here build
@@ -140,11 +144,12 @@ class Verdict(NamedTuple):
 def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
     """Decide whether f is a p-edge clique cover of g.
 
-    Invalid verdicts name the lexicographically least offending pair:
-    a nonadjacent pair hitting p common sets, or an edge covered by fewer
-    than p.  A family with fewer than p sets cannot cover any edge, so it
-    is rejected outright when g has edges (and is trivially valid when g
-    has none, matching the p-subset definition).
+    An invalid verdict names one offending pair: the least nonadjacent
+    pair lying in p common sets if there is one, else the least edge
+    lying in fewer than p.  A family with fewer than p sets covers no
+    edge, so its verdict names g's least edge with the reason
+    ``family-smaller-than-p`` (and is valid when g has no edges, matching
+    the p-subset definition).
     """
     if f.n != g.n:
         raise InvalidParameterError(
@@ -152,19 +157,11 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
     adj = g._adj
-    if len(f.sets) < p:
-        for u, a in enumerate(adj):
-            if a:
-                # the least vertex with a neighbour has none below it
-                return Verdict(False, REASON_FAMILY_SMALLER_THAN_P,
-                               (u, (a & -a).bit_length() - 1))
     rows, members = f._incidence()
     full = (1 << g.n) - 1
-    # both scans meet pairs in ascending (u, v) order: the first hit is lex-least
+    # both scans meet pairs in ascending (u, v) order: the first hit is the least
     for u, row in enumerate(rows):
         spare = row.bit_count() - p  # sets of u a violator may miss
-        if spare < 0:
-            continue
         m = full & ~adj[u] & -(2 << u)  # nonneighbours above u
         if m.bit_count() > spare:  # else checking them costs less than narrowing
             m &= _sharers(row, members, p)
@@ -174,13 +171,15 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
             if (row & rows[v]).bit_count() >= p:
                 return Verdict(False, REASON_NONEDGE_IN_P_SETS, (u, v))
             m ^= low
+    # with fewer than p sets every edge is short, so the least edge is named
+    short = REASON_FAMILY_SMALLER_THAN_P if len(f.sets) < p else REASON_UNCOVERED_EDGE
     for u, row in enumerate(rows):
         m = adj[u] & -(2 << u)  # neighbours above u
         while m:
             low = m & -m
             v = low.bit_length() - 1
             if (row & rows[v]).bit_count() < p:
-                return Verdict(False, REASON_UNCOVERED_EDGE, (u, v))
+                return Verdict(False, short, (u, v))
             m ^= low
     return Verdict(True)
 

@@ -1,5 +1,4 @@
 import random
-from functools import cache
 from itertools import combinations
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import arc_sets, digraphs
 from pcomp import (
     Digraph,
+    Graph,
     InvalidParameterError,
     common_prey_count,
     complement_cycle_cover,
@@ -18,7 +18,6 @@ from pcomp import (
     p_competition_graph,
     realize,
 )
-from pcomp.competition import _all_pairs_cheaper, _all_pairs_scan, _prey_scan
 
 
 def literal_p_competition_edges(n, arcs, p):
@@ -31,25 +30,8 @@ def literal_p_competition_edges(n, arcs, p):
 
 
 def assert_scans_match_literal(n, arcs, p):
-    """p_competition_graph and both scans it chooses between, each run
-    directly, give the literal graph."""
-    literal = literal_p_competition_edges(n, arcs, p)
-    for scan in (p_competition_graph, _all_pairs_scan, _prey_scan):
-        assert scan(Digraph(n, arcs), p).edges == literal, scan.__name__
-
-
-@cache
-def first_all_pairs_prefix(n, seed, p):
-    """The shortest prefix of a seeded arc order on which _all_pairs_cheaper
-    holds, as (length, arc order); masks grow one arc at a time."""
-    order = random.Random(seed).sample([(x, v) for x in range(n) for v in range(n)], n * n)
-    out, preds = [0] * n, [0] * n
-    for k, (x, v) in enumerate(order, 1):
-        out[x] |= 1 << v
-        preds[v] |= 1 << x
-        if _all_pairs_cheaper(Digraph._from_masks(n, out, tuple(preds)), p):
-            return k, order
-    raise AssertionError(f"the complete digraph on {n} vertices keeps the prey scan at p={p}")
+    """p_competition_graph gives the literal graph."""
+    assert p_competition_graph(Digraph(n, arcs), p).edges == literal_p_competition_edges(n, arcs, p)
 
 
 @st.composite
@@ -82,10 +64,10 @@ def _counted_arcs(rng, n, p):
 
 
 class TestPreyFilter:
-    """The prey scan ORs the predator masks of only the lowest k - p + 1
-    prey of x (k: x's prey); predators with k - p at -1, 0 and 1, with
-    loops among the prey, give the literal graph on both scans, sparse
-    (at most n^2/8 arcs) or dense."""
+    """The candidate walk ORs the predator masks of only the lowest
+    k - p + 1 prey of x (k: x's prey); predators with k - p at -1, 0 and
+    1, with loops among the prey, give the literal graph, sparse (at most
+    n^2/8 arcs) or dense."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_sparse_scan(self, seed):
@@ -177,26 +159,22 @@ class TestPCompetitionGraph:
         assert len(arcs) * 8 > n * n
         assert_scans_match_literal(n, arcs, p)
 
-    @pytest.mark.parametrize("n", [4, 8, 16, 24, 40])
-    @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_at_the_sparse_dense_threshold(self, n, extra):
-        # arcs added one at a time switch _all_pairs_cheaper from the prey
-        # scan to the all-pairs scan at prefix k; test k - 1, k and k + 1
-        for seed in range(5):
-            for p in range(1, 4):
-                k, order = first_all_pairs_prefix(n, seed, p)
-                assert not _all_pairs_cheaper(Digraph(n, order[:k - 1]), p)
-                assert _all_pairs_cheaper(Digraph(n, order[:k]), p)
-                assert_scans_match_literal(n, order[:k + extra], p)
-
-    def test_chooser_follows_the_candidate_pairs(self):
-        # more than n^2/8 arcs, but the lowest prey of most x is a set
-        # ending at x, so the prey scan meets few candidates above x
-        for n, p in [(200, 50), (500, 100)]:
-            assert not _all_pairs_cheaper(realize(cycle_cover(n, p)), p)
-        # the p - 1 full sets make every pair a candidate
-        assert _all_pairs_cheaper(realize(lift_cover(complement_cycle_cover(101), 3)), 3)
-        assert not _all_pairs_cheaper(Digraph(40), 1)
+    def test_one_call_walks_loops_and_skips(self):
+        # disjoint blocks at p = 3: a C30 cover realization on 0..29, whose
+        # rows walk their few candidates; predators 30..39 with two prey
+        # each, skipped; a lifted co-C11 cover realization on 40..50, where
+        # the full sets make every pair a candidate; a complete digraph on
+        # 51..55.  An instrumented copy walked rows 0..29 and 48..50,
+        # counted every vertex above 40..47 and 51..55, and skipped 30..39.
+        p = 3
+        arcs = {(x, j) for j, s in enumerate(cycle_cover(30, p).sets) for x in s}
+        arcs |= {(x, 30 + (x + i) % 10) for x in range(30, 40) for i in range(p - 1)}
+        lifted = lift_cover(complement_cycle_cover(11), p)
+        arcs |= {(40 + x, 40 + j) for j, s in enumerate(lifted.sets) for x in s}
+        arcs |= {(x, v) for x in range(51, 56) for v in range(51, 56)}
+        literal = literal_p_competition_edges(56, arcs, p)
+        assert p_competition_graph(Digraph(56, arcs), p) == Graph(56, literal)
+        assert {(x, x + 1) for x in range(51, 55)} <= literal  # rows counted from x + 1
 
     @pytest.mark.parametrize("n,arcs", [
         (1, []),
@@ -215,11 +193,9 @@ class TestPCompetitionGraph:
             for p in sorted({1, 2, n // 2, n - 3} & set(range(1, n - 2))):
                 f = cycle_cover(n, p)
                 arcs = {(x, j) for j, s in enumerate(f.sets) for x in s}
-                literal = literal_p_competition_edges(n, arcs, p)
-                for scan in (p_competition_graph, _all_pairs_scan, _prey_scan):
-                    back = scan(realize(f), p)
-                    assert back.edges == literal
-                    assert back == make_cycle(n)
+                back = p_competition_graph(realize(f), p)
+                assert back.edges == literal_p_competition_edges(n, arcs, p)
+                assert back == make_cycle(n)
 
     @given(digraphs(), st.integers(1, 4))
     def test_monotone_in_p(self, d, p):
