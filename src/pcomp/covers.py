@@ -172,14 +172,14 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
                 return Verdict(False, REASON_NONEDGE_IN_P_SETS, (u, v))
             m ^= low
     # with fewer than p sets every edge is short, so the least edge is named
-    short = REASON_FAMILY_SMALLER_THAN_P if len(f.sets) < p else REASON_UNCOVERED_EDGE
+    reason = REASON_FAMILY_SMALLER_THAN_P if len(f.sets) < p else REASON_UNCOVERED_EDGE
     for u, row in enumerate(rows):
         m = adj[u] & -(2 << u)  # neighbours above u
         while m:
             low = m & -m
             v = low.bit_length() - 1
             if (row & rows[v]).bit_count() < p:
-                return Verdict(False, short, (u, v))
+                return Verdict(False, reason, (u, v))
             m ^= low
     return Verdict(True)
 

@@ -564,8 +564,9 @@ class TestOptimizedInterpreter:
         (lift_cover(complement_cycle_cover(9), 2), complement(make_cycle(9)), 2),
     ], ids=["sparse-C200-p10", "dense-co-C9-p2"])
     def test_compete_under_O(self, tmp_path, f, g, p):
-        # the C200 realization takes the prey scan, the lifted co-C9 one,
-        # whose full set makes every pair a candidate, the all-pairs scan
+        # the C200 realization's rows walk their candidates; the lifted
+        # co-C9 one's, whose full set makes every pair a candidate, count
+        # every vertex above them
         d = tmp_path / "d.json"
         d.write_text(json.dumps(digraph_to_json_dict(realize(f))))
         res = run_optimized(["compete", d, "--p", p])

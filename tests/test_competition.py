@@ -173,8 +173,10 @@ class TestPCompetitionGraph:
         arcs |= {(40 + x, 40 + j) for j, s in enumerate(lifted.sets) for x in s}
         arcs |= {(x, v) for x in range(51, 56) for v in range(51, 56)}
         literal = literal_p_competition_edges(56, arcs, p)
+        # compared as masks, so a row that misses its lower neighbours fails
         assert p_competition_graph(Digraph(56, arcs), p) == Graph(56, literal)
-        assert {(x, x + 1) for x in range(51, 55)} <= literal  # rows counted from x + 1
+        # the complete block's looped rows each meet their next vertex
+        assert {(x, x + 1) for x in range(51, 55)} <= literal
 
     @pytest.mark.parametrize("n,arcs", [
         (1, []),
