@@ -63,6 +63,25 @@ def _counted_arcs(rng, n, p):
     return arcs
 
 
+def _predator_near_the_line(rng, n, p, extra):
+    """(x, arcs): predator x has p prey, so one ORed in-mask, and its
+    lowest prey v has a predators above x with 2a + 1 = n - x - 1 + extra,
+    so x's estimated walk cost lies extra away from the n - x - 1 vertices
+    above it.  Every other vertex draws prey at random, taking v only if
+    it is one of the a or lies below x, and preferring x's prey."""
+    x = rng.choice([x for x in range(n) if (n - x + extra) % 2 == 0 and n - x - 1 + extra >= 1])
+    a = (n - x - 2 + extra) // 2
+    v = rng.randrange(n - p + 1)
+    prey = {v, *rng.sample(range(v + 1, n), p - 1)}
+    on_v = {*rng.sample(range(x + 1, n), a), *(y for y in range(x) if rng.random() < 0.5)}
+    arcs = {(x, w) for w in prey}
+    for y in set(range(n)) - {x}:
+        arcs |= {(y, w) for w in range(n) if w != v and rng.random() < (0.6 if w in prey else 0.25)}
+        if y in on_v:
+            arcs.add((y, v))
+    return x, arcs
+
+
 class TestPreyFilter:
     """The candidate walk ORs the predator masks of only the lowest
     k - p + 1 prey of x (k: x's prey); predators with k - p at -1, 0 and
@@ -177,6 +196,22 @@ class TestPCompetitionGraph:
         assert p_competition_graph(Digraph(56, arcs), p) == Graph(56, literal)
         # the complete block's looped rows each meet their next vertex
         assert {(x, x + 1) for x in range(51, 55)} <= literal
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 24, 40])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_at_the_sparse_dense_threshold(self, n, extra):
+        # a predator x walks its candidates iff (k - p + 1)(2 above + 1)
+        # <= n - x - 1; x sits one below the line (walks), on it (walks)
+        # or one above it (counts every vertex above x)
+        for seed in range(5):
+            for p in range(1, 4):
+                x, arcs = _predator_near_the_line(random.Random(seed), n, p, extra)
+                prey = sorted(w for y, w in arcs if y == x)
+                above = sum(1 for y, w in arcs if w == prey[0] and y > x)
+                assert (len(prey) - p + 1) * (2 * above + 1) == n - x - 1 + extra
+                literal = literal_p_competition_edges(n, arcs, p)
+                # compared as masks, so a row that misses its lower neighbours fails
+                assert p_competition_graph(Digraph(n, arcs), p) == Graph(n, literal)
 
     @pytest.mark.parametrize("n,arcs", [
         (1, []),
