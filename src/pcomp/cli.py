@@ -11,9 +11,11 @@ Exit codes: 0 success / valid / positive decision, 1 invalid cover or
 negative decision, 2 input or parameter problems (unreadable, non-UTF-8,
 malformed or too deeply nested JSON files, integers past Python's digit
 limit or a vertex count above graphs.MAX_N in a file, --n or --p above it,
---order without --acyclic, no decision route), 3 infeasible parameters, an
-exceeded search guard or recursion limit, or any other pcomp error (a
-certificate the checks reject, or the two decision routes disagreeing).
+an --order that is no permutation of the cover's vertices, no decision
+route), 3 infeasible parameters (among them an --order that puts a member
+of set j at position j or later), an exceeded search guard or recursion
+limit, or any other pcomp error (a certificate the checks reject, or the
+two decision routes disagreeing).
 Every failure ends with a one-line `pcomp:` message on stderr, which names
 the file for an input error in a JSON file.
 """
@@ -45,7 +47,7 @@ from .graphs import (
     graph_to_json_dict,
     make_cycle,
 )
-from .oracle import exact_theta_e, exact_theta_e_p, is_p_competition
+from .oracle import METHODS, exact_theta_e, exact_theta_e_p, is_p_competition
 from .realization import excerpt, realize, realize_acyclic
 
 EXIT_OK = 0
@@ -64,6 +66,15 @@ def _emit(text: str, out: str | None) -> None:
 
 def _emit_json(obj: dict, out: str | None) -> None:
     _emit(json.dumps(obj, separators=(",", ":")), out)
+
+
+def _emit_format(args: argparse.Namespace, obj, to_dot, to_json_dict) -> int:
+    """obj as JSON, or as DOT under --format dot."""
+    if args.format == "dot":
+        _emit(to_dot(obj), args.out)
+    else:
+        _emit_json(to_json_dict(obj), args.out)
+    return EXIT_OK
 
 
 def _load_json(path: str, from_json_dict):
@@ -101,16 +112,12 @@ def _parse_span(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _parse_order(text: str, n: int) -> list[int]:
+def _parse_order(text: str) -> list[int]:
     try:
-        order = [int(tok) for tok in text.split(",")]
+        return [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise InvalidParameterError(
             f"bad order {excerpt(repr(text))}: {excerpt(str(exc))}") from exc
-    if len(order) != n:
-        raise InvalidParameterError(
-            f"order has {len(order)} entries, expected {n}")
-    return order
 
 
 def _family_graph(family: str, n: int):
@@ -123,12 +130,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     _check_limit("--n", args.n)
     if args.family == "co-cycle" and args.n < 5:
         raise InvalidParameterError(f"co-cycle generation requires n >= 5, got n={args.n}")
-    g = _family_graph(args.family, args.n)
-    if args.format == "dot":
-        _emit(graph_to_dot(g), args.out)
-    else:
-        _emit_json(graph_to_json_dict(g), args.out)
-    return EXIT_OK
+    return _emit_format(args, _family_graph(args.family, args.n), graph_to_dot, graph_to_json_dict)
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
@@ -156,29 +158,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_realize(args: argparse.Namespace) -> int:
     f = _load_json(args.cover, cover_from_json_dict)
-    if args.acyclic:
-        if args.order is None:
-            raise InvalidParameterError("realize --acyclic requires --order")
-        d = realize_acyclic(f, _parse_order(args.order, f.n))
-    elif args.order is not None:
-        raise InvalidParameterError("realize --order needs --acyclic")
-    else:
-        d = realize(f)
-    if args.format == "dot":
-        _emit(digraph_to_dot(d), args.out)
-    else:
-        _emit_json(digraph_to_json_dict(d), args.out)
-    return EXIT_OK
+    d = realize(f) if args.order is None else realize_acyclic(f, _parse_order(args.order))
+    return _emit_format(args, d, digraph_to_dot, digraph_to_json_dict)
 
 
 def cmd_compete(args: argparse.Namespace) -> int:
     d = _load_json(args.digraph, digraph_from_json_dict)
-    g = p_competition_graph(d, args.p)
-    if args.format == "dot":
-        _emit(graph_to_dot(g), args.out)
-    else:
-        _emit_json(graph_to_json_dict(g), args.out)
-    return EXIT_OK
+    return _emit_format(args, p_competition_graph(d, args.p), graph_to_dot, graph_to_json_dict)
 
 
 def cmd_theta_e(args: argparse.Namespace) -> int:
@@ -207,10 +193,6 @@ def cmd_survey(args: argparse.Namespace) -> int:
     _check_limit("--n", n_hi)
     p_lo, p_hi = _parse_span(args.p)
     _check_limit("--p", p_hi)
-    if n_lo < 3:
-        raise InvalidParameterError(f"survey requires n >= 3, got {n_lo}")
-    if p_lo < 1:
-        raise InvalidParameterError(f"survey requires p >= 1, got {p_lo}")
     lines = ["n\tp\tdecision\tmethod\tcover_size\tagree"]
     for n in range(n_lo, n_hi + 1):
         g = _family_graph(args.family, n)
@@ -259,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     real = sub.add_parser("realize", help="build the digraph realizing a cover")
     real.add_argument("cover")
-    real.add_argument("--acyclic", action="store_true")
-    real.add_argument("--order", help="comma-separated vertex permutation (with --acyclic)")
+    real.add_argument("--order", help="comma-separated vertex permutation: build the acyclic "
+                      "realization, with set j's prey at order[j]")
     real.add_argument("--format", choices=["json", "dot"], default="json")
     real.add_argument("--out")
     real.set_defaults(func=cmd_realize)
@@ -291,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     decide = sub.add_parser("decide", help="is the graph a p-competition graph?")
     decide.add_argument("graph")
     decide.add_argument("--p", type=int, required=True)
-    decide.add_argument("--method", choices=["auto", "construct", "oracle", "both"],
-                        default="auto")
+    decide.add_argument("--method", choices=METHODS, default="auto")
     decide.add_argument("--guard", type=int, default=8)
     decide.add_argument("--out")
     decide.set_defaults(func=cmd_decide)
@@ -320,7 +301,3 @@ def main(argv: list[str] | None = None) -> int:
     except PcompError as exc:
         print(f"pcomp: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

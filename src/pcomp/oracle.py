@@ -470,6 +470,9 @@ def _constructive_decision(g: Graph, p: int) -> Decision | None:
     return None
 
 
+METHODS = ("auto", "construct", "oracle", "both")  # the routes is_p_competition takes
+
+
 def is_p_competition(g: Graph, p: int, method: str = "auto",
                      guard: int = 8) -> Decision:
     """Is g the p-competition graph of some digraph?
@@ -483,7 +486,7 @@ def is_p_competition(g: Graph, p: int, method: str = "auto",
     """
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")
-    if method not in ("auto", "construct", "oracle", "both"):
+    if method not in METHODS:
         raise InvalidParameterError(f"unknown method {method!r}")
     _check_guard(guard)
 

@@ -50,6 +50,8 @@ def excerpt(text: str) -> str:
 
 def _position_map(order: Sequence[int], n: int) -> dict[int, int]:
     order = list(order)
+    if len(order) != n:
+        raise InvalidParameterError(f"order has {len(order)} entries, expected {n}")
     if sorted(order) != list(range(n)):
         raise InvalidParameterError(
             f"order must be a permutation of 0..{n - 1}, got {excerpt(str(order))}")

@@ -1,5 +1,6 @@
 import inspect
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from pcomp.cli import build_parser
 from pcomp.graphs import MAX_N
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_optimized(argv):
@@ -163,11 +165,27 @@ class TestPipeline:
         assert g.read_text() == g2.read_text()
 
 
+def test_readme_tour_exits_0(tmp_path):
+    # the sh block under "## CLI tour", line by line in one directory: pcomp
+    # lines through cli.main, the others (writing an input file) through sh
+    tour = README.read_text(encoding="utf-8").split("## CLI tour", 1)[1]
+    lines = [line for line in tour.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+             if line.strip()]
+    assert sum(line.startswith("pcomp realize") for line in lines) == 2, lines
+    for line in lines:
+        if line.startswith("pcomp "):
+            code, _, err = run_main(shlex.split(line, comments=True)[1:], cwd=tmp_path)
+        else:
+            res = subprocess.run(["sh", "-c", line], cwd=tmp_path, capture_output=True, text=True)
+            code, err = res.returncode, res.stderr
+        assert code == 0, (line, err)
+
+
 class TestRealizeCommand:
     def test_acyclic_with_order(self, tmp_path):
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"n": 3, "sets": [[], [0], [0, 1]]}))
-        res = run_main(["realize", f, "--acyclic", "--order", "0,1,2"])
+        res = run_main(["realize", f, "--order", "0,1,2"])
         assert res.returncode == 0
         arcs = {tuple(a) for a in json.loads(res.stdout)["arcs"]}
         assert arcs == {(0, 1), (0, 2), (1, 2)}
@@ -175,24 +193,20 @@ class TestRealizeCommand:
     def test_acyclic_violation_exits_3(self, tmp_path):
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"n": 3, "sets": [[0], [1], [2]]}))
-        assert run_main(["realize", f, "--acyclic", "--order", "0,1,2"]).returncode == 3
-
-    def test_acyclic_without_order_exits_2(self, tmp_path):
-        f = tmp_path / "f.json"
-        f.write_text(json.dumps({"n": 3, "sets": [[], [], []]}))
-        assert run_main(["realize", f, "--acyclic"]).returncode == 2
+        assert run_main(["realize", f, "--order", "0,1,2"]).returncode == 3
 
     def test_too_many_sets_exits_3(self, tmp_path):
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"n": 2, "sets": [[0], [1], [0, 1]]}))
         assert run_main(["realize", f]).returncode == 3
 
-    def test_order_without_acyclic_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("order,entries", [("9,9", 2), ("0,1,2,0", 4)])
+    def test_wrong_length_order_exits_2(self, tmp_path, order, entries):
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"n": 3, "sets": [[], [0], [0, 1]]}))
-        code, out, err = run_main(["realize", f, "--order", "9,9"])
+        code, out, err = run_main(["realize", f, "--order", order])
         assert code == 2
-        assert out == "" and err == "pcomp: realize --order needs --acyclic\n"
+        assert out == "" and err == f"pcomp: order has {entries} entries, expected 3\n"
 
     @pytest.mark.parametrize("bad", ["149", "x", "9" * 5000, "x" * 1000])
     def test_long_order_error_line_stays_short(self, tmp_path, bad):
@@ -201,7 +215,7 @@ class TestRealizeCommand:
         f.write_text(json.dumps({"n": 300, "sets": [[j - 1] if j else [] for j in range(300)]}))
         order = [str(v) for v in range(300)]
         order[150] = bad
-        code, out, err = run_main(["realize", f, "--acyclic", "--order", ",".join(order)])
+        code, out, err = run_main(["realize", f, "--order", ",".join(order)])
         assert code == 2
         assert out == "" and err.startswith("pcomp: ") and err.count("\n") == 1
         assert len(err.encode()) < 200, err
@@ -529,6 +543,16 @@ class TestSurvey:
 
     def test_bad_range_exits_2(self):
         assert run_main(["survey", "cycle", "--n", "9..4", "--p", "1"]).returncode == 2
+
+    @pytest.mark.parametrize("n,p,message", [
+        ("2..5", "1", "a cycle requires n >= 3, got n=2"),
+        ("4..5", "0..1", "need p >= 1, got p=0"),
+    ])
+    def test_library_refuses_small_n_and_p(self, n, p, message):
+        # the survey checks neither itself: make_cycle and is_p_competition do
+        code, out, err = run_main(["survey", "cycle", "--n", n, "--p", p])
+        assert code == 2
+        assert out == "" and err == f"pcomp: {message}\n"
 
 
 class TestOptimizedInterpreter:

@@ -142,8 +142,7 @@ def argv_for(command, files, data):
     if command == "realize":
         order = st.permutations(range(6)) | st.lists(SMALL, max_size=7)
         orders = order.map(lambda o: ",".join(map(str, o))) | TOKENS
-        return [file_arg(files, data, "cover"), *draw(st.sampled_from([[], ["--acyclic"]])),
-                *draw(option("--order", orders)), *draw(fmt)]
+        return [file_arg(files, data, "cover"), *draw(option("--order", orders)), *draw(fmt)]
     if command == "compete":
         return [file_arg(files, data, "digraph"), *required(data, "--p", WIDE), *draw(fmt)]
     if command == "theta-e":
@@ -199,7 +198,7 @@ def test_long_orders_exit_cleanly(files, n, kind, shuffle, rng, data):
         order[i] = order[k + (k >= i)]
     elif kind == "missing":
         del order[data.draw(st.integers(0, n - 1))]
-    code, _, err = run_main(["realize", str(cover), "--acyclic", "--order", ",".join(map(str, order))])
+    code, _, err = run_main(["realize", str(cover), "--order", ",".join(map(str, order))])
     if sorted(order) == list(range(n)):
         want = 0 if order == list(range(n)) else 3
     else:

@@ -119,14 +119,14 @@ def cli_vectors() -> list[list[str]]:
         ["verify", "missing.json", "c6p2.json", "--p", "2"],
         ["realize", "c6p2.json"],
         ["realize", "co-c9p2.json", "--format", "dot"],
-        ["realize", "chain6.json", "--acyclic", "--order", "0,1,2,3,4,5"],
-        ["realize", "chain6.json", "--acyclic", "--order", "1,0,2,3,4,5"],
-        ["realize", "chain6.json", "--acyclic", "--order", "0,1,2"],
-        ["realize", "chain6.json", "--acyclic", "--order", "0,1,x,3,4,5"],
-        ["realize", "chain6.json", "--acyclic"],
+        ["realize", "chain6.json", "--order", "0,1,2,3,4,5"],
+        ["realize", "chain6.json", "--order", "1,0,2,3,4,5"],
+        ["realize", "chain6.json", "--order", "0,1,2"],
+        ["realize", "chain6.json", "--order", "0,1,x,3,4,5"],
+        ["realize", "chain6.json"],
         ["realize", "c6p2.json", "--order", "9,9"],
-        ["realize", "chain300.json", "--acyclic", "--order", long_order("149")],
-        ["realize", "chain300.json", "--acyclic", "--order", long_order("x")],
+        ["realize", "chain300.json", "--order", long_order("149")],
+        ["realize", "chain300.json", "--order", long_order("x")],
         ["compete", "d6.json", "--p", "2"],
         ["compete", "d6.json", "--p", "1", "--format", "dot"],
         ["compete", "dco9.json", "--p", "2"],

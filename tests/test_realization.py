@@ -135,7 +135,7 @@ class TestAcyclicOrdering:
         f = CliqueCover(3, [(), (), ()])
         with pytest.raises(InvalidParameterError):
             satisfies_acyclic_ordering(f, [0, 1, 1])
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="order has 2 entries, expected 3"):
             satisfies_acyclic_ordering(f, [0, 1])
 
     def test_wrong_family_size_rejected(self):
