@@ -2,7 +2,9 @@
 
 Subcommands: gen, cover, verify, realize, compete, theta-e, theta-e-p,
 decide, survey.  Objects travel as JSON (optionally DOT for graphs and
-digraphs), survey tables as TSV.
+digraphs), survey tables as TSV.  Each subcommand returns its text and exit
+code, and `main` alone writes that text to --out or stdout, so a command that
+fails leaves both untouched.
 
 `decide` and `survey` both ask oracle.is_p_competition and only format
 its Decision: a survey cell is `decide --method both`, else `skipped`.
@@ -56,25 +58,13 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _json(obj: dict) -> str:
+    return json.dumps(obj, separators=(",", ":"))
 
 
-def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(obj, separators=(",", ":")), out)
-
-
-def _emit_format(args: argparse.Namespace, obj, to_dot, to_json_dict) -> int:
-    """obj as JSON, or as DOT under --format dot."""
-    if args.format == "dot":
-        _emit(to_dot(obj), args.out)
-    else:
-        _emit_json(to_json_dict(obj), args.out)
-    return EXIT_OK
+def _format(args: argparse.Namespace, obj, to_dot, to_json_dict) -> str:
+    """obj as DOT under --format dot, else as JSON."""
+    return to_dot(obj) if args.format == "dot" else _json(to_json_dict(obj))
 
 
 def _load_json(path: str, from_json_dict):
@@ -93,9 +83,9 @@ def _load_json(path: str, from_json_dict):
         raise InvalidParameterError(f"{path}: {exc}") from exc
 
 
-def _check_limit(option: str, value: int | None) -> None:
+def _check_limit(option: str, value: int) -> None:
     """Refuse --n or --p above MAX_N before anything of that size exists."""
-    if value is not None and value > MAX_N:
+    if value > MAX_N:
         raise InvalidParameterError(f"{option} {value} is above the limit {MAX_N}")
 
 
@@ -126,69 +116,59 @@ def _family_graph(family: str, n: int):
     return complement(make_cycle(n))
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
     _check_limit("--n", args.n)
-    if args.family == "co-cycle" and args.n < 5:
-        raise InvalidParameterError(f"co-cycle generation requires n >= 5, got n={args.n}")
-    return _emit_format(args, _family_graph(args.family, args.n), graph_to_dot, graph_to_json_dict)
+    g = _family_graph(args.family, args.n)
+    return _format(args, g, graph_to_dot, graph_to_json_dict), EXIT_OK
 
 
-def cmd_cover(args: argparse.Namespace) -> int:
+def cmd_cover(args: argparse.Namespace) -> tuple[str, int]:
     _check_limit("--n", args.n)
     _check_limit("--p", args.p)
     if args.family == "cycle":
-        if args.p is None:
-            raise InvalidParameterError("cover cycle requires --p")
         f = cycle_cover(args.n, args.p)
     else:
-        f = complement_cycle_cover(args.n)
-        if args.p is not None:
-            f = lift_cover(f, args.p)
-    _emit_json(cover_to_json_dict(f), args.out)
-    return EXIT_OK
+        f = lift_cover(complement_cycle_cover(args.n), args.p)
+    return _json(cover_to_json_dict(f)), EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_json(args.graph, graph_from_json_dict)
     f = _load_json(args.cover, cover_from_json_dict)
     verdict = verify_p_ecc(g, f, args.p)
-    _emit_json(verdict.to_json_dict(), args.out)
-    return EXIT_OK if verdict.valid else EXIT_INVALID
+    return _json(verdict.to_json_dict()), EXIT_OK if verdict.valid else EXIT_INVALID
 
 
-def cmd_realize(args: argparse.Namespace) -> int:
+def cmd_realize(args: argparse.Namespace) -> tuple[str, int]:
     f = _load_json(args.cover, cover_from_json_dict)
     d = realize(f) if args.order is None else realize_acyclic(f, _parse_order(args.order))
-    return _emit_format(args, d, digraph_to_dot, digraph_to_json_dict)
+    return _format(args, d, digraph_to_dot, digraph_to_json_dict), EXIT_OK
 
 
-def cmd_compete(args: argparse.Namespace) -> int:
+def cmd_compete(args: argparse.Namespace) -> tuple[str, int]:
     d = _load_json(args.digraph, digraph_from_json_dict)
-    return _emit_format(args, p_competition_graph(d, args.p), graph_to_dot, graph_to_json_dict)
+    return _format(args, p_competition_graph(d, args.p), graph_to_dot, graph_to_json_dict), EXIT_OK
 
 
-def cmd_theta_e(args: argparse.Namespace) -> int:
+def cmd_theta_e(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_json(args.graph, graph_from_json_dict)
     result = exact_theta_e(g, upper=args.upper, guard=args.guard)
-    _emit_json(result.to_json_dict(), args.out)
-    return EXIT_OK
+    return _json(result.to_json_dict()), EXIT_OK
 
 
-def cmd_theta_e_p(args: argparse.Namespace) -> int:
+def cmd_theta_e_p(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_json(args.graph, graph_from_json_dict)
     result = exact_theta_e_p(g, args.p, args.budget, guard=args.guard)
-    _emit_json(result.to_json_dict(), args.out)
-    return EXIT_OK
+    return _json(result.to_json_dict()), EXIT_OK
 
 
-def cmd_decide(args: argparse.Namespace) -> int:
+def cmd_decide(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_json(args.graph, graph_from_json_dict)
     decision = is_p_competition(g, args.p, method=args.method, guard=args.guard)
-    _emit_json(decision.to_json_dict(), args.out)
-    return EXIT_OK if decision.value else EXIT_INVALID
+    return _json(decision.to_json_dict()), EXIT_OK if decision.value else EXIT_INVALID
 
 
-def cmd_survey(args: argparse.Namespace) -> int:
+def cmd_survey(args: argparse.Namespace) -> tuple[str, int]:
     n_lo, n_hi = _parse_span(args.n)
     _check_limit("--n", n_hi)
     p_lo, p_hi = _parse_span(args.p)
@@ -206,8 +186,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
                 agree = "yes" if d.method == "both" else "-"
                 cells = f"{'yes' if d.value else 'no'}\t{d.method}\t{size}\t{agree}"
             lines.append(f"{n}\t{p}\t{cells}")
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    return "\n".join(lines), EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     cover = sub.add_parser("cover", help="emit a cover family for a cycle or its complement")
     cover.add_argument("family", choices=["cycle", "co-cycle"])
     cover.add_argument("--n", type=int, required=True)
-    cover.add_argument("--p", type=int)
+    cover.add_argument("--p", type=int, default=1)
     cover.add_argument("--out")
     cover.set_defaults(func=cmd_cover)
 
@@ -291,10 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text + "\n")
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        return code
     except (InvalidParameterError, UnsupportedInstanceError, OSError) as exc:
         print(f"pcomp: {exc}", file=sys.stderr)
         return EXIT_INPUT

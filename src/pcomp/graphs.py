@@ -68,6 +68,13 @@ def _sharers(row: int, masks: list[int], p: int) -> int:
     return near
 
 
+def _vertex(v: int, n: int) -> int:
+    """v, checked to be one of the vertices 0..n-1."""
+    if not 0 <= v < n:
+        raise InvalidParameterError(f"vertex {v} out of range for n={n}")
+    return v
+
+
 def _edge_pairs(adj: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """Edges (u, v) with u < v read off adjacency masks, in ascending order."""
     return ((u, v) for u, a in enumerate(adj) for v in iter_bits(a & -(2 << u)))
@@ -117,10 +124,12 @@ class Graph:
         return frozenset(_edge_pairs(self._adj))
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise InvalidParameterError(f"vertices ({u},{v}) out of range for n={self.n}")
         return u != v and bool(self._adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self._adj[_vertex(v, self.n)].bit_count()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -176,10 +185,10 @@ class Digraph:
 
     def out_mask(self, x: int) -> int:
         """Bitmask of prey of x (bit v set iff (x, v) is an arc)."""
-        return self._out[x]
+        return self._out[_vertex(x, self.n)]
 
     def out_degree(self, x: int) -> int:
-        return self._out[x].bit_count()
+        return self.out_mask(x).bit_count()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
@@ -212,10 +221,7 @@ def is_clique(g: Graph, members: Iterable[int]) -> bool:
     The empty set and singletons count as cliques.
     """
     vs = sorted(set(members))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise InvalidParameterError(f"vertex {v} out of range for n={g.n}")
-    mask = sum(1 << v for v in vs)
+    mask = sum(1 << _vertex(v, g.n) for v in vs)
     # v's neighbours hold every other member
     return all(mask & ~g._adj[v] == 1 << v for v in vs)
 

@@ -52,7 +52,7 @@ def _position_map(order: Sequence[int], n: int) -> dict[int, int]:
     order = list(order)
     if len(order) != n:
         raise InvalidParameterError(f"order has {len(order)} entries, expected {n}")
-    if sorted(order) != list(range(n)):
+    if any(type(v) is not int for v in order) or sorted(order) != list(range(n)):
         raise InvalidParameterError(
             f"order must be a permutation of 0..{n - 1}, got {excerpt(str(order))}")
     return {v: i for i, v in enumerate(order)}

@@ -3,9 +3,10 @@
 Each entry names a source file, an exact old text that occurs once in it,
 the new text that replaces it, the tests to run, and whether the mutant is
 equivalent (changes speed or nothing at all, so no test can kill it).  For
-each mutant the runner copies src/, tests/ and pyproject.toml to a fresh
-temporary directory, applies the mutant there and runs only its tests with
-pytest, stopping at the first failure.  The working tree is never touched.
+each mutant the runner copies src/, tests/, pyproject.toml and README.md
+(whose CLI tour a test runs) to a fresh temporary directory, applies the
+mutant there and runs only its tests with pytest, stopping at the first
+failure.  The working tree is never touched.
 
     python tests/mutants/run.py            # every mutant
     python tests/mutants/run.py NAME ...   # the named mutants
@@ -43,7 +44,8 @@ def run_one(mutant: dict) -> str:
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         shutil.copytree(ROOT / "src", work / "src", ignore=skip)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=skip)
-        shutil.copy2(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, work)
         target = work / mutant["file"]
         text = target.read_text(encoding="utf-8")
         if text.count(mutant["old"]) != 1:

@@ -57,8 +57,12 @@ class TestGen:
         assert res.returncode == 2
         assert res.stderr.strip()
 
-    def test_co_cycle_below_5_exits_2(self):
-        assert run_main(["gen", "co-cycle", "--n", 4]).returncode == 2
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_small_co_cycles(self, n):
+        # co-C3 is edgeless and co-C4 a perfect matching; survey builds them too
+        code, out, err = run_main(["gen", "co-cycle", "--n", n])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == graph_to_json_dict(complement(make_cycle(n)))
 
     def test_dot_format(self):
         res = run_main(["gen", "cycle", "--n", 4, "--format", "dot"])
@@ -91,8 +95,11 @@ class TestCover:
         assert res.returncode == 3
         assert "n >= p+3" in res.stderr
 
-    def test_cycle_without_p_exits_2(self):
-        assert run_main(["cover", "cycle", "--n", 5]).returncode == 2
+    @pytest.mark.parametrize("family,n", [("cycle", 8), ("co-cycle", 9)])
+    def test_p_defaults_to_1(self, family, n):
+        plain = run_main(["cover", family, "--n", n])
+        assert plain == run_main(["cover", family, "--n", n, "--p", 1])
+        assert plain.returncode == 0 and plain.stderr == ""
 
     @pytest.mark.parametrize("n,code,message", [
         (-2, 2, "pcomp: a cycle requires n >= 3, got n=-2"),
@@ -163,6 +170,64 @@ class TestPipeline:
         assert run_main(["realize", f, "--out", d]).returncode == 0
         assert run_main(["compete", d, "--p", 5, "--out", g2]).returncode == 0
         assert g.read_text() == g2.read_text()
+
+
+class TestSingleWriter:
+    """main writes every command's text: --out FILE holds exactly what
+    stdout would, and a command that fails writes nothing."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        files = {
+            "g.json": graph_to_json_dict(make_cycle(8)),
+            "f.json": cover_to_json_dict(cycle_cover(8, 3)),
+            "d.json": digraph_to_json_dict(realize(cycle_cover(8, 3))),
+            "c4.json": graph_to_json_dict(make_cycle(4)),
+            "bad.json": {"n": 4, "sets": [[0, 1], [0, 1], [0, 1], [0, 1]]},
+        }
+        for name, data in files.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv,code", [
+        (["gen", "co-cycle", "--n", "6", "--format", "dot"], 0),
+        (["cover", "co-cycle", "--n", "9", "--p", "2"], 0),
+        (["verify", "g.json", "f.json", "--p", "3"], 0),
+        (["verify", "c4.json", "bad.json", "--p", "2"], 1),
+        (["realize", "f.json", "--format", "dot"], 0),
+        (["compete", "d.json", "--p", "3"], 0),
+        (["theta-e", "g.json"], 0),
+        (["theta-e-p", "c4.json", "--p", "2"], 0),
+        (["decide", "g.json", "--p", "3"], 0),
+        (["decide", "c4.json", "--p", "2"], 1),
+        (["survey", "co-cycle", "--n", "5..6", "--p", "1..2"], 0),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
+    def test_out_file_holds_the_stdout_bytes(self, inputs, argv, code):
+        plain = run_main(argv, cwd=inputs)
+        assert (plain.returncode, plain.stderr) == (code, "")
+        assert plain.stdout.endswith("\n")
+        written = run_main([*argv, "--out", "out.txt"], cwd=inputs)
+        assert written == (code, "", "")
+        assert (inputs / "out.txt").read_bytes() == plain.stdout.encode("utf-8")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["gen", "cycle", "--n", "2"], 2),
+        (["cover", "cycle", "--n", "5", "--p", "3"], 3),
+        (["verify", "g.json", "missing.json", "--p", "1"], 2),
+        (["realize", "f.json", "--order", "1,0,2,3,4,5,6,7"], 3),
+        (["theta-e", "g.json", "--guard", "4"], 3),
+        (["survey", "cycle", "--n", "2..5", "--p", "1"], 2),
+    ])
+    def test_failing_command_writes_no_file(self, inputs, argv, code):
+        res = run_main([*argv, "--out", "out.txt"], cwd=inputs)
+        assert res.returncode == code and res.stdout == ""
+        assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
+        assert not (inputs / "out.txt").exists()
+
+    def test_unwritable_out_exits_2(self, inputs):
+        res = run_main(["gen", "cycle", "--n", "5", "--out", str(inputs)], cwd=inputs)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("pcomp: ") and res.stderr.count("\n") == 1
 
 
 def test_readme_tour_exits_0(tmp_path):

@@ -144,6 +144,30 @@ class TestIsClique:
         assert is_clique(g, members) == expected
 
 
+class TestAccessors:
+    """Per-vertex reads refuse a vertex outside 0..n-1 instead of indexing
+    the masks with it (where -1 would read vertex n - 1)."""
+
+    @pytest.mark.parametrize("bad", [-1, 5, 6])
+    def test_graph_accessors(self, bad):
+        g = make_cycle(5)
+        assert g.has_edge(0, 4) and not g.has_edge(0, 2) and g.degree(4) == 2
+        for u, v in [(bad, 0), (0, bad)]:
+            with pytest.raises(InvalidParameterError,
+                               match=rf"^vertices \({u},{v}\) out of range for n=5$"):
+                g.has_edge(u, v)
+        with pytest.raises(InvalidParameterError, match=rf"^vertex {bad} out of range for n=5$"):
+            g.degree(bad)
+
+    @pytest.mark.parametrize("bad", [-1, 3, 4])
+    @pytest.mark.parametrize("accessor", ["out_mask", "out_degree"])
+    def test_digraph_accessors(self, accessor, bad):
+        d = Digraph(3, [(0, 1), (2, 1)])
+        assert d.out_mask(2) == 0b10 and d.out_degree(2) == 1
+        with pytest.raises(InvalidParameterError, match=rf"^vertex {bad} out of range for n=3$"):
+            getattr(d, accessor)(bad)
+
+
 class TestEquality:
     def test_equal_cycles(self):
         assert make_cycle(5) == make_cycle(5)

@@ -142,6 +142,14 @@ class TestAcyclicOrdering:
         with pytest.raises(InvalidParameterError):
             satisfies_acyclic_ordering(CliqueCover(3, [(0,)]), [0, 1, 2])
 
+    @pytest.mark.parametrize("order", [[0.0, 1, 2], [0, "a", 2], [True, 0, 2]],
+                             ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("check", [satisfies_acyclic_ordering, realize_acyclic])
+    def test_non_int_entries_rejected(self, check, order):
+        # 0.0 and True compare equal to 0 and 1, and 'a' does not compare at all
+        with pytest.raises(InvalidParameterError, match="must be a permutation of 0..2"):
+            check(CliqueCover(3, [(), (0,), (0, 1)]), order)
+
 
 class TestRealizeAcyclic:
     def test_identity_example(self):
