@@ -69,7 +69,9 @@ def _sharers(row: int, masks: list[int], p: int) -> int:
 
 
 def _vertex(v: int, n: int) -> int:
-    """v, checked to be one of the vertices 0..n-1."""
+    """v, checked to be an int (not a bool) among the vertices 0..n-1."""
+    if type(v) is not int:
+        raise InvalidParameterError(f"vertex {v!r} is not an integer")
     if not 0 <= v < n:
         raise InvalidParameterError(f"vertex {v} out of range for n={n}")
     return v
@@ -124,6 +126,8 @@ class Graph:
         return frozenset(_edge_pairs(self._adj))
 
     def has_edge(self, u: int, v: int) -> bool:
+        if type(u) is not int or type(v) is not int:
+            raise InvalidParameterError(f"vertices ({u!r},{v!r}) are not both integers")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise InvalidParameterError(f"vertices ({u},{v}) out of range for n={self.n}")
         return u != v and bool(self._adj[u] >> v & 1)
@@ -220,8 +224,8 @@ def is_clique(g: Graph, members: Iterable[int]) -> bool:
 
     The empty set and singletons count as cliques.
     """
-    vs = sorted(set(members))
-    mask = sum(1 << _vertex(v, g.n) for v in vs)
+    vs = {_vertex(v, g.n) for v in members}
+    mask = sum(1 << v for v in vs)
     # v's neighbours hold every other member
     return all(mask & ~g._adj[v] == 1 << v for v in vs)
 

@@ -33,24 +33,45 @@ partial families visited.
 The row search builds the n x r incidence matrix of the cover one vertex
 at a time, in ascending order.  Vertex v takes an r-bit row, the sets
 that hold it, which is its out-mask in realize.  A pair lies in
-(row_u & row_v).bit_count() sets, so every later vertex keeps the rows it
-may still take as one 2^r-bit domain, and each placed row narrows the
-domains of the later vertices to rows sharing at least p bits with it
-across an edge and fewer than p across a nonedge; an empty domain prunes.
-Columns are kept nonincreasing read from vertex 0 down: while columns
-j - 1 and j agree on every placed row, a row may not set j without j - 1
-(the column half of the double-lex order of Flener et al., CP 2002).  So
-a vertex tries only its domain masked by the tie mask of the columns
-still tied, the 2^r-bit mask of the rows that keep this rule, and it
-tries them in ascending order.  The certificate is thus canonical: of
-the covers of r sets with nonincreasing columns, the one whose rows, read
-as integers from vertex 0 on, form the least sequence.  Its sets are the
-columns in order, built only when a round finds a cover.  ``nodes``
-counts the rows placed.  A round at r sets reads, for each row it places,
-the 2^r-bit mask of the rows meeting it in at least p bits, and for each
-set of tied columns it meets, that set's tie mask.  _meets(r, p) builds
-each row's mask, and _ties(r) each tie mask, on first use, and both keep
-them for the life of the process.  The guard caps both n and r.
+(row_u & row_v).bit_count() sets.  Rows are drawn from the universe
+U(r, p): row 0 and the rows with at least p bits, in ascending order.
+Every later vertex keeps the rows it may still take as one |U|-bit domain
+over U's indices, and each placed row narrows the domains of the later
+vertices to rows sharing at least p bits with it across an edge and fewer
+than p across a nonedge; an empty domain prunes.  Columns are kept
+nonincreasing read from vertex 0 down: while columns j - 1 and j agree on
+every placed row, a row may not set j without j - 1 (the column half of
+the double-lex order of Flener et al., CP 2002).  So a vertex tries only
+its domain masked by the tie mask of the columns still tied, the mask of
+the rows that keep this rule, and it tries them in ascending order.  The
+certificate is thus canonical: of the covers of r sets with nonincreasing
+columns, the one whose rows, read as integers from vertex 0 on, form the
+least sequence.  Its sets are the columns in order, built only when a
+round finds a cover.  ``nodes`` counts the rows placed.
+
+The universe leaves the cover found as it is.  A vertex with an edge
+shares p sets with that neighbour, so its row has at least p bits.  A row
+of fewer (row 0 among them) empties the domain of a later neighbour at
+once, and lies outside the domain of a vertex whose neighbour was placed
+before it.  An isolated vertex always has row 0 in its domain and tries
+it first, and row 0 narrows no domain and keeps every column tie.  If any
+row completes the cover there, row 0 does too: giving the vertex row 0
+keeps a p-cover, and re-sorting the columns within each run of columns
+tied on the rows placed before it restores the column order without
+moving those rows.  So every row outside U that a search over all 2^r
+rows tries fails, and the search over U places the same rows in the same
+order, less those, and finds the same cover.
+
+A placed row narrows the later domains one at a time and is dropped at
+the first that empties.  Before them all it tests the later vertex whose
+domain emptied last at this depth (one offset per depth, kept across rows
+and rounds).  A row is kept iff no later domain empties, whatever order
+they are tested in, so this order changes neither the rows placed nor
+the cover found.
+
+_tables(r, p) holds U, and builds each row's meet mask (the rows meeting
+it in at least p bits) and each tie mask on first use; it keeps all three
+for the life of the process.  The guard caps both n and r.
 
 is_p_competition combines the constructive route (cycle and cycle-
 complement covers plus lifting) with the exhaustive route (a graph on n
@@ -66,6 +87,7 @@ Python's recursion limit, which it leaves alone, raises ScaleError too.
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations
 from typing import NamedTuple
 
 from .competition import p_competition_graph
@@ -318,56 +340,51 @@ def _clique_rounds(g: Graph, p: int, guard: int):
     return solve
 
 
-def _column(full: int, j: int) -> int:
-    """The rows y < 2^r, as one 2^r-bit mask (full), that hold column j: 2^j
-    zeros then 2^j ones, repeated."""
-    return full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+class _Lazy(dict):
+    """A mapping that builds each value with build(key) the first time the
+    key is read, and then keeps it."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = value = self.build(key)
+        return value
 
 
-class _Meets(dict):
-    """meets[x]: the rows y < 2^r, as one 2^r-bit mask, with (x & y).bit_count() >= p,
-    built the first time it is read and then kept."""
+@cache
+def _tables(r: int, p: int) -> tuple[list[int], _Lazy, _Lazy]:
+    """The row search's tables for r sets and p, one per process.
 
-    def __init__(self, r: int, p: int):
-        self.r, self.p = r, p
+    universe: U(r, p), row 0 and the r-bit rows with at least p bits, in
+    ascending order; index i stands for row universe[i], and every mask is
+    a |U|-bit mask over these indices.  meets[i]: the indices k with
+    (universe[i] & universe[k]).bit_count() >= p.  ties[tied]: the indices
+    of the rows that set no column j in tied without column j - 1 (tied
+    never holds column 0).
+    """
+    universe = [0, *sorted(sum(1 << j for j in c) for k in range(p, r + 1)
+                           for c in combinations(range(r), k))]
+    full = (1 << len(universe)) - 1
+    # columns[j]: the indices of the rows holding column j
+    bits = [format(x, f"0{r}b") for x in universe]
+    columns = [int("".join(c)[::-1], 2) for c in zip(*bits)][::-1]
 
-    def __missing__(self, x: int) -> int:
-        full = (1 << (1 << self.r)) - 1
-        # at_least[k]: the rows holding at least k of the columns of x seen so far
-        at_least = [full] + [0] * self.p
-        for j in iter_bits(x):
-            column = _column(full, j)
-            at_least = [full] + [low | high & column for low, high in zip(at_least[1:], at_least)]
-        self[x] = mask = at_least[self.p]
-        return mask
+    def meet(i: int) -> int:
+        # at_least[k]: the rows holding at least k of the columns of row i seen so far
+        at_least = [full] + [0] * p
+        for j in iter_bits(universe[i]):
+            at_least = [full] + [low | high & columns[j]
+                                 for low, high in zip(at_least[1:], at_least)]
+        return at_least[p]
 
-
-class _Ties(dict):
-    """ties[tied]: the rows x < 2^r, as one 2^r-bit mask, that set no column j
-    in tied without column j - 1 (tied never holds column 0), built the first
-    time it is read and then kept."""
-
-    def __init__(self, r: int):
-        self.r = r
-
-    def __missing__(self, tied: int) -> int:
-        full = mask = (1 << (1 << self.r)) - 1
+    def tie(tied: int) -> int:
+        mask = full
         for j in iter_bits(tied):
-            mask &= ~(_column(full, j) & ~_column(full, j - 1))
-        self[tied] = mask
+            mask &= ~(columns[j] & ~columns[j - 1])
         return mask
 
-
-@cache
-def _meets(r: int, p: int) -> _Meets:
-    """The row search's meet masks for (r, p), one mapping per process."""
-    return _Meets(r, p)
-
-
-@cache
-def _ties(r: int) -> _Ties:
-    """The row search's tie masks for r sets, one mapping per process."""
-    return _Ties(r)
+    return universe, _Lazy(meet), _Lazy(tie)
 
 
 def _row_rounds(g: Graph, p: int, guard: int):
@@ -375,37 +392,47 @@ def _row_rounds(g: Graph, p: int, guard: int):
     r sets, found as one r-bit row per vertex (bit j: the vertex is in set j)."""
     n = g.n
     rows = [0] * n
+    # culprit[v]: the offset from v of the later vertex whose domain emptied
+    # last while v was placed (0 before any did)
+    culprit = [0] * n
     nodes = 0
 
     def solve(r: int):
         if r > guard:
             raise ScaleError(f"p-cover search allows at most {guard} sets (reached r={r}); "
                              "raise guard to override")
-        full = (1 << (1 << r)) - 1
-        meets = _meets(r, p)
-        ties = _ties(r)
+        universe, meets, ties = _tables(r, p)
 
         def place(v: int, later: list[int], tied: int) -> bool:
-            # later[i]: the rows vertex v + i may still take; bit j of tied:
-            # columns j - 1 and j agree on every placed row
+            # later[k]: the rows vertex v + k may still take, by index in U;
+            # bit j of tied: columns j - 1 and j agree on every placed row
             nonlocal nodes
-            near = g._adj[v]
+            near = g._adj[v] >> v  # bit k: v and v + k are adjacent
             todo = later[0] & ties[tied]
             while todo:
                 low = todo & -todo
                 todo ^= low
-                x = low.bit_length() - 1
+                i = low.bit_length() - 1
                 nodes += 1
-                rows[v] = x
-                meet = meets[x]
+                meet = meets[i]
                 miss = ~meet
-                rest = [d & meet if near >> w & 1 else d & miss
-                        for w, d in enumerate(later[1:], v + 1)]
-                if all(rest) and (v + 1 == n or place(v + 1, rest, tied & ~(x ^ (x << 1)))):
-                    return True
+                k = culprit[v]
+                if k and not later[k] & (meet if near >> k & 1 else miss):
+                    continue
+                rest = []
+                for k in range(1, len(later)):
+                    d = later[k] & (meet if near >> k & 1 else miss)
+                    if not d:
+                        culprit[v] = k
+                        break
+                    rest.append(d)
+                else:
+                    x = rows[v] = universe[i]
+                    if not rest or place(v + 1, rest, tied & ~(x ^ (x << 1))):
+                        return True
             return False
 
-        if not place(0, [full] * n, (1 << r) - 2):
+        if not place(0, [(1 << len(universe)) - 1] * n, (1 << r) - 2):
             return None, nodes
         return tuple(frozenset(v for v in range(n) if rows[v] >> j & 1) for j in range(r)), nodes
 
@@ -430,12 +457,19 @@ def exact_theta_e_p(g: Graph, p: int, budget: int | None = None, guard: int = 8)
     admitting a p-edge clique cover of r sets, with the canonical cover of
     that size.
 
-    The row search; ``guard`` caps both n and the number of sets, since a
-    round at r sets gives each later vertex a domain of 2^r bits and reads
-    a 2^r-bit mask per row it places.  A vertex tries only the rows of its
-    domain that the column tie rule allows, read off a 2^r-bit tie mask.
-    Each row's mask is built on first use and cached per (r, p), and each
-    tie mask per r, for the life of the process.
+    The row search; ``guard`` caps both n and the number of sets.  A round
+    at r sets draws rows from U(r, p), row 0 and the rows with at least p
+    bits, so each later vertex keeps a |U|-bit domain and each row placed
+    reads a |U|-bit mask: |U| is 2^r at p = 1 and shrinks as p nears r.  A
+    vertex with an edge needs a row of at least p bits, and an isolated
+    vertex completes the cover with row 0 whenever it can with any row, so
+    the cover found is the one a search over all 2^r rows finds.  A row is
+    dropped at the first later domain it empties, testing first the one
+    that emptied last at its depth; the rows kept do not depend on that
+    order.  A vertex tries only the rows of its domain that the column tie
+    rule allows, read off a |U|-bit tie mask.  U, each row's meet mask and
+    each tie mask are built on first use and cached per (r, p), for the
+    life of the process.
     """
     if p < 1:
         raise InvalidParameterError(f"need p >= 1, got p={p}")

@@ -24,7 +24,7 @@ from pcomp import (
 )
 from pcomp.cli import main
 from pcomp.graphs import iter_bits
-from pcomp.oracle import _certify
+from pcomp.oracle import _certify, _deepen
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -356,3 +356,74 @@ def reference_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> Search
             _certify(g, certificate, p)
             return SearchResult(value=r, certificate=certificate, nodes=nodes)
     return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)
+
+
+def _reference_column(full: int, j: int) -> int:
+    """The rows y < 2^r, as one 2^r-bit mask (full), that hold column j: 2^j
+    zeros then 2^j ones, repeated."""
+    return full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+
+
+def reference_row_rounds(g: Graph, p: int, guard: int):
+    """The row search's solve(r) as it was before its domains were indexed
+    by the rows that can hold an edge, and before each row stopped at its
+    first emptied domain: every domain, meet mask and tie mask spans all
+    2^r rows, and each placed row narrows every later domain before any is
+    tested.  Kept as the reference the row search must match in value and
+    certificate, with no more rows placed."""
+    n = g.n
+    rows = [0] * n
+    nodes = 0
+
+    def solve(r: int):
+        if r > guard:
+            raise ScaleError(f"p-cover search allows at most {guard} sets (reached r={r}); "
+                             "raise guard to override")
+        full = (1 << (1 << r)) - 1
+        meets, ties = {}, {}
+
+        def meet(x: int) -> int:
+            if x not in meets:
+                at_least = [full] + [0] * p
+                for j in iter_bits(x):
+                    column = _reference_column(full, j)
+                    at_least = [full] + [low | high & column
+                                         for low, high in zip(at_least[1:], at_least)]
+                meets[x] = at_least[p]
+            return meets[x]
+
+        def tie(tied: int) -> int:
+            if tied not in ties:
+                mask = full
+                for j in iter_bits(tied):
+                    mask &= ~(_reference_column(full, j) & ~_reference_column(full, j - 1))
+                ties[tied] = mask
+            return ties[tied]
+
+        def place(v: int, later: list[int], tied: int) -> bool:
+            nonlocal nodes
+            near = g._adj[v]
+            todo = later[0] & tie(tied)
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                x = low.bit_length() - 1
+                nodes += 1
+                rows[v] = x
+                m = meet(x)
+                rest = [d & m if near >> w & 1 else d & ~m
+                        for w, d in enumerate(later[1:], v + 1)]
+                if all(rest) and (v + 1 == n or place(v + 1, rest, tied & ~(x ^ (x << 1)))):
+                    return True
+            return False
+
+        if not place(0, [full] * n, (1 << r) - 2):
+            return None, nodes
+        return tuple(frozenset(v for v in range(n) if rows[v] >> j & 1) for j in range(r)), nodes
+
+    return solve
+
+
+def reference_row_search(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResult:
+    """exact_theta_e_p through reference_row_rounds."""
+    return _deepen(g, p, budget, guard, "p-cover search", reference_row_rounds)

@@ -646,7 +646,7 @@ class TestOptimizedInterpreter:
         assert plain.returncode == optimized.returncode == 0
         assert optimized.stdout == plain.stdout
         data = json.loads(plain.stdout)
-        assert data["value"] == 7 and data["nodes"] == 439
+        assert data["value"] == 7 and data["nodes"] == 404
 
     @pytest.mark.parametrize("f,g,p", [
         (cycle_cover(200, 10), make_cycle(200), 10),

@@ -167,6 +167,24 @@ class TestAccessors:
         with pytest.raises(InvalidParameterError, match=rf"^vertex {bad} out of range for n=3$"):
             getattr(d, accessor)(bad)
 
+    # True would index vertex 1, and 1.0 would raise a bare TypeError
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    def test_vertices_must_be_ints(self, bad):
+        g = make_cycle(5)
+        for u, v in [(bad, 2), (2, bad)]:
+            with pytest.raises(InvalidParameterError,
+                               match=rf"^vertices \({u!r},{v!r}\) are not both integers$"):
+                g.has_edge(u, v)
+        message = rf"^vertex {bad!r} is not an integer$"
+        with pytest.raises(InvalidParameterError, match=message):
+            g.degree(bad)
+        with pytest.raises(InvalidParameterError, match=message):
+            is_clique(g, [0, bad])
+        d = Digraph(3, [(0, 1), (2, 1)])
+        for accessor in (d.out_mask, d.out_degree):
+            with pytest.raises(InvalidParameterError, match=message):
+                accessor(bad)
+
 
 class TestEquality:
     def test_equal_cycles(self):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, literal_verify_p_ecc, reference_theta_e, reference_theta_e_p
+from conftest import (
+    graphs,
+    literal_verify_p_ecc,
+    reference_row_search,
+    reference_theta_e,
+    reference_theta_e_p,
+)
 import pcomp.oracle
 from pcomp import (
     CliqueCover,
@@ -30,7 +36,7 @@ from pcomp import (
     verify_ecc,
     verify_p_ecc,
 )
-from pcomp.oracle import _meets, _row_rounds, _ties
+from pcomp.oracle import _row_rounds, _tables
 
 
 class TestMaximalCliques:
@@ -256,6 +262,24 @@ class TestExactThetaEP:
             assert verify_p_ecc(g, result.certificate, p).valid
             assert p_competition_graph(realize(result.certificate), p) == g
 
+    # past n = 16 the largest p is no longer n - 5: it is 11, 13, 13, 14, 15
+    # and 16 for n = 17..22
+    @pytest.mark.parametrize("n,largest", [(17, 11), (18, 13), (19, 13), (20, 14), (21, 15),
+                                           (22, 16)])
+    def test_cycle_complement_refuted_above_the_largest_p(self, n, largest):
+        result = exact_theta_e_p(complement(make_cycle(n)), largest + 1, n, guard=n)
+        assert result.outcome == "exceeds-bound" and result.bound == n
+
+    # the yes at the largest p for n = 19..22 takes 1.3-30 s on 2 vCPU, so
+    # the suite leaves it out
+    @pytest.mark.parametrize("n,largest", [(17, 11), (18, 13)])
+    def test_cycle_complement_covered_at_the_largest_p(self, n, largest):
+        g = complement(make_cycle(n))
+        result = exact_theta_e_p(g, largest, n, guard=n)
+        assert result.value == n
+        assert verify_p_ecc(g, result.certificate, largest).valid
+        assert p_competition_graph(realize(result.certificate), largest) == g
+
 
 
 def _search_outcome(g, p):
@@ -281,33 +305,29 @@ def _cache_runs():
             + [(_decision_outcome, g, p) for g, p in decisions])
 
 
-class TestMeetTables:
-    """The row search's per-process meet masks, built one row at a time."""
+class TestRowTables:
+    """The row search's per-process tables for (r, p), built one row at a time."""
 
     def test_tables_match_the_definition(self):
         for r in range(1, 8):
-            for p in range(1, r + 1):
-                meets = _meets(r, p)
-                for x in range(1 << r):
-                    assert meets[x] == sum(1 << y for y in range(1 << r)
+            for p in range(1, r + 2):
+                universe, meets, ties = _tables(r, p)
+                assert universe == [x for x in range(1 << r) if x == 0 or x.bit_count() >= p]
+                for i, x in enumerate(universe):
+                    assert meets[i] == sum(1 << k for k, y in enumerate(universe)
                                            if (x & y).bit_count() >= p), (r, p, x)
                 # every row has now been read, whatever earlier tests built
-                assert len(meets) == 1 << r
-
-    def test_tie_masks_match_the_rule(self):
-        for r in range(1, 8):
-            ties = _ties(r)
-            for tied in range(0, 1 << r, 2):
-                assert ties[tied] == sum(1 << x for x in range(1 << r)
-                                         if not x & tied & ~(x << 1)), (r, tied)
+                assert len(meets) == len(universe)
+                for tied in range(0, 1 << r, 2):
+                    assert ties[tied] == sum(1 << k for k, x in enumerate(universe)
+                                             if not x & tied & ~(x << 1)), (r, p, tied)
 
     def test_results_do_not_depend_on_the_cache(self):
         runs = _cache_runs()
         assert len(runs) == 51
         cold = []
         for run, g, p in runs:
-            _meets.cache_clear()
-            _ties.cache_clear()
+            _tables.cache_clear()
             cold.append(run(g, p))
         warm = [run(g, p) for run, g, p in runs]
         backwards = [run(g, p) for run, g, p in reversed(runs)][::-1]
@@ -316,23 +336,25 @@ class TestMeetTables:
 
     def test_a_repeated_call_builds_no_table(self):
         g = complement(make_cycle(7))
-        _meets.cache_clear()
+        _tables.cache_clear()
         first = exact_theta_e_p(g, 2, 7)
-        # one mapping per round, rounds r = 2..first.value
-        assert _meets.cache_info().misses == first.value - 2 + 1
+        # one set of tables per round, rounds r = 2..first.value
+        assert _tables.cache_info().misses == first.value - 2 + 1
         rounds = range(2, first.value + 1)
-        built = sum(len(_meets(r, 2)) for r in rounds)
+        built = [(len(_tables(r, 2)[1]), len(_tables(r, 2)[2])) for r in rounds]
         again = exact_theta_e_p(g, 2, 7)
-        assert _meets.cache_info().misses == first.value - 2 + 1
-        assert sum(len(_meets(r, 2)) for r in rounds) == built
+        assert _tables.cache_info().misses == first.value - 2 + 1
+        assert [(len(_tables(r, 2)[1]), len(_tables(r, 2)[2])) for r in rounds] == built
         assert again == first
 
     def test_masks_are_built_only_for_rows_placed(self):
-        _meets.cache_clear()
+        _tables.cache_clear()
         result = exact_theta_e_p(complement(make_cycle(12)), 7, 12, guard=12)
         assert result.value == 12
-        # a whole table would hold all 4096 rows
-        assert 0 < len(_meets(12, 7)) < 1 << 12
+        universe, meets, _ = _tables(12, 7)
+        # row 0 and the 1,586 rows of 12 bits with at least 7 set, of 4,096
+        assert len(universe) == 1587
+        assert 0 < len(meets) < len(universe)
 
     def test_rounds_past_twelve_sets_run_within_the_guard(self):
         g = complement(make_cycle(8))
@@ -345,6 +367,53 @@ class TestMeetTables:
         solve = _row_rounds(complement(make_cycle(8)), 2, guard=12)
         with pytest.raises(ScaleError, match="at most 12 sets"):
             solve(13)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw, max_n=7):
+    """A graph on up to max_n vertices, at least one of them isolated, with
+    the isolated vertices at drawn labels."""
+    core = draw(graphs(max_n=max_n - 1))
+    n = core.n + draw(st.integers(1, max_n - core.n))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in core.edges])
+
+
+class TestRowSearchMatchesReference:
+    """The row search against its form before the universe and the early
+    stop (reference_row_search in tests/conftest.py): the same value, bound
+    and certificate, and no more rows placed.  At p = 1 the universe holds
+    every row, so the same rows are placed."""
+
+    @staticmethod
+    def same(g, p, guard=8):
+        got = exact_theta_e_p(g, p, g.n, guard=guard)
+        want = reference_row_search(g, p, g.n, guard=guard)
+        assert outcome(got) == outcome(want)
+        assert got.nodes <= want.nodes
+        if p == 1:
+            assert got.nodes == want.nodes
+        return got, want
+
+    @settings(deadline=None, max_examples=150)
+    @given(graphs(max_n=8), st.integers(1, 5))
+    def test_random_graphs(self, g, p):
+        self.same(g, p)
+
+    @settings(deadline=None, max_examples=100)
+    @given(graphs_with_isolated_vertices(), st.integers(1, 5))
+    def test_graphs_with_isolated_vertices(self, g, p):
+        assert any(not a for a in g._adj)
+        self.same(g, p)
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_cycle_complements_at_every_p(self, n):
+        g = complement(make_cycle(n))
+        fewer = 0
+        for p in range(1, n + 1):
+            got, want = self.same(g, p, guard=n)
+            fewer += got.nodes < want.nodes
+        assert fewer > 0
 
 
 def complete_bipartite(m):
@@ -513,13 +582,13 @@ class TestCoverSearchMatchesReference:
     @pytest.mark.parametrize("run,want", [
         (lambda: exact_theta_e(complement(make_cycle(14))), 2316),
         (lambda: exact_theta_e(complement(make_cycle(15))), 75646),
-        (lambda: exact_theta_e_p(complement(make_cycle(7)), 2, 7), 439),
-        (lambda: exact_theta_e_p(make_cycle(7), 4, 7), 62),
+        (lambda: exact_theta_e_p(complement(make_cycle(7)), 2, 7), 404),
+        (lambda: exact_theta_e_p(make_cycle(7), 4, 7), 50),
         (lambda: exact_theta_e(complement(make_cycle(12)), upper=6), 176),
         (lambda: exact_theta_e(complement(make_cycle(13)), upper=6), 315),
-        (lambda: exact_theta_e_p(make_cycle(8), 6, 8), 40),
-        (lambda: exact_theta_e_p(complement(make_cycle(6)), 4, 6), 68),
-        (lambda: exact_theta_e_p(make_cycle(8), 7, 8), 22),
+        (lambda: exact_theta_e_p(make_cycle(8), 6, 8), 25),
+        (lambda: exact_theta_e_p(complement(make_cycle(6)), 4, 6), 30),
+        (lambda: exact_theta_e_p(make_cycle(8), 7, 8), 10),
     ], ids=["co-C14 theta_e", "co-C15 theta_e", "co-C7 p=2", "C7 p=4", "co-C12 refuted",
             "co-C13 refuted", "C8 p=6 refuted", "co-C6 p=4 refuted", "C8 p=7 refuted"])
     def test_node_counts_do_not_regress(self, run, want):
