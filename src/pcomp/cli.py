@@ -4,7 +4,9 @@ Subcommands: gen, cover, verify, realize, compete, theta-e, theta-e-p,
 decide, survey.  Objects travel as JSON (optionally DOT for graphs and
 digraphs), survey tables as TSV.  Each subcommand returns its text and exit
 code, and `main` alone writes that text to --out or stdout, so a command that
-fails leaves both untouched.
+fails leaves both untouched.  The commands reach the library through its
+modules (`covers.cycle_cover`, not `cycle_cover`), and the package runs a
+module's body on first use, so a command compiles only the modules it calls.
 
 `decide` and `survey` both ask oracle.is_p_competition and only format
 its Decision: a survey cell is `decide --method both`, else `skipped`.
@@ -13,11 +15,11 @@ Exit codes: 0 success / valid / positive decision, 1 invalid cover or
 negative decision, 2 input or parameter problems (unreadable, non-UTF-8,
 malformed or too deeply nested JSON files, integers past Python's digit
 limit or a vertex count above graphs.MAX_N in a file, --n or --p above it,
-an --order that is no permutation of the cover's vertices, no decision
-route), 3 infeasible parameters (among them an --order that puts a member
-of set j at position j or later), an exceeded search guard or recursion
-limit, or any other pcomp error (a certificate the checks reject, or the
-two decision routes disagreeing).
+an --order that is no permutation of the cover's vertices, an unknown
+--method, no decision route), 3 infeasible parameters (among them an
+--order that puts a member of set j at position j or later), an exceeded
+search guard or recursion limit, or any other pcomp error (a certificate
+the checks reject, or the two decision routes disagreeing).
 Every failure ends with a one-line `pcomp:` message on stderr, which names
 the file for an input error in a JSON file.
 """
@@ -28,15 +30,7 @@ import argparse
 import json
 import sys
 
-from .competition import p_competition_graph
-from .covers import (
-    complement_cycle_cover,
-    cover_from_json_dict,
-    cover_to_json_dict,
-    cycle_cover,
-    lift_cover,
-    verify_p_ecc,
-)
+from . import competition, covers, oracle, realization
 from .errors import InvalidParameterError, PcompError, UnsupportedInstanceError
 from .graphs import (
     MAX_N,
@@ -49,8 +43,6 @@ from .graphs import (
     graph_to_json_dict,
     make_cycle,
 )
-from .oracle import METHODS, exact_theta_e, exact_theta_e_p, is_p_competition
-from .realization import excerpt, realize, realize_acyclic
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -107,7 +99,8 @@ def _parse_order(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise InvalidParameterError(
-            f"bad order {excerpt(repr(text))}: {excerpt(str(exc))}") from exc
+            f"bad order {realization.excerpt(repr(text))}: "
+            f"{realization.excerpt(str(exc))}") from exc
 
 
 def _family_graph(family: str, n: int):
@@ -126,45 +119,49 @@ def cmd_cover(args: argparse.Namespace) -> tuple[str, int]:
     _check_limit("--n", args.n)
     _check_limit("--p", args.p)
     if args.family == "cycle":
-        f = cycle_cover(args.n, args.p)
+        f = covers.cycle_cover(args.n, args.p)
     else:
-        f = lift_cover(complement_cycle_cover(args.n), args.p)
-    return _json(cover_to_json_dict(f)), EXIT_OK
+        f = covers.lift_cover(covers.complement_cycle_cover(args.n), args.p)
+    return _json(covers.cover_to_json_dict(f)), EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_json(args.graph, graph_from_json_dict)
-    f = _load_json(args.cover, cover_from_json_dict)
-    verdict = verify_p_ecc(g, f, args.p)
+    f = _load_json(args.cover, covers.cover_from_json_dict)
+    verdict = covers.verify_p_ecc(g, f, args.p)
     return _json(verdict.to_json_dict()), EXIT_OK if verdict.valid else EXIT_INVALID
 
 
 def cmd_realize(args: argparse.Namespace) -> tuple[str, int]:
-    f = _load_json(args.cover, cover_from_json_dict)
-    d = realize(f) if args.order is None else realize_acyclic(f, _parse_order(args.order))
+    f = _load_json(args.cover, covers.cover_from_json_dict)
+    if args.order is None:
+        d = realization.realize(f)
+    else:
+        d = realization.realize_acyclic(f, _parse_order(args.order))
     return _format(args, d, digraph_to_dot, digraph_to_json_dict), EXIT_OK
 
 
 def cmd_compete(args: argparse.Namespace) -> tuple[str, int]:
     d = _load_json(args.digraph, digraph_from_json_dict)
-    return _format(args, p_competition_graph(d, args.p), graph_to_dot, graph_to_json_dict), EXIT_OK
+    return _format(args, competition.p_competition_graph(d, args.p), graph_to_dot,
+                   graph_to_json_dict), EXIT_OK
 
 
 def cmd_theta_e(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_json(args.graph, graph_from_json_dict)
-    result = exact_theta_e(g, upper=args.upper, guard=args.guard)
+    result = oracle.exact_theta_e(g, upper=args.upper, guard=args.guard)
     return _json(result.to_json_dict()), EXIT_OK
 
 
 def cmd_theta_e_p(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_json(args.graph, graph_from_json_dict)
-    result = exact_theta_e_p(g, args.p, args.budget, guard=args.guard)
+    result = oracle.exact_theta_e_p(g, args.p, args.budget, guard=args.guard)
     return _json(result.to_json_dict()), EXIT_OK
 
 
 def cmd_decide(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_json(args.graph, graph_from_json_dict)
-    decision = is_p_competition(g, args.p, method=args.method, guard=args.guard)
+    decision = oracle.is_p_competition(g, args.p, method=args.method, guard=args.guard)
     return _json(decision.to_json_dict()), EXIT_OK if decision.value else EXIT_INVALID
 
 
@@ -178,7 +175,7 @@ def cmd_survey(args: argparse.Namespace) -> tuple[str, int]:
         g = _family_graph(args.family, n)
         for p in range(p_lo, p_hi + 1):
             try:
-                d = is_p_competition(g, p, method="both", guard=args.guard)
+                d = oracle.is_p_competition(g, p, method="both", guard=args.guard)
             except UnsupportedInstanceError:
                 cells = "skipped\t-\t-\t-"
             else:
@@ -252,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     decide = sub.add_parser("decide", help="is the graph a p-competition graph?")
     decide.add_argument("graph")
     decide.add_argument("--p", type=int, required=True)
-    decide.add_argument("--method", choices=METHODS, default="auto")
+    # is_p_competition checks the method, so the parser needs no oracle
+    decide.add_argument("--method", default="auto", metavar="{auto,construct,oracle,both}")
     decide.add_argument("--guard", type=int, default=8)
     decide.add_argument("--out")
     decide.set_defaults(func=cmd_decide)

@@ -33,11 +33,10 @@ from .graphs import Digraph, Graph, _sharers
 
 
 def common_prey_count(d: Digraph, x: int, y: int) -> int:
-    """Number of vertices v such that (x, v) and (y, v) are both arcs."""
+    """Number of vertices v such that (x, v) and (y, v) are both arcs;
+    Digraph.out_mask checks each vertex."""
     if x == y:
         raise InvalidParameterError("common prey is defined for distinct vertices")
-    if not (0 <= x < d.n and 0 <= y < d.n):
-        raise InvalidParameterError(f"vertices ({x},{y}) out of range for n={d.n}")
     return (d.out_mask(x) & d.out_mask(y)).bit_count()
 
 

@@ -358,6 +358,62 @@ def reference_theta_e_p(g: Graph, p: int, budget: int, guard: int = 8) -> Search
     return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)
 
 
+def hole_row_cover(g: Graph, p: int, r: int) -> CliqueCover | None:
+    """A p-edge clique cover of g with r sets, or None when none exists: a
+    second search that shares no code with the library's row search.
+
+    It places, vertex by vertex, the hole row of each vertex: the sets that
+    miss it.  Two vertices share r - |h_u | h_v| sets, so an edge needs
+    |h_u | h_v| <= r - p and a nonedge more.  A vertex without edges lies in
+    no set and meets every other in none, so only the others are placed,
+    each among the holes of at most r - p sets; domains are lists of holes,
+    narrowed by each hole placed.  Permuting the sets keeps a cover, so the
+    columns are kept in order: within each run of columns equal so far, a
+    hole holds the run's lowest columns.
+    """
+    near: dict[int, set[int]] = {v: set() for v in range(g.n)}
+    for u, v in g.edges:
+        near[u].add(v)
+        near[v].add(u)
+    order = [v for v in range(g.n) if near[v]]
+    slack = r - p
+    holes: dict[int, int] = {}
+
+    def lowest(h: int, run: int) -> bool:
+        x = (h & run) >> (run & -run).bit_length() - 1
+        return not x & (x + 1)
+
+    def place(i: int, domains: list[list[int]], runs: list[int]) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for h in domains[0]:
+            if not all(lowest(h, run) for run in runs):
+                continue
+            rest = []
+            for u, domain in zip(order[i + 1:], domains[1:]):
+                if u in near[v]:
+                    domain = [x for x in domain if (x | h).bit_count() <= slack]
+                else:
+                    domain = [x for x in domain if (x | h).bit_count() > slack]
+                if not domain:
+                    break
+                rest.append(domain)
+            else:
+                split = [part for run in runs for part in (run & h, run & ~h) if part]
+                if place(i + 1, rest, split):
+                    holes[v] = h
+                    return True
+        return False
+
+    domain = sorted(sum(1 << j for j in c)
+                    for k in range(slack + 1) for c in combinations(range(r), k))
+    if not place(0, [domain] * len(order), [(1 << r) - 1] if r else []):
+        return None
+    return CliqueCover(g.n, tuple(frozenset(v for v in order if not holes[v] >> j & 1)
+                                  for j in range(r)))
+
+
 def _reference_column(full: int, j: int) -> int:
     """The rows y < 2^r, as one 2^r-bit mask (full), that hold column j: 2^j
     zeros then 2^j ones, repeated."""

@@ -131,6 +131,19 @@ class TestCommonPreyCount:
         with pytest.raises(InvalidParameterError):
             common_prey_count(Digraph(3), 1, 1)
 
+    @pytest.mark.parametrize("x,y", [(5, 0), (0, 5), (-1, 2)])
+    def test_out_of_range_vertex_rejected(self, x, y):
+        bad = y if x in range(3) else x
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^vertex {bad} out of range for n=3$"):
+            common_prey_count(Digraph(3), x, y)
+
+    @pytest.mark.parametrize("x,y", [(True, 2), (2, False)])
+    def test_bool_vertex_rejected(self, x, y):
+        # True == 1 as an int, but a vertex must be an int, not a bool
+        with pytest.raises(InvalidParameterError, match="is not an integer"):
+            common_prey_count(Digraph(3), x, y)
+
     def test_counts_over_cycle_cover_realization(self):
         d = realize(cycle_cover(5, 2))
         assert common_prey_count(d, 0, 1) == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     graphs,
+    hole_row_cover,
     literal_verify_p_ecc,
     reference_row_search,
     reference_theta_e,
@@ -148,6 +149,10 @@ class TestExactThetaE:
             maximal_cliques(path)
 
 
+# the largest p at which co-C_n has a p-cover of at most n sets, n = 17..22
+LARGEST_P = [(17, 11), (18, 13), (19, 13), (20, 14), (21, 15), (22, 16)]
+
+
 class TestExactThetaEP:
     def test_c4_p2_refuted(self):
         result = exact_theta_e_p(make_cycle(4), 2, 4)
@@ -264,8 +269,7 @@ class TestExactThetaEP:
 
     # past n = 16 the largest p is no longer n - 5: it is 11, 13, 13, 14, 15
     # and 16 for n = 17..22
-    @pytest.mark.parametrize("n,largest", [(17, 11), (18, 13), (19, 13), (20, 14), (21, 15),
-                                           (22, 16)])
+    @pytest.mark.parametrize("n,largest", LARGEST_P)
     def test_cycle_complement_refuted_above_the_largest_p(self, n, largest):
         result = exact_theta_e_p(complement(make_cycle(n)), largest + 1, n, guard=n)
         assert result.outcome == "exceeds-bound" and result.bound == n
@@ -280,6 +284,25 @@ class TestExactThetaEP:
         assert verify_p_ecc(g, result.certificate, largest).valid
         assert p_competition_graph(realize(result.certificate), largest) == g
 
+
+class TestHoleRowSearch:
+    """conftest.hole_row_cover, a search over the sets that miss each vertex
+    with list domains, against the row search, so that a no rests on two
+    searches that share no code."""
+
+    @pytest.mark.parametrize("n,largest", LARGEST_P)
+    def test_refutes_above_the_largest_p(self, n, largest):
+        assert hole_row_cover(complement(make_cycle(n)), largest + 1, n) is None
+
+    @settings(deadline=None, max_examples=150)
+    @given(graphs(max_n=8), st.integers(1, 5))
+    def test_least_cover_matches_the_row_search(self, g, p):
+        covers = (hole_row_cover(g, p, r) for r in range(g.n + 1))
+        least = next((r for r, f in enumerate(covers) if f is not None), None)
+        assert least == exact_theta_e_p(g, p, g.n).value
+        if least:
+            f = hole_row_cover(g, p, least)
+            assert len(f) == least and verify_p_ecc(g, f, p).valid
 
 
 def _search_outcome(g, p):
