@@ -13,11 +13,13 @@ as one, never a way to make these tests pass.
 import hashlib
 import importlib.util
 import json
+import os
 import random
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from conftest import child_env, run_main
@@ -150,7 +152,11 @@ def cli_vectors() -> list[list[str]]:
         ["survey", "cycle", "--n", "9..4", "--p", "1"],
         ["survey", "cycle", "--n", "2..5", "--p", "1"],
         ["bogus"],
+        ["--help"],
     ]
+    for command in ["gen", "cover", "verify", "realize", "compete", "theta-e", "theta-e-p",
+                    "decide", "survey"]:
+        vectors.append([command, "--help"])
     for name in ["c5", "c6", "co-c7", "co-c9", "edgeless", "k33", "r6", "r9"]:
         vectors.append(["theta-e", f"{name}.json"])
     for name in ["c5", "co-c5", "co-c6", "co-c7", "r6"]:
@@ -201,8 +207,10 @@ def search_sections() -> dict[str, list[dict]]:
 
 
 def corpus_at(root: Path) -> dict[str, list[dict]]:
-    """The corpus as the code gives it, reading the CLI inputs from root."""
-    cli = [cli_entry(argv, *run_main(argv, cwd=root)) for argv in cli_vectors()]
+    """The corpus as the code gives it, reading the CLI inputs from root.
+    argparse wraps usage and help to COLUMNS, so the runs pin it at 80."""
+    with patch.dict(os.environ, {"COLUMNS": "80"}):
+        cli = [cli_entry(argv, *run_main(argv, cwd=root)) for argv in cli_vectors()]
     return {"cli": cli, **search_sections()}
 
 
