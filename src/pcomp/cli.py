@@ -7,6 +7,9 @@ code, and `main` alone writes that text to --out or stdout, so a command that
 fails leaves both untouched.  The commands reach the library through its
 modules (`covers.cycle_cover`, not `cycle_cover`), and the package runs a
 module's body on first use, so a command compiles only the modules it calls.
+Each command passes the library only the options the user gave, so the
+library's signatures alone hold the defaults of --guard, --upper, --budget
+and --method; survey's --guard 5 and cover's --p 1 are the CLI's own.
 
 `decide` and `survey` both ask oracle.is_p_competition and only format
 its Decision: a survey cell is `decide --method both`, else `skipped`.
@@ -103,6 +106,11 @@ def _parse_order(text: str) -> list[int]:
             f"{realization.excerpt(str(exc))}") from exc
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named options the user gave, so the library's defaults fill the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _family_graph(family: str, n: int):
     if family == "cycle":
         return make_cycle(n)
@@ -149,19 +157,19 @@ def cmd_compete(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_theta_e(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_json(args.graph, graph_from_json_dict)
-    result = oracle.exact_theta_e(g, upper=args.upper, guard=args.guard)
+    result = oracle.exact_theta_e(g, **_given(args, "upper", "guard"))
     return _json(result.to_json_dict()), EXIT_OK
 
 
 def cmd_theta_e_p(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_json(args.graph, graph_from_json_dict)
-    result = oracle.exact_theta_e_p(g, args.p, args.budget, guard=args.guard)
+    result = oracle.exact_theta_e_p(g, args.p, **_given(args, "budget", "guard"))
     return _json(result.to_json_dict()), EXIT_OK
 
 
 def cmd_decide(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_json(args.graph, graph_from_json_dict)
-    decision = oracle.is_p_competition(g, args.p, method=args.method, guard=args.guard)
+    decision = oracle.is_p_competition(g, args.p, **_given(args, "method", "guard"))
     return _json(decision.to_json_dict()), EXIT_OK if decision.value else EXIT_INVALID
 
 
@@ -198,21 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("family", choices=["cycle", "co-cycle"])
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--format", choices=["json", "dot"], default="json")
-    gen.add_argument("--out")
     gen.set_defaults(func=cmd_gen)
 
     cover = sub.add_parser("cover", help="emit a cover family for a cycle or its complement")
     cover.add_argument("family", choices=["cycle", "co-cycle"])
     cover.add_argument("--n", type=int, required=True)
     cover.add_argument("--p", type=int, default=1)
-    cover.add_argument("--out")
     cover.set_defaults(func=cmd_cover)
 
     verify = sub.add_parser("verify", help="verify a p-edge clique cover against a graph")
     verify.add_argument("graph")
     verify.add_argument("cover")
     verify.add_argument("--p", type=int, required=True)
-    verify.add_argument("--out")
     verify.set_defaults(func=cmd_verify)
 
     real = sub.add_parser("realize", help="build the digraph realizing a cover")
@@ -220,39 +225,33 @@ def build_parser() -> argparse.ArgumentParser:
     real.add_argument("--order", help="comma-separated vertex permutation: build the acyclic "
                       "realization, with set j's prey at order[j]")
     real.add_argument("--format", choices=["json", "dot"], default="json")
-    real.add_argument("--out")
     real.set_defaults(func=cmd_realize)
 
     compete = sub.add_parser("compete", help="compute the p-competition graph of a digraph")
     compete.add_argument("digraph")
     compete.add_argument("--p", type=int, required=True)
     compete.add_argument("--format", choices=["json", "dot"], default="json")
-    compete.add_argument("--out")
     compete.set_defaults(func=cmd_compete)
 
     te = sub.add_parser("theta-e", help="exact minimum edge clique cover size")
     te.add_argument("graph")
     te.add_argument("--upper", type=int)
-    te.add_argument("--guard", type=int, default=16)
-    te.add_argument("--out")
+    te.add_argument("--guard", type=int)
     te.set_defaults(func=cmd_theta_e)
 
     tep = sub.add_parser("theta-e-p", help="exact minimum p-edge clique cover size up to a budget")
     tep.add_argument("graph")
     tep.add_argument("--p", type=int, required=True)
     tep.add_argument("--budget", type=int, help="defaults to the vertex count")
-    tep.add_argument("--guard", type=int, default=8,
-                     help="cap on the vertex count and on the number of sets")
-    tep.add_argument("--out")
+    tep.add_argument("--guard", type=int, help="cap on the vertex count and on the number of sets")
     tep.set_defaults(func=cmd_theta_e_p)
 
     decide = sub.add_parser("decide", help="is the graph a p-competition graph?")
     decide.add_argument("graph")
     decide.add_argument("--p", type=int, required=True)
     # is_p_competition checks the method, so the parser needs no oracle
-    decide.add_argument("--method", default="auto", metavar="{auto,construct,oracle,both}")
-    decide.add_argument("--guard", type=int, default=8)
-    decide.add_argument("--out")
+    decide.add_argument("--method", metavar="{auto,construct,oracle,both}")
+    decide.add_argument("--guard", type=int)
     decide.set_defaults(func=cmd_decide)
 
     survey = sub.add_parser("survey", help="tabulate decisions over n/p ranges as TSV")
@@ -261,9 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument("--p", required=True, help="range a..b (inclusive) or a single value")
     survey.add_argument("--guard", type=int, default=5,
                         help="run the exhaustive oracle on rows with n up to this")
-    survey.add_argument("--out")
     survey.set_defaults(func=cmd_survey)
 
+    for command in sub.choices.values():  # main writes each one's text; --out comes last
+        command.add_argument("--out")
     return parser
 
 

@@ -28,7 +28,7 @@ in-masks come with every digraph (see ``graphs``).
 
 from __future__ import annotations
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _at_least
 from .graphs import Digraph, Graph, _sharers
 
 
@@ -42,8 +42,7 @@ def common_prey_count(d: Digraph, x: int, y: int) -> int:
 
 def p_competition_graph(d: Digraph, p: int) -> Graph:
     """Graph on d's vertices with {x, y} an edge iff they share >= p prey."""
-    if p < 1:
-        raise InvalidParameterError(f"need p >= 1, got p={p}")
+    _at_least("p", p, 1)
     n, out, preds = d.n, d._out, d._in
     adj = [0] * n
     for x, ox in enumerate(out):

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InfeasibleError, InvalidParameterError
+from .errors import InfeasibleError, InvalidParameterError, _at_least
 from .graphs import Graph, _sharers, vertex_lists_from_json
 
 REASON_UNCOVERED_EDGE = "uncovered-edge"
@@ -154,8 +154,7 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
     if f.n != g.n:
         raise InvalidParameterError(
             f"host vertex counts differ: graph has n={g.n}, family has n={f.n}")
-    if p < 1:
-        raise InvalidParameterError(f"need p >= 1, got p={p}")
+    _at_least("p", p, 1)
     adj = g._adj
     rows, members = f._incidence()
     full = (1 << g.n) - 1
@@ -203,8 +202,7 @@ def cycle_cover(n: int, p: int) -> CliqueCover:
     cycle's edges, and with n >= p+3 at most p-1 for everything else.
     Below p+3 no family of at most n sets works at all.
     """
-    if p < 1:
-        raise InvalidParameterError(f"need p >= 1, got p={p}")
+    _at_least("p", p, 1)
     if n < 3:
         raise InvalidParameterError(f"a cycle requires n >= 3, got n={n}")
     if n < p + 3:
@@ -286,8 +284,7 @@ def lift_cover(f: CliqueCover, p: int) -> CliqueCover:
     it certifies p-competition via realization only while that total stays
     within the host vertex count.
     """
-    if p < 1:
-        raise InvalidParameterError(f"need p >= 1, got p={p}")
+    _at_least("p", p, 1)
     if p == 1:
         return f
     full = frozenset(range(f.n))  # one set shared by all p - 1 copies

@@ -282,17 +282,16 @@ def digraph_from_json_dict(data: dict) -> Digraph:
     return Digraph(*vertex_lists_from_json(data, "digraph", "arcs", arity=2))
 
 
-def graph_to_dot(g: Graph) -> str:
-    lines = ["graph G {"]
-    lines += [f"  {v};" for v in range(g.n)]
-    lines += [f"  {u} -- {v};" for u, v in _edge_pairs(g._adj)]
-    lines.append("}")
+def _dot(head: str, n: int, link: str, pairs: Iterable[tuple[int, int]]) -> str:
+    """DOT text: every vertex, then one line per pair joined by link."""
+    lines = [f"{head} {{", *(f"  {v};" for v in range(n)),
+             *(f"  {a} {link} {b};" for a, b in pairs), "}"]
     return "\n".join(lines)
+
+
+def graph_to_dot(g: Graph) -> str:
+    return _dot("graph G", g.n, "--", _edge_pairs(g._adj))
 
 
 def digraph_to_dot(d: Digraph) -> str:
-    lines = ["digraph D {"]
-    lines += [f"  {v};" for v in range(d.n)]
-    lines += [f"  {x} -> {v};" for x, v in _arc_pairs(d._out)]
-    lines.append("}")
-    return "\n".join(lines)
+    return _dot("digraph D", d.n, "->", _arc_pairs(d._out))

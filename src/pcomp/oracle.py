@@ -105,6 +105,7 @@ from .errors import (
     PcompError,
     ScaleError,
     UnsupportedInstanceError,
+    _at_least,
 )
 from .graphs import Graph, _edge_pairs, complement, iter_bits, make_cycle
 from .realization import realize
@@ -175,14 +176,9 @@ def _certify(g: Graph, cover: CliqueCover, p: int) -> CliqueCover:
     return cover
 
 
-def _check_guard(guard: int) -> None:
-    if guard < 0:
-        raise InvalidParameterError(f"need guard >= 0, got guard={guard}")
-
-
 def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
     """All inclusion-maximal cliques, each once, in canonical sorted order."""
-    _check_guard(guard)
+    _at_least("guard", guard, 0)
     if g.n > guard:
         raise ScaleError(
             f"maximal clique enumeration requires n <= {guard} (got {g.n})")
@@ -227,7 +223,7 @@ def _deepen(g: Graph, p: int, budget: int, guard: int, search: str, rounds) -> S
     rounds(g, p, guard) returns the kernel's solve(r): the sets found (or
     None) and the nodes visited so far.  _certify checks the cover found.
     """
-    _check_guard(guard)
+    _at_least("guard", guard, 0)
     if g.n > guard:
         raise ScaleError(
             f"{search} requires n <= {guard} (got {g.n}); raise guard to override")
@@ -447,8 +443,7 @@ def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> Search
     covers) it returns exceeds-bound.  Edgeless graphs need zero cliques.
     """
     upper = sum(a.bit_count() for a in g._adj) // 2 if upper is None else upper
-    if upper < 0:
-        raise InvalidParameterError(f"need upper >= 0, got upper={upper}")
+    _at_least("upper", upper, 0)
     return _deepen(g, 1, upper, guard, "exact cover search", _clique_rounds)
 
 
@@ -471,11 +466,9 @@ def exact_theta_e_p(g: Graph, p: int, budget: int | None = None, guard: int = 8)
     each tie mask are built on first use and cached per (r, p), for the
     life of the process.
     """
-    if p < 1:
-        raise InvalidParameterError(f"need p >= 1, got p={p}")
+    _at_least("p", p, 1)
     budget = g.n if budget is None else budget
-    if budget < 0:
-        raise InvalidParameterError(f"need budget >= 0, got budget={budget}")
+    _at_least("budget", budget, 0)
     return _deepen(g, p, budget, guard, "p-cover search", _row_rounds)
 
 
@@ -518,11 +511,10 @@ def is_p_competition(g: Graph, p: int, method: str = "auto",
     raises PcompError if two ran and disagree; it answers "both" when two
     ran.  A yes carries the constructive cover if any, else the search's.
     """
-    if p < 1:
-        raise InvalidParameterError(f"need p >= 1, got p={p}")
+    _at_least("p", p, 1)
     if method not in METHODS:
         raise InvalidParameterError(f"unknown method {method!r}")
-    _check_guard(guard)
+    _at_least("guard", guard, 0)
 
     constructive = None if method == "oracle" else _constructive_decision(g, p)
     if constructive is not None and (method in ("auto", "construct") or g.n > guard):

@@ -1,4 +1,3 @@
-import inspect
 import json
 import shlex
 import subprocess
@@ -18,15 +17,11 @@ from pcomp import (
     cover_to_json_dict,
     cycle_cover,
     digraph_to_json_dict,
-    exact_theta_e,
-    exact_theta_e_p,
     graph_to_json_dict,
-    is_p_competition,
     lift_cover,
     make_cycle,
     realize,
 )
-from pcomp.cli import build_parser
 from pcomp.graphs import MAX_N
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -520,14 +515,24 @@ class TestOracleCommands:
             "", "pcomp: exact cover search requires n <= 16 (got 33); "
             "raise guard to override\n")
 
-    @pytest.mark.parametrize("argv,library", [
-        (["theta-e", "g.json"], exact_theta_e),
-        (["theta-e-p", "g.json", "--p", "1"], exact_theta_e_p),
-        (["decide", "g.json", "--p", "1"], is_p_competition),
-    ], ids=["theta-e", "theta-e-p", "decide"])
-    def test_guard_defaults_match_the_library(self, argv, library):
-        default = inspect.signature(library).parameters["guard"].default
-        assert build_parser().parse_args(argv).guard == default
+    @pytest.mark.parametrize("argv", [
+        ["theta-e-p", "{g}", "--p", "2"],
+        ["decide", "{g}", "--p", "2", "--method", "oracle"],
+    ], ids=["theta-e-p", "decide-oracle"])
+    def test_guard_default_is_the_librarys(self, tmp_path, argv):
+        # without --guard the library's default of 8 refuses a 9-vertex graph
+        g = tmp_path / "p9.json"
+        g.write_text(json.dumps({"n": 9, "edges": [[v, v + 1] for v in range(8)]}))
+        code, out, err = run_main([a.format(g=g) for a in argv])
+        assert (code, out) == (3, "")
+        assert err == ("pcomp: p-cover search requires n <= 8 (got 9); "
+                       "raise guard to override\n")
+
+    def test_decide_usage_lists_the_librarys_methods(self):
+        # the parser copies oracle.METHODS by hand, so building it runs no oracle
+        code, out, _ = run_main(["decide", "--help"])
+        assert code == 0
+        assert "[--method {" + ",".join(pcomp.oracle.METHODS) + "}]" in out
 
     def test_decide_yes_no_exit_codes(self, tmp_path):
         g = tmp_path / "g.json"

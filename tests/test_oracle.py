@@ -274,6 +274,19 @@ class TestExactThetaEP:
         result = exact_theta_e_p(complement(make_cycle(n)), largest + 1, n, guard=n)
         assert result.outcome == "exceeds-bound" and result.bound == n
 
+    # at p = n - 4 .. n - 1 the refutation walks a tree whose size does not
+    # depend on n (measured the same for every n from 9 to 40), a first step
+    # towards a no for every n
+    @pytest.mark.parametrize("n", range(9, 25))
+    def test_cycle_complement_high_p_refutation_does_not_grow_with_n(self, n):
+        g = complement(make_cycle(n))
+        nodes = {}
+        for gap in (4, 3, 2, 1):
+            result = exact_theta_e_p(g, n - gap, n, guard=n)
+            assert result.outcome == "exceeds-bound" and result.bound == n
+            nodes[gap] = result.nodes
+        assert nodes == {4: 341, 3: 95, 2: 30, 1: 10}
+
     # the yes at the largest p for n = 19..22 takes 1.3-30 s on 2 vCPU, so
     # the suite leaves it out
     @pytest.mark.parametrize("n,largest", [(17, 11), (18, 13)])

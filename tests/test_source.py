@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 
@@ -42,3 +43,34 @@ def test_cli_import_skips_dataclasses_and_inspect():
     loaded = set(res.stdout.split())
     assert "pcomp.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect"}), sorted(loaded)
+
+
+def _floor_raises(tree: ast.AST) -> list[int]:
+    """Lines raising InvalidParameterError with a `need ... >= ...` message."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "InvalidParameterError" and node.exc.args):
+            continue
+        message = node.exc.args[0]
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        text = "".join(p.value for p in parts
+                       if isinstance(p, ast.Constant) and isinstance(p.value, str))
+        if re.search(r"need .*>=", text):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_floor_checks_go_through_the_helper(path):
+    # `need x >= low, got x=value` has one home, errors._at_least
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _floor_raises(tree)
+    assert lines == [], f"{path.name}: inline floor check on lines {lines}"
+
+
+def test_floor_check_lint_sees_an_inline_check():
+    tree = ast.parse('raise InvalidParameterError(f"need p >= 1, got p={p}")\n')
+    assert _floor_raises(tree) == [1]
