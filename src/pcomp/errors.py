@@ -10,7 +10,10 @@ class InvalidParameterError(PcompError, ValueError):
 
 
 def _at_least(name: str, value: int, low: int) -> None:
-    """The one floor check: refuse value below low, naming the parameter."""
+    """The one floor check: refuse a value that is not an int (a bool is
+    not) or is below low, naming the parameter."""
+    if type(value) is not int:
+        raise InvalidParameterError(f"need {name} to be an int, got {name}={value!r}")
     if value < low:
         raise InvalidParameterError(f"need {name} >= {low}, got {name}={value}")
 

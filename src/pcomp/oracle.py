@@ -22,7 +22,10 @@ edges than slots pairwise share no clique, so each needs a clique of its
 own (the packing bound of Gramm, Guo, Hüffner and Niedermeier, ACM JEA
 13, 2008).  The packing takes the lowest uncovered edge first, and edges
 are numbered so that those sharing a clique with the fewest other edges
-come first, which packs more of them.  When the packing holds exactly as
+come first, which packs more of them.  The edges sharing a clique with
+uv are those inside N[u] & N[v] (a clique holding uv lies there, and two
+adjacent vertices there make a clique with u and v), so edges are ranked
+before any clique table is built.  When the packing holds exactly as
 many edges as slots are left, each clique still to come holds exactly
 one packed edge, so only cliques holding one are tried next; the skipped
 branches hold no cover, so the cover found stays the least.  A clique
@@ -176,8 +179,14 @@ def _certify(g: Graph, cover: CliqueCover, p: int) -> CliqueCover:
     return cover
 
 
-def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
-    """All inclusion-maximal cliques, each once, in canonical sorted order."""
+def _clique_masks(g: Graph, guard: int) -> list[int]:
+    """The maximal cliques of g as vertex masks, in maximal_cliques' order.
+
+    No maximal clique holds another, so of two sorted vertex tuples neither
+    is a prefix of the other, and the first that holds the least vertex of
+    their symmetric difference comes first.  So does the larger mask read
+    with vertex 0 as its top bit: the order is descending in that reading.
+    """
     _at_least("guard", guard, 0)
     if g.n > guard:
         raise ScaleError(
@@ -212,8 +221,13 @@ def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
     except RecursionError:
         raise ScaleError(f"maximal clique enumeration on n={g.n} recurses past "
                          "Python's recursion limit") from None
-    cliques = [frozenset(v for v in range(g.n) if mask >> v & 1) for mask in found]
-    return sorted(cliques, key=lambda c: tuple(sorted(c)))
+    n = g.n
+    return sorted(found, key=lambda m: int(f"{m:0{n}b}"[::-1], 2), reverse=True)
+
+
+def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
+    """All inclusion-maximal cliques, each once, in canonical sorted order."""
+    return [frozenset(iter_bits(m)) for m in _clique_masks(g, guard)]
 
 
 def _deepen(g: Graph, p: int, budget: int, guard: int, search: str, rounds) -> SearchResult:
@@ -243,6 +257,27 @@ def _deepen(g: Graph, p: int, budget: int, guard: int, search: str, rounds) -> S
     return SearchResult(value=None, certificate=None, nodes=nodes, bound=budget)
 
 
+def _closed_edges(adj: tuple[int, ...], edges: list[tuple[int, int]]) -> list[int]:
+    """For each vertex w, the edges with both ends in N[w], as a mask whose
+    bit k is edges[k]: the bits two or more stars of N[w] hold."""
+    star = [0] * len(adj)  # star[v]: the edges at v
+    for k, (u, v) in enumerate(edges):
+        star[u] |= 1 << k
+        star[v] |= 1 << k
+    inside = []
+    for w, a in enumerate(adj):
+        c = a | 1 << w
+        once = twice = 0
+        while c:
+            low = c & -c
+            s = star[low.bit_length() - 1]
+            twice |= once & s
+            once |= s
+            c ^= low
+        inside.append(twice)
+    return inside
+
+
 def _clique_rounds(g: Graph, p: int, guard: int):
     """solve(r) for exact_theta_e: the lexicographically least family of r
     cliques, nondecreasing in their order, that covers every edge.  The
@@ -251,7 +286,13 @@ def _clique_rounds(g: Graph, p: int, guard: int):
     Edges are numbered so that an edge sharing a clique with fewer other
     edges comes first (ties in ascending pair order), so the packing, which
     takes the lowest uncovered edge first, packs the most isolated edges.
-    The numbering moves only bits: the cliques, their order and the cover
+    An edge xy shares a clique with uv exactly when x and y lie in both
+    N[u] and N[v]: {u, v, x, y} is then a clique, which grows to a maximal
+    one, and a clique holding uv lies in N[u] and N[v].  So the edges
+    inside both (an AND of _closed_edges' masks) rank the edges before any
+    clique table is built, and a maximal clique, the intersection of N[w]
+    over its vertices w, holds the edges inside every such N[w].  The
+    numbering moves only bits: the cliques, their order and the cover
     found stay the same.
 
     When the packing holds exactly as many edges as slots are left, a
@@ -262,35 +303,22 @@ def _clique_rounds(g: Graph, p: int, guard: int):
     the other cliques skips only subtrees without a cover, so the least
     cover found does not change.
     """
-    cliques = [c for c in maximal_cliques(g, guard) if len(c) >= 2]
-    edges = list(_edge_pairs(g._adj))
-
-    def clique_masks(rank) -> tuple[list[int], list[int]]:
-        # edge k is bit rank[k]; star[v]: the edges at v, so a clique's edges
-        # are the bits two or more of its vertices' stars hold
-        star = [0] * g.n
-        for (u, v), position in zip(edges, rank):
-            star[u] |= 1 << position
-            star[v] |= 1 << position
-        masks = []
-        for c in cliques:
-            once = twice = 0
-            for v in c:
-                twice |= once & star[v]
-                once |= star[v]
-            masks.append(twice)
-        # together[k]: edges sharing some clique with the edge at bit k
-        together = [0] * len(edges)
-        for m in masks:
-            for k in iter_bits(m):
-                together[k] |= m
-        return masks, together
-
-    masks, together = clique_masks(range(len(edges)))
-    rank = [0] * len(edges)
-    for position, k in enumerate(sorted(range(len(edges)), key=lambda k: together[k].bit_count())):
-        rank[k] = position
-    masks, together = clique_masks(rank)
+    adj = g._adj
+    cliques = [c for c in _clique_masks(g, guard) if c & (c - 1)]
+    pairs = list(_edge_pairs(adj))
+    inside = _closed_edges(adj, pairs)
+    edges = sorted(pairs, key=lambda e: (inside[e[0]] & inside[e[1]]).bit_count())
+    inside = _closed_edges(adj, edges)  # edge k is now bit k of every mask
+    # together[k]: edges sharing some clique with edge k
+    together = [inside[u] & inside[v] for u, v in edges]
+    masks = []
+    for c in cliques:
+        mask = -1
+        while c:
+            low = c & -c
+            mask &= inside[low.bit_length() - 1]
+            c ^= low
+        masks.append(mask)
     size = len(masks)
     # reach[i]: edges held by a clique at index >= i (reach[0] holds them all)
     reach = [0] * (size + 1)
@@ -331,7 +359,8 @@ def _clique_rounds(g: Graph, p: int, guard: int):
 
     def solve(r: int):
         found = search(reach[0], r, 0)
-        return (tuple(cliques[i] for i in chosen) if found else None), nodes
+        return (tuple(frozenset(iter_bits(cliques[i])) for i in chosen)
+                if found else None), nodes
 
     return solve
 

@@ -22,8 +22,12 @@ from pcomp import (
     cover_from_json_dict,
     cover_to_json_dict,
     cycle_cover,
+    exact_theta_e,
+    exact_theta_e_p,
+    is_p_competition,
     lift_cover,
     make_cycle,
+    maximal_cliques,
     p_competition_graph,
     realize,
     verify_ecc,
@@ -464,3 +468,25 @@ class TestCoverSerialization:
     def test_rejects_out_of_range_member(self):
         with pytest.raises(InvalidParameterError):
             cover_from_json_dict({"n": 3, "sets": [[0, 3]]})
+
+
+@pytest.mark.parametrize("call,name,value", [
+    (lambda: cycle_cover(8, 2.0), "p", "2.0"),
+    (lambda: cycle_cover(8, True), "p", "True"),
+    (lambda: lift_cover(complement_cycle_cover(6), 2.0), "p", "2.0"),
+    (lambda: verify_p_ecc(make_cycle(6), cycle_cover(6, 2), 2.0), "p", "2.0"),
+    (lambda: p_competition_graph(realize(cycle_cover(8, 2)), 1.5), "p", "1.5"),
+    (lambda: exact_theta_e_p(make_cycle(6), 2.0), "p", "2.0"),
+    (lambda: exact_theta_e_p(make_cycle(6), 2, budget=6.0), "budget", "6.0"),
+    (lambda: exact_theta_e(make_cycle(6), upper="6"), "upper", "'6'"),
+    (lambda: maximal_cliques(make_cycle(6), guard=True), "guard", "True"),
+    (lambda: is_p_competition(make_cycle(6), 2, guard=8.5), "guard", "8.5"),
+], ids=["cycle_cover float p", "cycle_cover bool p", "lift_cover", "verify_p_ecc",
+        "p_competition_graph", "exact_theta_e_p p", "budget", "upper",
+        "maximal_cliques guard", "is_p_competition guard"])
+def test_non_int_parameters_rejected(call, name, value):
+    # the floor check refuses what is not an int, a bool included (True
+    # would read as 1), before any use could fail with a bare TypeError
+    with pytest.raises(InvalidParameterError) as caught:
+        call()
+    assert str(caught.value) == f"need {name} to be an int, got {name}={value}"

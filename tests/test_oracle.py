@@ -37,7 +37,7 @@ from pcomp import (
     verify_ecc,
     verify_p_ecc,
 )
-from pcomp.oracle import _row_rounds, _tables
+from pcomp.oracle import _clique_masks, _closed_edges, _row_rounds, _tables
 
 
 class TestMaximalCliques:
@@ -413,6 +413,50 @@ def graphs_with_isolated_vertices(draw, max_n=7):
     n = core.n + draw(st.integers(1, max_n - core.n))
     perm = draw(st.permutations(range(n)))
     return Graph(n, [(perm[u], perm[v]) for u, v in core.edges])
+
+
+def complete_graph(n):
+    return Graph(n, list(combinations(range(n), 2)))
+
+
+class TestCliqueTables:
+    """The clique search's tables against their literal definitions: the
+    mask core's order is the sorted order of the vertex tuples, each mask
+    of _closed_edges holds the edges inside N[w], and the edges inside both
+    N[u] and N[v], by which edge uv is ranked, are the edges (uv included)
+    that share a maximal clique with uv."""
+
+    @staticmethod
+    def check(g):
+        cliques = [frozenset(v for v in range(g.n) if m >> v & 1) for m in _clique_masks(g, g.n)]
+        assert cliques == sorted(cliques, key=lambda c: tuple(sorted(c)))
+        assert cliques == maximal_cliques(g)
+        edges = sorted(g.edges)
+        inside = _closed_edges(g._adj, edges)
+        for w in range(g.n):
+            closed = {w, *(v for v in range(g.n) if g.has_edge(v, w))}
+            assert inside[w] == sum(1 << k for k, e in enumerate(edges) if set(e) <= closed)
+        for u, v in edges:
+            together = {e for c in cliques if u in c and v in c
+                        for e in combinations(sorted(c), 2)}
+            assert (inside[u] & inside[v]).bit_count() == len(together)
+
+    @settings(deadline=None, max_examples=150)
+    @given(graphs(max_n=12))
+    def test_random_graphs(self, g):
+        self.check(g)
+
+    @settings(deadline=None, max_examples=75)
+    @given(graphs_with_isolated_vertices(max_n=12))
+    def test_graphs_with_isolated_vertices(self, g):
+        self.check(g)
+
+    @pytest.mark.parametrize("g", [
+        Graph(1), Graph(12), complete_graph(2), complete_graph(12),
+        complement(make_cycle(12)), make_cycle(12),
+    ], ids=["K1", "edgeless 12", "K2", "K12", "co-C12", "C12"])
+    def test_edge_cases(self, g):
+        self.check(g)
 
 
 class TestRowSearchMatchesReference:
