@@ -26,12 +26,18 @@ come first, which packs more of them.  The edges sharing a clique with
 uv are those inside N[u] & N[v] (a clique holding uv lies there, and two
 adjacent vertices there make a clique with u and v), so edges are ranked
 before any clique table is built.  When the packing holds exactly as
-many edges as slots are left, each clique still to come holds exactly
-one packed edge, so only cliques holding one are tried next; the skipped
-branches hold no cover, so the cover found stays the least.  A clique
-holding no uncovered edge is skipped: dropping it would leave a cover of
-r - 1 cliques, which the previous round ruled out.  ``nodes`` counts the
-partial families visited.
+many edges as slots are left (it is tight), each clique still to come
+holds exactly one packed edge, and an uncovered edge that shares a
+clique with one packed edge e alone lies in the clique that holds e.
+So the cliques tried next are the candidates: for each packed edge e,
+the cliques from the current index on that hold e and every uncovered
+edge sharing a clique with e alone.  A packed edge without candidates,
+or an uncovered edge no candidate holds, prunes.  The skipped branches
+hold no cover, so the cover found stays the least, and the tree is a
+subset of the one that tries every clique holding a packed edge.  A
+clique holding no uncovered edge is skipped: dropping it would leave a
+cover of r - 1 cliques, which the previous round ruled out.  ``nodes``
+counts the partial families visited.
 
 The row search builds the n x r incidence matrix of the cover one vertex
 at a time, in ascending order.  Vertex v takes an r-bit row, the sets
@@ -259,22 +265,33 @@ def _deepen(g: Graph, p: int, budget: int, guard: int, search: str, rounds) -> S
 
 def _closed_edges(adj: tuple[int, ...], edges: list[tuple[int, int]]) -> list[int]:
     """For each vertex w, the edges with both ends in N[w], as a mask whose
-    bit k is edges[k]: the bits two or more stars of N[w] hold."""
+    bit k is edges[k]: the bits two or more stars of N[w] hold, or, read
+    off the fewer vertices outside N[w], every edge at none of them."""
     star = [0] * len(adj)  # star[v]: the edges at v
     for k, (u, v) in enumerate(edges):
         star[u] |= 1 << k
         star[v] |= 1 << k
+    every = (1 << len(edges)) - 1
+    full = (1 << len(adj)) - 1
     inside = []
     for w, a in enumerate(adj):
         c = a | 1 << w
-        once = twice = 0
-        while c:
-            low = c & -c
-            s = star[low.bit_length() - 1]
-            twice |= once & s
-            once |= s
-            c ^= low
-        inside.append(twice)
+        out = full & ~c
+        if out.bit_count() < c.bit_count():
+            mask = every
+            while out:
+                low = out & -out
+                mask &= ~star[low.bit_length() - 1]
+                out ^= low
+        else:
+            once = mask = 0
+            while c:
+                low = c & -c
+                s = star[low.bit_length() - 1]
+                mask |= once & s
+                once |= s
+                c ^= low
+        inside.append(mask)
     return inside
 
 
@@ -295,13 +312,20 @@ def _clique_rounds(g: Graph, p: int, guard: int):
     numbering moves only bits: the cliques, their order and the cover
     found stay the same.
 
-    When the packing holds exactly as many edges as slots are left, a
-    clique tried next must hold one of them.  Any completion is at most
-    that many cliques from index lo on that together hold every packed
-    edge, and no clique holds two packed edges, so each of its cliques
-    holds exactly one, the first (lowest-index) clique included.  Skipping
-    the other cliques skips only subtrees without a cover, so the least
-    cover found does not change.
+    When the packing holds exactly as many edges as slots are left (it is
+    tight), any completion is at most that many cliques from index lo on
+    that together hold every packed edge, and no clique holds two packed
+    edges, so it has exactly one clique per packed edge e, e's clique.  An
+    uncovered edge lies in some clique of the completion, so it shares a
+    clique with that clique's packed edge; if it shares one with e alone
+    (it lies in solo_e, e among them), it lies in e's clique.  So e's
+    clique is a candidate of e: a clique from lo on that holds all of
+    solo_e.  A packed edge without candidates, or uncovered edges that no
+    candidate holds, leave no completion, and the next clique, the
+    completion's first, is a candidate.  Trying only the candidates, in
+    ascending order, skips only subtrees without a cover, so the least
+    cover found does not change and the tree searched is a subset of the
+    one that tries every clique holding a packed edge.
     """
     adj = g._adj
     cliques = [c for c in _clique_masks(g, guard) if c & (c - 1)]
@@ -312,14 +336,21 @@ def _clique_rounds(g: Graph, p: int, guard: int):
     # together[k]: edges sharing some clique with edge k
     together = [inside[u] & inside[v] for u, v in edges]
     masks = []
-    for c in cliques:
+    member = [0] * g.n  # member[v]: the cliques holding v, bit i for cliques[i]
+    for i, c in enumerate(cliques):
+        bit = 1 << i
         mask = -1
         while c:
             low = c & -c
-            mask &= inside[low.bit_length() - 1]
+            v = low.bit_length() - 1
+            mask &= inside[v]
+            member[v] |= bit
             c ^= low
         masks.append(mask)
     size = len(masks)
+    # holders[k]: (i, masks[i]) for the cliques holding edge k, by descending
+    # i; built from member the first time edge k is packed at a tight packing
+    holders: list[list[tuple[int, int]] | None] = [None] * len(edges)
     # reach[i]: edges held by a clique at index >= i (reach[0] holds them all)
     reach = [0] * (size + 1)
     for i in range(size - 1, -1, -1):
@@ -333,24 +364,58 @@ def _clique_rounds(g: Graph, p: int, guard: int):
         nodes += 1
         if not short:
             return True
-        # packing: uncovered edges no single clique holds together need a slot each
-        packed = count = 0
+        # packing: uncovered edges no single clique holds together need a slot
+        # each; once and twice: the uncovered edges sharing a clique with at
+        # least one packed edge (all of them) and with at least two
+        packed = []
+        count = once = twice = 0
         left = short
         while left:
             low = left & -left
             count += 1
             if count > slots:
                 return False
-            packed |= low
-            left &= ~together[low.bit_length() - 1]
-        # a tight packing: the next clique must hold a packed edge
-        need = packed if count == slots else short
-        for i in range(lo, size):
+            k = low.bit_length() - 1
+            packed.append(k)
+            near = together[k] & short
+            twice |= once & near
+            once |= near
+            left &= ~near
+        if count < slots:
+            tries = range(lo, size)
+        else:
+            # tight: only the candidates of the packed edges may come next
+            alone = short & ~twice
+            tries = []
+            cover = 0  # the edges the candidates hold
+            for k in packed:
+                solo = together[k] & alone
+                held = holders[k]
+                if held is None:
+                    u, v = edges[k]
+                    both = member[u] & member[v]
+                    held = holders[k] = []
+                    while both:
+                        i = both.bit_length() - 1
+                        held.append((i, masks[i]))
+                        both ^= 1 << i
+                for i, mask in held:
+                    if i < lo:
+                        break
+                    if not solo & ~mask:
+                        tries.append(i)
+                        cover |= mask
+                if not cover >> k & 1:
+                    return False  # only a candidate of edge k holds edge k
+            if short & ~cover:
+                return False
+            tries.sort()
+        for i in tries:
             if short & ~reach[i]:
                 break  # the cliques from i on no longer hold every uncovered edge
             # a clique without an uncovered edge could be dropped, leaving a
             # cover of r - 1 cliques, which the previous round ruled out
-            if masks[i] & need:
+            if masks[i] & short:
                 chosen.append(i)
                 if search(short & ~masks[i], slots - 1, i):
                     return True

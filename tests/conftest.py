@@ -23,8 +23,8 @@ from pcomp import (
     maximal_cliques,
 )
 from pcomp.cli import main
-from pcomp.graphs import iter_bits
-from pcomp.oracle import _certify, _deepen
+from pcomp.graphs import _edge_pairs, iter_bits
+from pcomp.oracle import _certify, _clique_masks, _closed_edges, _deepen
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -483,3 +483,68 @@ def reference_row_rounds(g: Graph, p: int, guard: int):
 def reference_row_search(g: Graph, p: int, budget: int, guard: int = 8) -> SearchResult:
     """exact_theta_e_p through reference_row_rounds."""
     return _deepen(g, p, budget, guard, "p-cover search", reference_row_rounds)
+
+
+def reference_clique_rounds(g: Graph, p: int, guard: int):
+    """The clique search's solve(r) as it was before a tight packing tried
+    only the cliques that hold every uncovered edge their packed edge alone
+    shares a clique with: at a tight packing it tries every clique from lo
+    on that holds a packed edge.  Kept as the reference the clique search
+    must match in value, certificate and bound, with no more nodes."""
+    adj = g._adj
+    cliques = [c for c in _clique_masks(g, guard) if c & (c - 1)]
+    pairs = list(_edge_pairs(adj))
+    inside = _closed_edges(adj, pairs)
+    edges = sorted(pairs, key=lambda e: (inside[e[0]] & inside[e[1]]).bit_count())
+    inside = _closed_edges(adj, edges)
+    together = [inside[u] & inside[v] for u, v in edges]
+    masks = []
+    for c in cliques:
+        mask = -1
+        for v in iter_bits(c):
+            mask &= inside[v]
+        masks.append(mask)
+    size = len(masks)
+    reach = [0] * (size + 1)
+    for i in range(size - 1, -1, -1):
+        reach[i] = reach[i + 1] | masks[i]
+    chosen: list[int] = []
+    nodes = 0
+
+    def search(short: int, slots: int, lo: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if not short:
+            return True
+        packed = count = 0
+        left = short
+        while left:
+            low = left & -left
+            count += 1
+            if count > slots:
+                return False
+            packed |= low
+            left &= ~together[low.bit_length() - 1]
+        need = packed if count == slots else short
+        for i in range(lo, size):
+            if short & ~reach[i]:
+                break
+            if masks[i] & need:
+                chosen.append(i)
+                if search(short & ~masks[i], slots - 1, i):
+                    return True
+                chosen.pop()
+        return False
+
+    def solve(r: int):
+        found = search(reach[0], r, 0)
+        return (tuple(frozenset(iter_bits(cliques[i])) for i in chosen)
+                if found else None), nodes
+
+    return solve
+
+
+def reference_clique_search(g: Graph, upper: int | None = None, guard: int = 16) -> SearchResult:
+    """exact_theta_e through reference_clique_rounds."""
+    upper = len(g.edges) if upper is None else upper
+    return _deepen(g, 1, upper, guard, "exact cover search", reference_clique_rounds)

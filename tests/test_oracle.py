@@ -10,6 +10,7 @@ from conftest import (
     graphs,
     hole_row_cover,
     literal_verify_p_ecc,
+    reference_clique_search,
     reference_row_search,
     reference_theta_e,
     reference_theta_e_p,
@@ -496,6 +497,40 @@ class TestRowSearchMatchesReference:
         assert fewer > 0
 
 
+class TestCliqueSearchMatchesReference:
+    """The clique search against its form before a tight packing tried only
+    the candidates of its packed edges (reference_clique_search in
+    tests/conftest.py): the same value, certificate and bound, and no more
+    nodes, since the tree searched is a subset of the reference's."""
+
+    @staticmethod
+    def same(g, upper=None):
+        got = exact_theta_e(g, upper=upper)
+        want = reference_clique_search(g, upper=upper)
+        assert outcome(got) == outcome(want)
+        assert got.nodes <= want.nodes
+        return got.nodes < want.nodes
+
+    def test_random_graphs_with_a_drawn_bound(self):
+        rng = random.Random(30)
+        fewer = 0
+        for _ in range(400):
+            n = rng.randint(2, 13)
+            density = rng.random()
+            g = Graph(n, [pr for pr in combinations(range(n), 2) if rng.random() < density])
+            upper = rng.choice([None, rng.randint(0, n * n // 4 + 1)])
+            fewer += self.same(g, upper)
+        assert fewer > 20
+
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_relabeled_cycle_complements(self, n):
+        for seed in range(4):
+            g = relabeled(complement(make_cycle(n)), random.Random(3000 * n + seed))
+            assert self.same(g)
+            theta = exact_theta_e(g).value
+            self.same(g, upper=theta - 1)
+
+
 def complete_bipartite(m):
     return Graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
 
@@ -660,12 +695,12 @@ class TestCoverSearchMatchesReference:
         assert p_outcome(g, p, exact_theta_e_p(g, p, n)) == (want.value, want.bound)
 
     @pytest.mark.parametrize("run,want", [
-        (lambda: exact_theta_e(complement(make_cycle(14))), 2316),
-        (lambda: exact_theta_e(complement(make_cycle(15))), 75646),
+        (lambda: exact_theta_e(complement(make_cycle(14))), 266),
+        (lambda: exact_theta_e(complement(make_cycle(15))), 6356),
         (lambda: exact_theta_e_p(complement(make_cycle(7)), 2, 7), 404),
         (lambda: exact_theta_e_p(make_cycle(7), 4, 7), 50),
-        (lambda: exact_theta_e(complement(make_cycle(12)), upper=6), 176),
-        (lambda: exact_theta_e(complement(make_cycle(13)), upper=6), 315),
+        (lambda: exact_theta_e(complement(make_cycle(12)), upper=6), 34),
+        (lambda: exact_theta_e(complement(make_cycle(13)), upper=6), 50),
         (lambda: exact_theta_e_p(make_cycle(8), 6, 8), 25),
         (lambda: exact_theta_e_p(complement(make_cycle(6)), 4, 6), 30),
         (lambda: exact_theta_e_p(make_cycle(8), 7, 8), 10),
