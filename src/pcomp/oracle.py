@@ -265,8 +265,7 @@ def _deepen(g: Graph, p: int, budget: int, guard: int, search: str, rounds) -> S
 
 def _closed_edges(adj: tuple[int, ...], edges: list[tuple[int, int]]) -> list[int]:
     """For each vertex w, the edges with both ends in N[w], as a mask whose
-    bit k is edges[k]: the bits two or more stars of N[w] hold, or, read
-    off the fewer vertices outside N[w], every edge at none of them."""
+    bit k is edges[k]: every edge at none of the vertices outside N[w]."""
     star = [0] * len(adj)  # star[v]: the edges at v
     for k, (u, v) in enumerate(edges):
         star[u] |= 1 << k
@@ -275,22 +274,12 @@ def _closed_edges(adj: tuple[int, ...], edges: list[tuple[int, int]]) -> list[in
     full = (1 << len(adj)) - 1
     inside = []
     for w, a in enumerate(adj):
-        c = a | 1 << w
-        out = full & ~c
-        if out.bit_count() < c.bit_count():
-            mask = every
-            while out:
-                low = out & -out
-                mask &= ~star[low.bit_length() - 1]
-                out ^= low
-        else:
-            once = mask = 0
-            while c:
-                low = c & -c
-                s = star[low.bit_length() - 1]
-                mask |= once & s
-                once |= s
-                c ^= low
+        out = full & ~(a | 1 << w)
+        mask = every
+        while out:
+            low = out & -out
+            mask &= ~star[low.bit_length() - 1]
+            out ^= low
         inside.append(mask)
     return inside
 
