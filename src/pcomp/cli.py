@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     tep.add_argument("graph")
     tep.add_argument("--p", type=int, required=True)
     tep.add_argument("--budget", type=int, help="defaults to the vertex count")
-    tep.add_argument("--guard", type=int, help="cap on the vertex count and on the number of sets")
+    tep.add_argument("--guard", type=int,
+                     help="cap on the vertex count, and at p >= 2 on the number of sets")
     tep.set_defaults(func=cmd_theta_e_p)
 
     decide = sub.add_parser("decide", help="is the graph a p-competition graph?")

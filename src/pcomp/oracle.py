@@ -7,12 +7,12 @@ Three exact searches, all deterministic:
                       over the maximal cliques (growing any cover set to a
                       maximal clique never hurts coverage).
   * exact_theta_e_p   minimum p-edge clique cover size up to a budget, by
-                      the row search (sets in a p-cover need not be
-                      cliques).
+                      the clique search at p = 1 and the row search at
+                      p >= 2 (sets in a p-cover need not be cliques).
 
-Both run through _deepen, which owns the guard, the edgeless answer, the
-deepening of the number of sets r from p until a round finds a cover, and
-the certificate check of the cover found.
+Both kernels run through _deepen, which owns the guard on n, the edgeless
+answer, the deepening of the number of sets r from p until a round finds a
+cover, and the certificate check of the cover found.
 
 The clique search walks nondecreasing sequences of maximal cliques in
 sorted order, so its cover is the lexicographically least of least size.
@@ -22,28 +22,19 @@ edges than slots pairwise share no clique, so each needs a clique of its
 own (the packing bound of Gramm, Guo, Hüffner and Niedermeier, ACM JEA
 13, 2008).  The packing takes the lowest uncovered edge first, and edges
 are numbered so that those sharing a clique with the fewest other edges
-come first, which packs more of them.  The edges sharing a clique with
-uv are those inside N[u] & N[v] (a clique holding uv lies there, and two
-adjacent vertices there make a clique with u and v), so edges are ranked
-before any clique table is built.  When the packing holds exactly as
-many edges as slots are left (it is tight), each clique still to come
-holds exactly one packed edge, and an uncovered edge that shares a
-clique with one packed edge e alone lies in the clique that holds e.
-So the cliques tried next are the candidates: for each packed edge e,
-the cliques from the current index on that hold e and every uncovered
-edge sharing a clique with e alone.  A packed edge without candidates,
-or an uncovered edge no candidate holds, prunes.  The skipped branches
-hold no cover, so the cover found stays the least, and the tree is a
-subset of the one that tries every clique holding a packed edge.  A
-clique holding no uncovered edge is skipped: dropping it would leave a
-cover of r - 1 cliques, which the previous round ruled out.  ``nodes``
-counts the partial families visited.
+come first, which packs more of them.  When the packing holds exactly as
+many edges as slots are left, only the candidates of its packed edges
+are tried (_clique_rounds gives the argument).  A clique holding no
+uncovered edge is skipped: dropping it would leave a cover of r - 1
+cliques, which the previous round ruled out.  ``nodes`` counts the
+partial families visited.
 
 The row search builds the n x r incidence matrix of the cover one vertex
 at a time, in ascending order.  Vertex v takes an r-bit row, the sets
 that hold it, which is its out-mask in realize.  A pair lies in
 (row_u & row_v).bit_count() sets.  Rows are drawn from the universe
-U(r, p): row 0 and the rows with at least p bits, in ascending order.
+U(r, p): row 0 and the rows with at least p bits, in ascending order
+(_row_rounds gives why this leaves the cover found as it is).
 Every later vertex keeps the rows it may still take as one |U|-bit domain
 over U's indices, and each placed row narrows the domains of the later
 vertices to rows sharing at least p bits with it across an edge and fewer
@@ -56,31 +47,9 @@ the rows that keep this rule, and it tries them in ascending order.  The
 certificate is thus canonical: of the covers of r sets with nonincreasing
 columns, the one whose rows, read as integers from vertex 0 on, form the
 least sequence.  Its sets are the columns in order, built only when a
-round finds a cover.  ``nodes`` counts the rows placed.
-
-The universe leaves the cover found as it is.  A vertex with an edge
-shares p sets with that neighbour, so its row has at least p bits.  A row
-of fewer (row 0 among them) empties the domain of a later neighbour at
-once, and lies outside the domain of a vertex whose neighbour was placed
-before it.  An isolated vertex always has row 0 in its domain and tries
-it first, and row 0 narrows no domain and keeps every column tie.  If any
-row completes the cover there, row 0 does too: giving the vertex row 0
-keeps a p-cover, and re-sorting the columns within each run of columns
-tied on the rows placed before it restores the column order without
-moving those rows.  So every row outside U that a search over all 2^r
-rows tries fails, and the search over U places the same rows in the same
-order, less those, and finds the same cover.
-
-A placed row narrows the later domains one at a time and is dropped at
-the first that empties.  Before them all it tests the later vertex whose
-domain emptied last at this depth (one offset per depth, kept across rows
-and rounds).  A row is kept iff no later domain empties, whatever order
-they are tested in, so this order changes neither the rows placed nor
-the cover found.
-
-_tables(r, p) holds U, and builds each row's meet mask (the rows meeting
-it in at least p bits) and each tie mask on first use; it keeps all three
-for the life of the process.  The guard caps both n and r.
+round finds a cover.  ``nodes`` counts the rows placed.  _tables(r, p)
+holds U and the meet and tie masks, and the row search's guard also
+caps r.
 
 is_p_competition combines the constructive route (cycle and cycle-
 complement covers plus lifting) with the exhaustive route (a graph on n
@@ -467,8 +436,32 @@ def _tables(r: int, p: int) -> tuple[list[int], _Lazy, _Lazy]:
 
 
 def _row_rounds(g: Graph, p: int, guard: int):
-    """solve(r) for exact_theta_e_p: the canonical p-edge clique cover of
-    r sets, found as one r-bit row per vertex (bit j: the vertex is in set j)."""
+    """solve(r) for exact_theta_e_p at p >= 2: the canonical p-edge clique
+    cover of r sets, found as one r-bit row per vertex (bit j: the vertex
+    is in set j).  It is sound at p = 1 too, where U holds every row.
+
+    The universe leaves the cover found as it is.  A vertex with an edge
+    shares p sets with that neighbour, so its row has at least p bits.  A
+    row of fewer (row 0 among them) empties the domain of a later neighbour
+    at once, and lies outside the domain of a vertex whose neighbour was
+    placed before it.  An isolated vertex always has row 0 in its domain
+    and tries it first, and row 0 narrows no domain and keeps every column
+    tie.  If any row completes the cover there, row 0 does too: giving the
+    vertex row 0 keeps a p-cover, and re-sorting the columns within each
+    run of columns tied on the rows placed before it restores the column
+    order without moving those rows.  So every row outside U that a search
+    over all 2^r rows tries fails, and the search over U places the same
+    rows in the same order, less those, and finds the same cover.  |U| is
+    2^r - r at p = 2 and shrinks as p nears r, and so do each domain and
+    each mask a placed row reads.
+
+    A placed row narrows the later domains one at a time and is dropped at
+    the first that empties.  Before them all it tests the later vertex
+    whose domain emptied last at this depth (one offset per depth, kept
+    across rows and rounds).  A row is kept iff no later domain empties,
+    whatever order they are tested in, so this order changes neither the
+    rows placed nor the cover found.
+    """
     n = g.n
     rows = [0] * n
     # culprit[v]: the offset from v of the later vertex whose domain emptied
@@ -532,27 +525,20 @@ def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> Search
 
 def exact_theta_e_p(g: Graph, p: int, budget: int | None = None, guard: int = 8) -> SearchResult:
     """Smallest r <= budget (by default n, the characterization's bound)
-    admitting a p-edge clique cover of r sets, with the canonical cover of
-    that size.
+    admitting a p-edge clique cover of r sets, with a cover of that size.
 
-    The row search; ``guard`` caps both n and the number of sets.  A round
-    at r sets draws rows from U(r, p), row 0 and the rows with at least p
-    bits, so each later vertex keeps a |U|-bit domain and each row placed
-    reads a |U|-bit mask: |U| is 2^r at p = 1 and shrinks as p nears r.  A
-    vertex with an edge needs a row of at least p bits, and an isolated
-    vertex completes the cover with row 0 whenever it can with any row, so
-    the cover found is the one a search over all 2^r rows finds.  A row is
-    dropped at the first later domain it empties, testing first the one
-    that emptied last at its depth; the rows kept do not depend on that
-    order.  A vertex tries only the rows of its domain that the column tie
-    rule allows, read off a |U|-bit tie mask.  U, each row's meet mask and
-    each tie mask are built on first use and cached per (r, p), for the
-    life of the process.
+    At p = 1 no nonedge may share a set, so every set is a clique, and
+    growing each to a maximal clique keeps the cover: the clique search
+    answers, with the same result as exact_theta_e(g, upper=budget), its
+    certificate the least family of maximal cliques, and ``guard`` caps n
+    alone.  At p >= 2 the row search answers with the canonical cover, and
+    ``guard`` caps both n and the number of sets.
     """
     _at_least("p", p, 1)
     budget = g.n if budget is None else budget
     _at_least("budget", budget, 0)
-    return _deepen(g, p, budget, guard, "p-cover search", _row_rounds)
+    return _deepen(g, p, budget, guard, "p-cover search",
+                   _clique_rounds if p == 1 else _row_rounds)
 
 
 def _constructive_decision(g: Graph, p: int) -> Decision | None:

@@ -440,7 +440,7 @@ class TestRecursionLimit:
     def test_search_past_the_recursion_limit_exits_3(self, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 1200, "edges": [[0, 1]]}))
-        res = run_main(["theta-e-p", g, "--p", "1", "--guard", "2048"])
+        res = run_main(["theta-e-p", g, "--p", "2", "--guard", "2048"])
         assert res.returncode == 3
         assert res.stdout == ""
         assert res.stderr.startswith(

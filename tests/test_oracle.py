@@ -234,16 +234,22 @@ class TestExactThetaEP:
                 assert exact_theta_e_p(g, p, n).value == naive_minimum(g, p, n)
 
     def test_agrees_with_theta_e_at_p_1(self):
-        # the clique search and the row search are independent routes to
-        # the same number when p = 1; triangle-free graphs can need more
-        # than 8 sets, which the row search reports as exceeds-bound
+        # at p = 1 exact_theta_e_p runs exact_theta_e's clique search, so
+        # the two agree field for field; the row search is an independent
+        # route to the same value and bound.  Triangle-free graphs can need
+        # more sets than the drawn budget, and all three say exceeds-bound
         rng = random.Random(11)
-        for _ in range(200):
-            n = rng.randint(2, 7)
-            pairs = list(combinations(range(n), 2))
-            g = Graph(n, [pr for pr in pairs if rng.random() < 0.55])
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            density = rng.random()
+            g = Graph(n, [pr for pr in combinations(range(n), 2) if rng.random() < density])
+            budget = rng.randint(0, 8)
             theta = exact_theta_e(g).value
-            assert exact_theta_e_p(g, 1, 8).value == (theta if theta <= 8 else None)
+            got = exact_theta_e_p(g, 1, budget)
+            assert got == exact_theta_e(g, upper=budget)
+            assert got.value == (theta if theta <= budget else None)
+            row = row_search(g, 1, budget)
+            assert (row.value, row.bound) == (got.value, got.bound)
 
     def test_set_count_is_capped_by_the_guard(self):
         # K_{4,4} has no 2-cover of at most 8 sets; the guard stops the
@@ -252,6 +258,14 @@ class TestExactThetaEP:
         assert exact_theta_e_p(k44, 2, budget=8).outcome == "exceeds-bound"
         with pytest.raises(ScaleError, match="at most 8 sets"):
             exact_theta_e_p(k44, 2, budget=10)
+
+    def test_set_count_is_not_capped_at_p_1(self):
+        # at p = 1 the clique search runs, and the guard caps n alone: the
+        # 16 edges of K_{4,4} share no triangle, so they need 16 sets
+        k44 = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])
+        result = exact_theta_e_p(k44, 1, budget=16)
+        assert result.value == 16 and len(result.certificate) == 16
+        assert exact_theta_e_p(k44, 1, budget=15).outcome == "exceeds-bound"
 
     @pytest.mark.parametrize("n,largest", [(5, 2), (6, 3), (7, 2), (8, 4), (9, 4), (10, 5),
                                            (11, 6), (12, 7), (13, 8), (14, 9), (15, 10),
@@ -460,6 +474,15 @@ class TestCliqueTables:
         self.check(g)
 
 
+def row_search(g, p, budget, guard=8):
+    """The row search at any p: exact_theta_e_p for p >= 2, and its kernel
+    run through _deepen at p = 1, where exact_theta_e_p runs the clique
+    search."""
+    if p > 1:
+        return exact_theta_e_p(g, p, budget, guard=guard)
+    return pcomp.oracle._deepen(g, 1, budget, guard, "p-cover search", _row_rounds)
+
+
 class TestRowSearchMatchesReference:
     """The row search against its form before the universe and the early
     stop (reference_row_search in tests/conftest.py): the same value, bound
@@ -468,7 +491,7 @@ class TestRowSearchMatchesReference:
 
     @staticmethod
     def same(g, p, guard=8):
-        got = exact_theta_e_p(g, p, g.n, guard=guard)
+        got = row_search(g, p, g.n, guard=guard)
         want = reference_row_search(g, p, g.n, guard=guard)
         assert outcome(got) == outcome(want)
         assert got.nodes <= want.nodes
@@ -543,7 +566,7 @@ class TestRecursionLimit:
         (lambda: maximal_cliques(complement(Graph(1100)), guard=2048), 1100),
         (lambda: exact_theta_e(Graph(2048, [(2 * i, 2 * i + 1) for i in range(1024)]),
                                guard=2048), 2048),
-        (lambda: exact_theta_e_p(Graph(1200, [(0, 1)]), 1, 1200, guard=2048), 1200),
+        (lambda: exact_theta_e_p(Graph(1200, [(0, 1)]), 2, 1200, guard=2048), 1200),
         # one recursion level per set: theta_e(K_{40,40}) = 1600 on n = 80
         (lambda: exact_theta_e(complete_bipartite(40), guard=80), 80),
     ], ids=["K1100 cliques", "matching theta_e", "one edge theta_e_p", "K40,40 theta_e"])
@@ -622,11 +645,11 @@ class TestCoverSearchMatchesReference:
     """Both kernels against the searches they replaced (tests/conftest.py).
 
     The clique search matches reference_theta_e in value, certificate and
-    bound.  The row search matches reference_theta_e_p in value and bound
-    only: its certificate is the canonical row-wise cover rather than the
-    lexicographically least family of vertex subsets, so every certificate
-    is checked on its own and, for n <= 5, against a brute-force canonical
-    cover.
+    bound.  exact_theta_e_p, the clique search at p = 1 and the row search
+    above, matches reference_theta_e_p in value and bound only: neither
+    certificate need be the lexicographically least family of vertex
+    subsets, so every certificate is checked on its own, and the row
+    search's, for n <= 5, against a brute-force canonical cover.
     """
 
     @settings(deadline=None, max_examples=100)
@@ -643,7 +666,7 @@ class TestCoverSearchMatchesReference:
             n = rng.randint(2, 5)
             g = Graph(n, [pr for pr in combinations(range(n), 2) if rng.random() < 0.6])
             p = rng.randint(1, 3)
-            result = exact_theta_e_p(g, p, n)
+            result = row_search(g, p, n)
             if result.value:
                 found += 1
                 assert rows_of(result.certificate) == canonical_rows(g, p, result.value)
