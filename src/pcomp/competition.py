@@ -7,8 +7,12 @@ themselves (loops contribute like any other arc), and the output keeps the
 full vertex set even for isolated vertices.  p = 1 is the ordinary
 competition graph.
 
-The count for a pair is the popcount of the AND of two out-masks, and
-one pass over the predators x counts x against vertices above it.  A
+When p - 1 vertices are prey of every vertex (at p = 1: when none is),
+as in the realization of a lifted cover, x's neighbours are the
+predators of its other prey, one OR per prey and no pair count
+(``graphs._one_short_unions`` gives the argument).  Otherwise the count
+for a pair is the popcount of the AND of two out-masks, and one pass
+over the predators x counts x against vertices above it.  A
 predator with fewer than p prey shares p with nobody and is skipped.
 Otherwise, with k prey, x's candidates are the union of the in-masks
 (predator masks) of its lowest k - p + 1 prey, which by
@@ -19,8 +23,7 @@ x once.  x walks iff the walk's estimated cost is at most n - x - 1, with
 its candidates taken as the k - p + 1 masks times the predators above x
 of its lowest prey (one shift and bit count).  Counting only predators
 above x matters: in a cycle cover's realization the lowest prey of most
-x is a set ending at x, so the walk meets almost no candidates, while
-the full sets of a lifted co-cycle cover make nearly every vertex one.
+x is a set ending at x, so the walk meets almost no candidates.
 The two loops stay apart: one loop body walking candidates through
 ``iter_bits`` was 1.11-1.15x slower on cycle-cover realizations.  The
 in-masks come with every digraph (see ``graphs``).
@@ -29,7 +32,7 @@ in-masks come with every digraph (see ``graphs``).
 from __future__ import annotations
 
 from .errors import InvalidParameterError, _at_least
-from .graphs import Digraph, Graph, _sharers
+from .graphs import Digraph, Graph, _one_short_unions, _sharers
 
 
 def common_prey_count(d: Digraph, x: int, y: int) -> int:
@@ -44,6 +47,9 @@ def p_competition_graph(d: Digraph, p: int) -> Graph:
     """Graph on d's vertices with {x, y} an edge iff they share >= p prey."""
     _at_least("p", p, 1)
     n, out, preds = d.n, d._out, d._in
+    unions = _one_short_unions(out, preds, p)
+    if unions is not None:  # x's neighbours: its union without x
+        return Graph._from_masks(n, [near & ~(1 << x) for x, near in enumerate(unions)])
     adj = [0] * n
     for x, ox in enumerate(out):
         r = ox.bit_count() - p + 1  # in-masks ORed into x's candidates

@@ -21,18 +21,23 @@ kernel as the common-prey count of the p-competition map.  A cover holds
 this incidence, rows and members (bit v of members[j] set iff v is in
 S_j), in one private slot that ``CliqueCover._incidence`` fills on first
 use and keeps, so verify_p_ecc and realize build it once between them.
-``cycle_cover`` fills it in closed form.  The edge scan
-counts every edge.  The nonedge scan counts a nonneighbour v above u only
-if v lies in one of the lowest k - p + 1 sets holding u, where k is the
-number of sets holding u; ``graphs._sharers`` shows that no pair sharing p
-sets is skipped.  When u has at most k - p nonneighbours above it, it
-counts them all, which is cheaper than narrowing them; a vertex in fewer
-than p sets narrows to no candidates.  Each scan walks its candidate mask
-lowest bit first, so pairs are met in ascending order.  The nonedge scan
-runs first, so a verdict names the least nonedge in p sets if there is
-one, and only otherwise the least edge in fewer than p sets; that edge
-is reported as ``family-smaller-than-p`` when the family has fewer than
-p sets, since then every edge is uncovered.
+``cycle_cover`` fills it in closed form.  The nonedge scan counts a
+nonneighbour v above u only if v lies in one of the lowest k - p + 1 sets
+holding u, where k is the number of sets holding u; ``graphs._sharers``
+shows that no pair sharing p sets is skipped.  When u has at most k - p
+nonneighbours above it, it counts them all, which is cheaper than
+narrowing them; a vertex in fewer than p sets narrows to no candidates.
+The edge scan counts every edge, except when the family's full sets
+(those holding every vertex, as in a ``lift_cover`` output) number
+p - 1, and so at p = 1 when it has none: then an edge above u is short
+iff it misses the OR of u's sets that are not full, and no pair is
+counted (``graphs._one_short_unions`` gives the argument).  Each scan
+meets the pairs of u lowest v first, so pairs are met in ascending
+order.  The nonedge scan runs first, so a verdict names the least
+nonedge in p sets if there is one, and only otherwise the least edge in
+fewer than p sets; that edge is reported as ``family-smaller-than-p``
+when the family has fewer than p sets, since then every edge is
+uncovered.
 
 ``CliqueCover(n, sets)`` checks every member it is given.  The private
 ``CliqueCover._trusted`` checks nothing; the constructions here build
@@ -45,7 +50,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InfeasibleError, InvalidParameterError, _at_least
-from .graphs import Graph, _sharers, vertex_lists_from_json
+from .graphs import Graph, _one_short_unions, _sharers, vertex_lists_from_json
 
 REASON_UNCOVERED_EDGE = "uncovered-edge"
 REASON_NONEDGE_IN_P_SETS = "nonedge-in-p-sets"
@@ -172,6 +177,13 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
             m ^= low
     # with fewer than p sets every edge is short, so the least edge is named
     reason = REASON_FAMILY_SMALLER_THAN_P if len(f.sets) < p else REASON_UNCOVERED_EDGE
+    unions = _one_short_unions(rows, members, p)
+    if unions is not None:  # an edge above u is short iff outside u's union
+        for u, near in enumerate(unions):
+            m = adj[u] & -(2 << u) & ~near
+            if m:
+                return Verdict(False, reason, (u, (m & -m).bit_length() - 1))
+        return Verdict(True)
     for u, row in enumerate(rows):
         m = adj[u] & -(2 << u)  # neighbours above u
         while m:

@@ -523,21 +523,30 @@ def exact_theta_e(g: Graph, upper: int | None = None, guard: int = 16) -> Search
     return _deepen(g, 1, upper, guard, "exact cover search", _clique_rounds)
 
 
-def exact_theta_e_p(g: Graph, p: int, budget: int | None = None, guard: int = 8) -> SearchResult:
+def _kernel_guard(p: int, guard: int | None) -> int:
+    """guard, or when None the default of the kernel answering at p: 16,
+    exact_theta_e's, for the clique search at p = 1, and 8 for the row
+    search at p >= 2."""
+    return (16 if p == 1 else 8) if guard is None else guard
+
+
+def exact_theta_e_p(g: Graph, p: int, budget: int | None = None,
+                    guard: int | None = None) -> SearchResult:
     """Smallest r <= budget (by default n, the characterization's bound)
     admitting a p-edge clique cover of r sets, with a cover of that size.
 
     At p = 1 no nonedge may share a set, so every set is a clique, and
     growing each to a maximal clique keeps the cover: the clique search
-    answers, with the same result as exact_theta_e(g, upper=budget), its
-    certificate the least family of maximal cliques, and ``guard`` caps n
-    alone.  At p >= 2 the row search answers with the canonical cover, and
-    ``guard`` caps both n and the number of sets.
+    answers, with the same result as exact_theta_e(g, budget, guard), its
+    certificate the least family of maximal cliques, and ``guard`` (16 by
+    default, as for exact_theta_e) caps n alone.  At p >= 2 the row search
+    answers with the canonical cover, and ``guard`` (8 by default) caps
+    both n and the number of sets.
     """
     _at_least("p", p, 1)
     budget = g.n if budget is None else budget
     _at_least("budget", budget, 0)
-    return _deepen(g, p, budget, guard, "p-cover search",
+    return _deepen(g, p, budget, _kernel_guard(p, guard), "p-cover search",
                    _clique_rounds if p == 1 else _row_rounds)
 
 
@@ -570,7 +579,7 @@ METHODS = ("auto", "construct", "oracle", "both")  # the routes is_p_competition
 
 
 def is_p_competition(g: Graph, p: int, method: str = "auto",
-                     guard: int = 8) -> Decision:
+                     guard: int | None = None) -> Decision:
     """Is g the p-competition graph of some digraph?
 
     method "construct" uses the cycle / cycle-complement constructions,
@@ -579,10 +588,12 @@ def is_p_competition(g: Graph, p: int, method: str = "auto",
     "both" runs each route that applies (the search when n <= guard) and
     raises PcompError if two ran and disagree; it answers "both" when two
     ran.  A yes carries the constructive cover if any, else the search's.
+    ``guard`` defaults as in exact_theta_e_p: 16 at p = 1, else 8.
     """
     _at_least("p", p, 1)
     if method not in METHODS:
         raise InvalidParameterError(f"unknown method {method!r}")
+    guard = _kernel_guard(p, guard)
     _at_least("guard", guard, 0)
 
     constructive = None if method == "oracle" else _constructive_decision(g, p)

@@ -579,6 +579,11 @@ class TestOracleCommands:
     def test_decide_unsupported_exits_2(self, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 12, "edges": [[0, 1]]}))
+        assert run_main(["decide", g, "--p", 2]).returncode == 2
+        # at p = 1 the default guard is the clique search's 16
+        res = run_main(["decide", g, "--p", 1])
+        assert res.returncode == 0 and json.loads(res.stdout)["method"] == "oracle"
+        g.write_text(json.dumps({"n": 17, "edges": [[0, 1]]}))
         assert run_main(["decide", g, "--p", 1]).returncode == 2
 
 

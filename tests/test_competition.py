@@ -2,15 +2,17 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import arc_sets, digraphs
 from pcomp import (
+    CliqueCover,
     Digraph,
     Graph,
     InvalidParameterError,
     common_prey_count,
+    complement,
     complement_cycle_cover,
     cycle_cover,
     lift_cover,
@@ -109,6 +111,52 @@ class TestPreyFilter:
                 break
         assert any(x == v for x, v in arcs)
         assert_scans_match_literal(n, arcs, p)
+
+
+@st.composite
+def arc_sets_with_universal_prey(draw, max_n=10, max_p=4):
+    """(n, arcs, p): drawn arcs plus 0..p + 1 prey that every vertex
+    preys on, so the prey common to all number c = p - 1, c >= p, or 0
+    (the ordinary competition graph at p = 1)."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.integers(1, max_p))
+    arcs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    universal = draw(st.sets(st.integers(0, n - 1), max_size=p + 1))
+    return n, arcs | {(x, v) for x in range(n) for v in universal}, p
+
+
+class TestUniversalPrey:
+    """Prey of every predator are shared by every pair: with c of them and
+    p - c = 1, each predator's neighbours are the predators of its other
+    prey; other c keep the pair count.  The graph is the literal one."""
+
+    @settings(max_examples=400)
+    @given(arc_sets_with_universal_prey())
+    def test_matches_literal_definition(self, drawn):
+        assert_scans_match_literal(*drawn)
+
+    def test_one_prey_shared_by_both_at_p_1(self):
+        # c = 1 >= p: the union of the prey that are not universal is empty
+        for arcs in ([(0, 0), (1, 0)], [(0, 1), (1, 1)], [(0, 0), (1, 0), (0, 1)]):
+            assert p_competition_graph(Digraph(2, arcs), 1).edges == {(0, 1)}
+            assert_scans_match_literal(2, arcs, 1)
+
+    @pytest.mark.parametrize("n", range(9, 32))
+    def test_lifted_co_cycle_realizations(self, n):
+        # the lift's p - 1 full sets are p - 1 universal prey; realized with
+        # one set dropped, an original or a full one, the map gives the
+        # literal graph, and the valid lift gives co-C_n back
+        base = complement_cycle_cover(n)
+        for p in range(2, 6):
+            sets = lift_cover(base, p).sets
+            if len(sets) > n:
+                continue
+            for family in (sets, sets[1:], sets[:-1]):
+                f = CliqueCover(n, family)
+                arcs = {(x, j) for j, s in enumerate(family) for x in s}
+                back = p_competition_graph(realize(f), p)
+                assert back.edges == literal_p_competition_edges(n, arcs, p)
+            assert p_competition_graph(realize(lift_cover(base, p)), p) == complement(make_cycle(n))
 
 
 class TestCommonPreyCount:

@@ -165,6 +165,94 @@ class TestVerdictMatchesReference:
         assert saturated.reason == REASON_NONEDGE_IN_P_SETS
 
 
+@st.composite
+def families_with_full_sets(draw, max_n=8, max_sets=6, max_p=4):
+    """(g, f, p): a drawn family with 0..p + 1 copies of V inserted at drawn
+    positions, on its own share graph (a valid cover) or that graph with one
+    drawn pair toggled (an edge left uncovered, or a nonedge in p sets)."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.integers(1, max_p))
+    sets = draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=max_sets))
+    for _ in range(draw(st.integers(0, p + 1))):
+        sets.insert(draw(st.integers(0, len(sets))), frozenset(range(n)))
+    f = CliqueCover(n, sets)
+    edges = _share_graph(f, p).edges
+    pairs = list(combinations(range(n), 2))
+    if pairs and draw(st.booleans()):
+        edges ^= {draw(st.sampled_from(pairs))}
+    return Graph(n, edges), f, p
+
+
+class TestFullSets:
+    """With c full sets and p - c = 1, the edge scan reads each vertex's
+    sharers off the OR of its sets that are not full; every other c keeps
+    the pair count.  Verdicts match the Counter-based reference, witness
+    included, and validity the literal definition."""
+
+    @settings(max_examples=400)
+    @given(families_with_full_sets())
+    def test_matches_reference_and_literal(self, instance):
+        g, f, p = instance
+        verdict = verify_p_ecc(g, f, p)
+        assert verdict == reference_verdict(g, f, p)
+        assert verdict.valid == literal_verify_p_ecc(g, f, p)
+
+    def test_drawn_families_meet_every_case(self):
+        # c = p - 1 (the union path), c >= p, c = 0 at p = 1 and the empty
+        # family are all drawn, valid and invalid
+        seen = set()
+
+        @settings(max_examples=400, database=None, derandomize=True)
+        @given(families_with_full_sets())
+        def record(instance):
+            g, f, p = instance
+            c = sum(len(s) == f.n for s in f.sets) if f.sets else None
+            case = ("empty" if c is None else "c = 0, p = 1" if c == 0 and p == 1
+                    else "c = p - 1" if c == p - 1 else "c >= p" if c >= p else "other")
+            seen.add((case, verify_p_ecc(g, f, p).valid))
+
+        record()
+        cases = ("empty", "c = 0, p = 1", "c = p - 1", "c >= p", "other")
+        assert {(case, valid) for case in cases for valid in (True, False)} <= seen
+
+    def test_one_set_on_k2_at_p_1(self):
+        # the set is full, so c = 1 >= p: every pair shares p sets, and the
+        # union of the sets outside the full one is empty
+        k2 = Graph(2, [(0, 1)])
+        f = CliqueCover(2, [(0, 1)])
+        assert verify_p_ecc(k2, f, 1) == reference_verdict(k2, f, 1) == (True, None, None)
+        assert verify_p_ecc(k2, CliqueCover(2, [(0, 1), (0, 1)]), 2).valid
+        assert verify_p_ecc(k2, CliqueCover(2, [(0, 1), (0,)]), 2) == (
+            False, REASON_UNCOVERED_EDGE, (0, 1))
+
+    def test_only_full_sets_below_p(self):
+        # p - 1 full sets and nothing else: fewer than p sets, no edge covered
+        g = make_cycle(5)
+        f = CliqueCover(5, [range(5)] * 2)
+        assert verify_p_ecc(g, f, 3) == reference_verdict(g, f, 3) == (
+            False, REASON_FAMILY_SMALLER_THAN_P, (0, 1))
+
+    @pytest.mark.parametrize("n", range(9, 32))
+    def test_lifted_co_cycle_covers(self, n):
+        # the valid lift, an original set dropped, a full set dropped (then
+        # c = p - 2 and the pair count runs) and a cycle edge appended as a
+        # set: a nonedge of co-C_n already in the p - 1 full sets
+        g = complement(make_cycle(n))
+        base = complement_cycle_cover(n)
+        rng = random.Random(f"lifted-{n}")
+        for p in range(2, 6):
+            f = lift_cover(base, p)
+            k = rng.randrange(len(base))
+            u = rng.randrange(n)
+            families = [f, CliqueCover(n, f.sets[:k] + f.sets[k + 1:]),
+                        CliqueCover(n, f.sets[:-1]),
+                        CliqueCover(n, (*f.sets, (u, (u + 1) % n)))]
+            verdicts = [verify_p_ecc(g, h, p) for h in families]
+            assert verdicts == [reference_verdict(g, h, p) for h in families]
+            assert [v.reason for v in verdicts] == [
+                None, REASON_UNCOVERED_EDGE, REASON_UNCOVERED_EDGE, REASON_NONEDGE_IN_P_SETS]
+
+
 def _counted_family(rng, n, r, counts):
     """r sets over n vertices, vertex v in exactly counts[v] of them."""
     sets = [[] for _ in range(r)]

@@ -189,8 +189,29 @@ class TestExactThetaEP:
         assert a.certificate == b.certificate
 
     def test_guard(self):
+        # the row search's default guard is 8; at p = 1 the clique search
+        # keeps exact_theta_e's 16, so the two calls answer alike
         with pytest.raises(ScaleError):
-            exact_theta_e_p(make_cycle(9), 1, 9)
+            exact_theta_e_p(make_cycle(9), 2, 9)
+        assert exact_theta_e_p(make_cycle(9), 1, 9) == exact_theta_e(make_cycle(9), upper=9)
+        assert exact_theta_e_p(make_cycle(9), 1, 9).value == 9
+        with pytest.raises(ScaleError):
+            exact_theta_e_p(make_cycle(17), 1)
+        assert is_p_competition(Graph(9, [(0, 1)]), 1).value
+        with pytest.raises(UnsupportedInstanceError):
+            is_p_competition(Graph(17, [(0, 1)]), 1)
+        with pytest.raises(UnsupportedInstanceError):
+            is_p_competition(Graph(9, [(0, 1)]), 2)
+
+    def test_default_guard_is_theta_e_s_at_p_1(self):
+        # past the row search's guard of 8, up to exact_theta_e's 16
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(9, 16)
+            density = rng.random()
+            g = Graph(n, [pr for pr in combinations(range(n), 2) if rng.random() < density])
+            budget = rng.randint(0, n)
+            assert exact_theta_e_p(g, 1, budget) == exact_theta_e(g, upper=budget)
 
     def test_p_and_budget_validation(self):
         with pytest.raises(InvalidParameterError):
