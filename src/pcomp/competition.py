@@ -7,10 +7,10 @@ themselves (loops contribute like any other arc), and the output keeps the
 full vertex set even for isolated vertices.  p = 1 is the ordinary
 competition graph.
 
-When p - 1 vertices are prey of every vertex (at p = 1: when none is),
-as in the realization of a lifted cover, x's neighbours are the
-predators of its other prey, one OR per prey and no pair count
-(``graphs._one_short_unions`` gives the argument).  Otherwise the count
+When at least p - 1 vertices are prey of every vertex, as in the
+realization of a lifted cover and at every p = 1, x's neighbours are
+the OR of in-masks that ``graphs._one_short_unions`` gives for x, less
+x itself, with no pair count.  Otherwise the count
 for a pair is the popcount of the AND of two out-masks, and one pass
 over the predators x counts x against vertices above it.  A
 predator with fewer than p prey shares p with nobody and is skipped.

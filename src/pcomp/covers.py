@@ -28,10 +28,10 @@ shows that no pair sharing p sets is skipped.  When u has at most k - p
 nonneighbours above it, it counts them all, which is cheaper than
 narrowing them; a vertex in fewer than p sets narrows to no candidates.
 The edge scan counts every edge, except when the family's full sets
-(those holding every vertex, as in a ``lift_cover`` output) number
-p - 1, and so at p = 1 when it has none: then an edge above u is short
-iff it misses the OR of u's sets that are not full, and no pair is
-counted (``graphs._one_short_unions`` gives the argument).  Each scan
+(those holding every vertex, as in a ``lift_cover`` output) number at
+least p - 1, as at every p = 1: then an edge above u is short iff it
+misses the OR that ``graphs._one_short_unions`` gives for u, and no
+pair is counted.  Each scan
 meets the pairs of u lowest v first, so pairs are met in ascending
 order.  The nonedge scan runs first, so a verdict names the least
 nonedge in p sets if there is one, and only otherwise the least edge in

@@ -88,21 +88,21 @@ def _or_tables(masks: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _one_short_unions(rows: tuple[int, ...], masks: tuple[int, ...],
                       p: int) -> Iterator[int] | None:
     """For each rows[u], in order, the OR of masks[j] over its set bits j
-    outside every row, when the bits common to all rows number p - 1;
-    None otherwise.
+    outside p - 1 of the bits common to all rows, when those bits number
+    at least p - 1; None otherwise.
 
     Read rows[u] as the sets holding u (or the prey of predator u) and
     masks[j] as the members of set j (the predators of prey j).  A set in
     every row is a full set, like the p - 1 copies of V that ``lift_cover``
-    appends (Kim, McKee, McMorris and Roberts, LAA 217, 1995): with c of
-    them, two vertices share c sets plus the other sets they share.  So
-    when c = p - 1, v shares p sets with u iff v lies in one of u's sets
-    that is not full, which is iff v is in the OR returned for u (u itself
-    is, unless all its sets are full).  That is one OR per set of each
-    vertex in place of one popcount per pair.  c = 0 at p = 1 is the
-    plainest case.  For c >= p every pair shares p sets, and for
-    c < p - 1 a shared set outside the full ones is not enough, so those
-    thresholds return None and keep the pair count.
+    appends (Kim, McKee, McMorris and Roberts, LAA 217, 1995).  Set p - 1
+    of the full sets aside: every two vertices share them, so v shares p
+    sets with u iff v lies in one of u's other sets, which is iff v is in
+    the OR returned for u (u itself is, unless all its sets are set
+    aside).  That is one OR per set of each vertex in place of one
+    popcount per pair.  The full sets beyond p - 1 stay in the OR, so with
+    p or more of them every OR is every vertex.  With fewer than p - 1 a
+    shared set outside them is not enough, so the pair count stays.  At
+    p = 1 nothing is set aside.
 
     The AND of the rows stops once it reaches 0.  The ORs are taken
     lazily, row by row, so a scan that stops early pays for the rows it
@@ -115,9 +115,12 @@ def _one_short_unions(rows: tuple[int, ...], masks: tuple[int, ...],
         every &= row
         if not every:
             break
-    if p - every.bit_count() == 1:
-        return _unions(rows, masks, ~every)
-    return None
+    spare = every.bit_count() - p + 1  # full sets beyond the p - 1 set aside
+    if spare < 0:
+        return None
+    for _ in range(spare):  # the lowest of them go back into the ORs
+        every &= every - 1
+    return _unions(rows, masks, ~every)
 
 
 def _unions(rows: tuple[int, ...], masks: tuple[int, ...], keep: int) -> Iterator[int]:

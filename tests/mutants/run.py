@@ -6,7 +6,9 @@ equivalent (changes speed or nothing at all, so no test can kill it).  For
 each mutant the runner copies src/, tests/, pyproject.toml and README.md
 (whose CLI tour a test runs) to a fresh temporary directory, applies the
 mutant there and runs only its tests with pytest, stopping at the first
-failure.  The working tree is never touched.
+failure.  The working tree is never touched.  The last line sums up the
+run: mutants run, killed, survived as equivalent, results that disagree
+with their flag, and total seconds.
 
     python tests/mutants/run.py            # every mutant
     python tests/mutants/run.py NAME ...   # the named mutants
@@ -73,7 +75,8 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {' '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    bad = 0
+    ran = killed = equivalent = bad = 0
+    began = time.perf_counter()
     for mutant in corpus:
         if names and mutant["name"] not in names:
             continue
@@ -81,10 +84,15 @@ def main(names: list[str]) -> int:
         result = run_one(mutant)
         expected = "survived" if mutant["equivalent"] else "killed"
         note = "" if result == expected else "  <- expected " + expected
+        ran += 1
+        killed += result == "killed"
+        equivalent += result == expected == "survived"
         bad += result != expected
         kind = "equivalent" if mutant["equivalent"] else "mutant"
         print(f"{mutant['name']}: {result} ({kind}, {time.perf_counter() - start:.1f} s){note}",
               flush=True)
+    print(f"{ran} run, {killed} killed, {equivalent} survived as equivalent, "
+          f"{bad} disagree with their flag, {time.perf_counter() - began:.1f} s")
     return 1 if bad else 0
 
 

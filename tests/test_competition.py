@@ -136,7 +136,8 @@ class TestUniversalPrey:
         assert_scans_match_literal(*drawn)
 
     def test_one_prey_shared_by_both_at_p_1(self):
-        # c = 1 >= p: the union of the prey that are not universal is empty
+        # c = 1 >= p: nothing is set aside at p = 1, so the universal prey
+        # puts both predators in each union
         for arcs in ([(0, 0), (1, 0)], [(0, 1), (1, 1)], [(0, 0), (1, 0), (0, 1)]):
             assert p_competition_graph(Digraph(2, arcs), 1).edges == {(0, 1)}
             assert_scans_match_literal(2, arcs, 1)

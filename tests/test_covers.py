@@ -184,9 +184,9 @@ def families_with_full_sets(draw, max_n=8, max_sets=6, max_p=4):
 
 
 class TestFullSets:
-    """With c full sets and p - c = 1, the edge scan reads each vertex's
-    sharers off the OR of its sets that are not full; every other c keeps
-    the pair count.  Verdicts match the Counter-based reference, witness
+    """With c >= p - 1 full sets, the edge scan reads each vertex's
+    sharers off the OR of its sets outside p - 1 full ones; a smaller c
+    keeps the pair count.  Verdicts match the Counter-based reference, witness
     included, and validity the literal definition."""
 
     @settings(max_examples=400)
@@ -216,8 +216,8 @@ class TestFullSets:
         assert {(case, valid) for case in cases for valid in (True, False)} <= seen
 
     def test_one_set_on_k2_at_p_1(self):
-        # the set is full, so c = 1 >= p: every pair shares p sets, and the
-        # union of the sets outside the full one is empty
+        # the set is full, so c = 1 >= p: every pair shares p sets, and
+        # with nothing set aside at p = 1 each union is every vertex
         k2 = Graph(2, [(0, 1)])
         f = CliqueCover(2, [(0, 1)])
         assert verify_p_ecc(k2, f, 1) == reference_verdict(k2, f, 1) == (True, None, None)

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import arc_sets, digraphs, edge_sets, graphs, literal_predators, predator_sets
 from pcomp import (
+    CliqueCover,
     Digraph,
     Graph,
     InvalidParameterError,
@@ -21,9 +23,11 @@ from pcomp import (
     graph_to_json_dict,
     is_clique,
     make_cycle,
+    p_competition_graph,
     realize,
+    verify_p_ecc,
 )
-from pcomp.graphs import MAX_N, _sharers, iter_bits
+from pcomp.graphs import MAX_N, _one_short_unions, _sharers, iter_bits
 
 
 def cycle_edges(n):
@@ -61,6 +65,61 @@ class TestSharers:
     @pytest.mark.parametrize("row,p", [(0, 1), (0b1, 2), (0b1011, 4)])
     def test_empty_below_p_bits(self, row, p):
         assert _sharers(row, [-1] * 4, p) == 0
+
+
+def rows_of(members, n):
+    """rows[v] with bit j set iff bit v of members[j] is."""
+    return tuple(sum(1 << j for j, m in enumerate(members) if m >> v & 1) for v in range(n))
+
+
+def seeded_full_set_families(p, n, rng):
+    """Seeded families over n vertices with 0..p+1 full sets at drawn
+    positions among up to five drawn sets, as (rows, members, c) with c
+    the literal number of full sets."""
+    for full in range(p + 2):
+        for _ in range(6):
+            members = [rng.getrandbits(n) for _ in range(rng.randrange(6))]
+            for _ in range(full):
+                members.insert(rng.randrange(len(members) + 1), (1 << n) - 1)
+            yield rows_of(members, n), tuple(members), sum(m == (1 << n) - 1 for m in members)
+
+
+class TestOneShortUnions:
+    """_one_short_unions(rows, masks, p) sets p - 1 full sets aside and
+    ORs each row's other sets, so the OR without u is exactly the vertices
+    sharing p sets with u; with fewer than p - 1 full sets it is None."""
+
+    @pytest.mark.parametrize("p", range(1, 5))
+    def test_matches_literal_pair_count(self, p):
+        for n in range(1, 9):
+            rng = random.Random(f"unions-{p}-{n}")
+            for rows, members, c in seeded_full_set_families(p, n, rng):
+                unions = _one_short_unions(rows, members, p)
+                assert (unions is None) == (c < p - 1)
+                if unions is None:
+                    continue
+                for u, near in enumerate(unions):
+                    sharers = sum(1 << v for v in range(n)
+                                  if v != u and (rows[u] & rows[v]).bit_count() >= p)
+                    assert near & ~(1 << u) == sharers, (rows, p, u)
+
+    @pytest.mark.parametrize("p,c,none", [
+        (1, 0, False), (1, 2, False), (2, 0, True), (2, 1, False), (2, 3, False),
+        (4, 2, True), (4, 3, False), (4, 5, False)])
+    def test_none_exactly_below_p_minus_1_full_sets(self, p, c, none):
+        # c full sets on 3 vertices, before and after two sets that hold
+        # vertex 0 alone and vertices 1 and 2
+        members = [7] * (c - c // 2) + [1, 6] + [7] * (c // 2)
+        assert (_one_short_unions(rows_of(members, 3), tuple(members), p) is None) == none
+
+    def test_k300_with_two_copies_of_v_at_p_2(self):
+        # c = 2 >= p: every pair shares p sets, read off the ORs alone
+        n = 300
+        f = CliqueCover(n, [range(n), range(n), range(0, n, 2)])
+        kn = complement(Graph(n, []))
+        assert _one_short_unions(*f._incidence(), 2) is not None
+        assert verify_p_ecc(kn, f, 2).valid
+        assert p_competition_graph(realize(f), 2) == kn
 
 
 class TestMakeCycle:
