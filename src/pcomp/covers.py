@@ -21,7 +21,9 @@ kernel as the common-prey count of the p-competition map.  A cover holds
 this incidence, rows and members (bit v of members[j] set iff v is in
 S_j), in one private slot that ``CliqueCover._incidence`` fills on first
 use and keeps, so verify_p_ecc and realize build it once between them.
-``cycle_cover`` fills it in closed form.  The nonedge scan counts a
+It builds a dense family's through one byte grid and a sparse one's
+member by member (its docstring gives the rule); ``cycle_cover`` fills
+it in closed form.  The nonedge scan counts a
 nonneighbour v above u only if v lies in one of the lowest k - p + 1 sets
 holding u, where k is the number of sets holding u; ``graphs._sharers``
 shows that no pair sharing p sets is skipped.  When u has at most k - p
@@ -39,7 +41,8 @@ fewer than p sets; that edge is reported as ``family-smaller-than-p``
 when the family has fewer than p sets, since then every edge is
 uncovered.
 
-``CliqueCover(n, sets)`` checks every member it is given.  The private
+``CliqueCover(n, sets)`` checks every distinct member it is given (over
+the union of the sets, so each value once).  The private
 ``CliqueCover._trusted`` checks nothing; the constructions here build
 through it, since their members are below n by construction, and
 ``cycle_cover`` hands it the incidence as well.
@@ -71,11 +74,14 @@ class CliqueCover:
         if n < 1:
             raise InvalidParameterError(f"need at least one vertex, got n={n}")
         frozen = tuple(frozenset(s) for s in sets)
-        for k, s in enumerate(frozen):
-            for v in s:
-                if not (0 <= v < n):
-                    raise InvalidParameterError(
-                        f"set {k} contains vertex {v}, out of range for n={n}")
+        # each distinct member is checked once; on a failure the loop below
+        # names the first set and member that fail, in the order given
+        if not all(0 <= v < n for v in frozenset().union(*frozen)):
+            for k, s in enumerate(frozen):
+                for v in s:
+                    if not (0 <= v < n):
+                        raise InvalidParameterError(
+                            f"set {k} contains vertex {v}, out of range for n={n}")
         self.n = n
         self.sets = frozen
         self._inc = None
@@ -94,21 +100,47 @@ class CliqueCover:
     def _incidence(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(rows, members): bit j of rows[v] and bit v of members[j] are set
         iff v is in set j.  Built on first use and kept; it depends only on
-        n and the sets, so threads racing to fill it store equal values."""
+        n and the sets, so threads racing to fill it store equal values.
+
+        With r sets and I members in all, the family is built through a
+        byte grid when 16 * I > n * r + 8192, and member by member
+        otherwise.  The grid holds one n-byte row of ASCII '0's per set,
+        with a '1' stored at each member, so a member costs one byte store
+        instead of big-int ORs: members[j] is row j reversed and read in
+        base 2, and rows[v] is column v (one strided slice of the joined
+        rows) read the same way.  The grid costs n * r bytes whatever the
+        family holds, so it loses on sparse and on small families.
+        """
         # lazy, not built at construction: cover-pipeline's co-cycle drop and
         # append ops build a lifted cover only to slice its sets, and building
         # its incidence there made those ops 1.5-2.9x slower
         inc = self._inc
         if inc is None:
-            rows = [0] * self.n
-            members = []
-            for j, s in enumerate(self.sets):
-                bit = 1 << j
-                m = 0
-                for v in s:
-                    rows[v] |= bit
-                    m |= 1 << v
-                members.append(m)
+            n, sets = self.n, self.sets
+            # the grid and the loop cross at a density of 0.05-0.09 at
+            # n = r = 300 and 1000 (BENCH_pr35_incidence.json); r = 0 never
+            # takes the grid, so no row or column it reads is empty
+            if 16 * sum(map(len, sets)) > n * len(sets) + 8192:
+                blank = b"0" * n
+                grid = bytearray()
+                members = []
+                for s in sets:
+                    row = bytearray(blank)
+                    for v in s:
+                        row[v] = 49  # b"1"
+                    members.append(int(row[::-1], 2))
+                    grid += row
+                rows = [int(grid[v::n][::-1], 2) for v in range(n)]
+            else:
+                rows = [0] * n
+                members = []
+                for j, s in enumerate(sets):
+                    bit = 1 << j
+                    m = 0
+                    for v in s:
+                        rows[v] |= bit
+                        m |= 1 << v
+                    members.append(m)
             inc = self._inc = (tuple(rows), tuple(members))
         return inc
 

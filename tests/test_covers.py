@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcomp.covers as covers_module
 from conftest import covers, graph_cover_p, literal_verify_p_ecc, reference_verdict
 from pcomp import (
     REASON_FAMILY_SMALLER_THAN_P,
@@ -484,11 +485,33 @@ def test_constructions_pass_the_public_checks(n):
         assert all(type(s) is frozenset for s in f.sets)
 
 
-def loop_incidence(f):
-    """The incidence of a fresh cover with f's sets, built by the loop."""
-    fresh = CliqueCover(f.n, f.sets)
-    assert fresh._inc is None
-    return fresh._incidence()
+def literal_incidence(f):
+    """f's (rows, members), read off its sets one membership at a time."""
+    rows = tuple(sum(1 << j for j, s in enumerate(f.sets) if v in s) for v in range(f.n))
+    members = tuple(sum(1 << v for v in s) for s in f.sets)
+    return rows, members
+
+
+def cells_cover(n, r, count, seed):
+    """r sets over n vertices holding ``count`` seeded (set, vertex) cells."""
+    sets = [set() for _ in range(r)]
+    for cell in random.Random(seed).sample(range(n * r), count):
+        sets[cell // n].add(cell % n)
+    return CliqueCover(n, sets)
+
+
+def grid_built(monkeypatch, f):
+    """f's incidence, and whether it was built through the byte grid."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bytearray(*args)
+
+    monkeypatch.setattr(covers_module, "bytearray", counting, raising=False)
+    inc = f._incidence()
+    monkeypatch.undo()
+    return inc, bool(calls)
 
 
 class TestIncidence:
@@ -502,19 +525,19 @@ class TestIncidence:
         first = f._incidence()
         assert f._incidence() is first
 
-    def test_cycle_closed_form_equals_the_loop(self):
+    def test_cycle_closed_form_equals_the_literal(self):
         for n in range(3, 61):
             for p in range(1, n - 2):
                 f = cycle_cover(n, p)
                 assert f._inc is not None  # filled by the construction
-                assert f._inc == loop_incidence(f), (n, p)
+                assert f._inc == literal_incidence(f), (n, p)
 
     @pytest.mark.parametrize("n", range(5, 41))
-    def test_lift_stays_lazy_and_equals_the_loop(self, n):
+    def test_lift_stays_lazy_and_equals_the_literal(self, n):
         for q in range(1, 5):
             lazy = lift_cover(complement_cycle_cover(n), q)
             assert lazy._inc is None
-            assert lazy._incidence() == loop_incidence(lazy)
+            assert lazy._incidence() == literal_incidence(lazy)
 
     @given(covers(max_n=9, max_sets=8))
     def test_filled_incidence_keeps_equality_and_hash(self, filled):
@@ -543,7 +566,77 @@ class TestIncidence:
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 6 and len(set(results)) == 1
         assert results[0][0].valid
-        assert f._incidence() == loop_incidence(f)
+        assert f._incidence() == literal_incidence(f)
+
+
+class TestIncidencePaths:
+    # the grid is taken iff 16 * incidences > n * r + 8192; at n = r = 64
+    # that is above 768 incidences
+    @pytest.mark.parametrize("count,grid", [(767, False), (768, False), (769, True)])
+    def test_at_the_rule(self, monkeypatch, count, grid):
+        for seed in range(5):
+            f = cells_cover(64, 64, count, f"rule:{count}:{seed}")
+            assert grid_built(monkeypatch, f) == (literal_incidence(f), grid)
+
+    @pytest.mark.parametrize("n,r", [(300, 300), (120, 80), (40, 400)])
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.1, 0.3, 0.7, 1.0])
+    def test_densities_on_both_sides(self, monkeypatch, n, r, density):
+        count = round(density * n * r)
+        f = cells_cover(n, r, count, f"density:{n}:{r}:{density}")
+        inc, grid = grid_built(monkeypatch, f)
+        assert inc == literal_incidence(f)
+        assert grid == (16 * count > n * r + 8192)
+
+    def test_empty_and_repeated_sets(self, monkeypatch):
+        rng = random.Random(35)
+        some = [frozenset(v for v in range(200) if rng.random() < 0.6) for _ in range(60)]
+        sets = [*some, (), *some[:20], range(200), (), range(200), *some[::-1]]
+        f = CliqueCover(200, sets)
+        assert grid_built(monkeypatch, f) == (literal_incidence(f), True)
+        sparse = CliqueCover(200, [(), (3,), (), (3,), (7, 9)] * 10)
+        assert grid_built(monkeypatch, sparse) == (literal_incidence(sparse), False)
+
+    @pytest.mark.parametrize("n,sets,grid", [
+        (5, [], False),                                  # r = 0
+        (10, [range(0, 10, 2), range(10)] * 50, True),    # r > n
+        (10, [(1,), (2, 3), ()] * 200, False),           # r > n, sparse
+        (1, [(0,)] * 600, True),                         # n = 1
+        (1, [(0,), ()] * 3, False),
+    ], ids=["r0", "r>n grid", "r>n loop", "n1 grid", "n1 loop"])
+    def test_edge_shapes(self, monkeypatch, n, sets, grid):
+        f = CliqueCover(n, sets)
+        assert grid_built(monkeypatch, f) == (literal_incidence(f), grid)
+
+    def test_construction_outputs_take_either_path(self, monkeypatch):
+        # lifted co-cycle covers are dense, cycle covers with small p sparse
+        dense = lift_cover(complement_cycle_cover(101), 3)
+        sparse = CliqueCover(1000, cycle_cover(1000, 5).sets)
+        assert grid_built(monkeypatch, dense) == (literal_incidence(dense), True)
+        assert grid_built(monkeypatch, sparse) == (literal_incidence(sparse), False)
+
+
+class TestConstructorRange:
+    N = 300
+
+    def family(self):
+        return [range(j % 5, self.N, 1 + j % 3) for j in range(self.N)]
+
+    @pytest.mark.parametrize("k", [0, 150, 299], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [-1, 300, float("nan")], ids=["-1", "n", "nan"])
+    def test_names_the_set_and_member(self, k, bad):
+        sets = self.family()
+        sets[k] = [*sets[k], bad]
+        with pytest.raises(InvalidParameterError) as caught:
+            CliqueCover(self.N, sets)
+        assert str(caught.value) == f"set {k} contains vertex {bad}, out of range for n=300"
+
+    def test_names_the_first_failing_set(self):
+        sets = self.family()
+        sets[299] = [*sets[299], -1]
+        sets[150] = [*sets[150], 300]
+        with pytest.raises(InvalidParameterError) as caught:
+            CliqueCover(self.N, sets)
+        assert str(caught.value) == "set 150 contains vertex 300, out of range for n=300"
 
 
 class TestCoverSerialization:
