@@ -8,25 +8,12 @@ full vertex set even for isolated vertices.  p = 1 is the ordinary
 competition graph.
 
 When at least p - 1 vertices are prey of every vertex, as in the
-realization of a lifted cover and at every p = 1, x's neighbours are
-the OR of in-masks that ``graphs._one_short_unions`` gives for x, less
-x itself, with no pair count.  Otherwise the count
-for a pair is the popcount of the AND of two out-masks, and one pass
-over the predators x counts x against vertices above it.  A
-predator with fewer than p prey shares p with nobody and is skipped.
-Otherwise, with k prey, x's candidates are the union of the in-masks
-(predator masks) of its lowest k - p + 1 prey, which by
-``graphs._sharers`` holds every vertex sharing p prey with x.  Walking
-the candidates above x costs one pair test per ORed mask and about two
-per candidate; the plain loop tests each of the n - x - 1 vertices above
-x once.  x walks iff the walk's estimated cost is at most n - x - 1, with
-its candidates taken as the k - p + 1 masks times the predators above x
-of its lowest prey (one shift and bit count).  Counting only predators
-above x matters: in a cycle cover's realization the lowest prey of most
-x is a set ending at x, so the walk meets almost no candidates.
-The two loops stay apart: one loop body walking candidates through
-``iter_bits`` was 1.11-1.15x slower on cycle-cover realizations.  The
-in-masks come with every digraph (see ``graphs``).
+realization of a lifted cover and at every p = 1, x's neighbours are the
+OR of in-masks that ``graphs._one_short_unions`` gives for x, less x
+itself.  Otherwise x counts its common prey, by popcount, only with the
+candidates above it that ``graphs._sharers`` gives for x.  Each of the
+two functions says why its rule holds.  The in-masks come with every
+digraph (see ``graphs``).
 """
 
 from __future__ import annotations
@@ -52,24 +39,14 @@ def p_competition_graph(d: Digraph, p: int) -> Graph:
         return Graph._from_masks(n, [near & ~(1 << x) for x, near in enumerate(unions)])
     adj = [0] * n
     for x, ox in enumerate(out):
-        r = ox.bit_count() - p + 1  # in-masks ORed into x's candidates
-        if r < 1:
-            continue
         bit, row = 1 << x, 0
-        above = (preds[(ox & -ox).bit_length() - 1] >> x + 1).bit_count()
-        if r * (2 * above + 1) <= n - x - 1:  # walk the candidates above x
-            near = _sharers(ox, preds, p) & -(bit << 1)
-            while near:
-                low = near & -near
-                y = low.bit_length() - 1
-                if (ox & out[y]).bit_count() >= p:
-                    row |= low
-                    adj[y] |= bit
-                near ^= low
-        else:  # count every vertex above x
-            for y in range(x + 1, n):
-                if (ox & out[y]).bit_count() >= p:
-                    row |= 1 << y
-                    adj[y] |= bit
+        near = _sharers(ox, preds, p) & -(bit << 1)
+        while near:
+            low = near & -near
+            y = low.bit_length() - 1
+            if (ox & out[y]).bit_count() >= p:
+                row |= low
+                adj[y] |= bit
+            near ^= low
         adj[x] |= row
     return Graph._from_masks(n, adj)

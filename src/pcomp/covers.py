@@ -23,29 +23,27 @@ S_j), in one private slot that ``CliqueCover._incidence`` fills on first
 use and keeps, so verify_p_ecc and realize build it once between them.
 It builds a dense family's through one byte grid and a sparse one's
 member by member (its docstring gives the rule); ``cycle_cover`` fills
-it in closed form.  The nonedge scan counts a
-nonneighbour v above u only if v lies in one of the lowest k - p + 1 sets
-holding u, where k is the number of sets holding u; ``graphs._sharers``
-shows that no pair sharing p sets is skipped.  When u has at most k - p
-nonneighbours above it, it counts them all, which is cheaper than
-narrowing them; a vertex in fewer than p sets narrows to no candidates.
-The edge scan counts every edge, except when the family's full sets
-(those holding every vertex, as in a ``lift_cover`` output) number at
-least p - 1, as at every p = 1: then an edge above u is short iff it
-misses the OR that ``graphs._one_short_unions`` gives for u, and no
-pair is counted.  Each scan
-meets the pairs of u lowest v first, so pairs are met in ascending
-order.  The nonedge scan runs first, so a verdict names the least
-nonedge in p sets if there is one, and only otherwise the least edge in
-fewer than p sets; that edge is reported as ``family-smaller-than-p``
-when the family has fewer than p sets, since then every edge is
-uncovered.
+it in closed form.
 
-``CliqueCover(n, sets)`` checks every distinct member it is given (over
-the union of the sets, so each value once).  The private
-``CliqueCover._trusted`` checks nothing; the constructions here build
-through it, since their members are below n by construction, and
-``cycle_cover`` hands it the incidence as well.
+The nonedge scan counts only the nonneighbours above u that
+``graphs._sharers`` names from u's sets, unless u has at most k - p of
+them (k: the sets holding u), when counting them all is cheaper than
+narrowing.  The edge scan counts every edge unless
+``graphs._one_short_unions`` gives an OR for u, as it does for a
+``lift_cover`` output and at every p = 1: then an edge above u is short
+iff it misses that OR.  Each of the two functions says why its rule
+holds.  Each scan meets the pairs of u lowest v first, so pairs are met
+in ascending order.  The nonedge scan runs first, so a verdict names the
+least nonedge in p sets if there is one, and only otherwise the least
+edge in fewer than p sets; that edge is reported as
+``family-smaller-than-p`` when the family has fewer than p sets, since
+then every edge is uncovered.
+
+``CliqueCover(n, sets)`` checks that every distinct member it is given
+is an int (a bool is not) in 0..n - 1, over the union of the sets, so
+each value once.  The private ``CliqueCover._trusted`` checks nothing;
+the constructions here build through it, since their members are below
+n by construction, and ``cycle_cover`` hands it the incidence as well.
 """
 
 from __future__ import annotations
@@ -76,9 +74,12 @@ class CliqueCover:
         frozen = tuple(frozenset(s) for s in sets)
         # each distinct member is checked once; on a failure the loop below
         # names the first set and member that fail, in the order given
-        if not all(0 <= v < n for v in frozenset().union(*frozen)):
+        if not all(type(v) is int and 0 <= v < n for v in frozenset().union(*frozen)):
             for k, s in enumerate(frozen):
                 for v in s:
+                    if type(v) is not int:
+                        raise InvalidParameterError(
+                            f"set {k} contains vertex {v!r}, not an integer")
                     if not (0 <= v < n):
                         raise InvalidParameterError(
                             f"set {k} contains vertex {v}, out of range for n={n}")

@@ -65,12 +65,12 @@ def _counted_arcs(rng, n, p):
     return arcs
 
 
-def _predator_near_the_line(rng, n, p, extra):
-    """(x, arcs): predator x has p prey, so one ORed in-mask, and its
-    lowest prey v has a predators above x with 2a + 1 = n - x - 1 + extra,
-    so x's estimated walk cost lies extra away from the n - x - 1 vertices
-    above it.  Every other vertex draws prey at random, taking v only if
-    it is one of the a or lies below x, and preferring x's prey."""
+def _predator_with_one_candidate_mask(rng, n, p, extra):
+    """(x, arcs): predator x has p prey, so its candidates are the in-mask
+    of its lowest prey v alone, and v has a predators above x with
+    2a + 1 = n - x - 1 + extra.  Every other vertex draws prey at random,
+    taking v only if it is one of the a or lies below x, and preferring
+    x's prey."""
     x = rng.choice([x for x in range(n) if (n - x + extra) % 2 == 0 and n - x - 1 + extra >= 1])
     a = (n - x - 2 + extra) // 2
     v = rng.randrange(n - p + 1)
@@ -88,7 +88,7 @@ class TestPreyFilter:
     """The candidate walk ORs the predator masks of only the lowest
     k - p + 1 prey of x (k: x's prey); predators with k - p at -1, 0 and
     1, with loops among the prey, give the literal graph, sparse (at most
-    n^2/8 arcs) or dense."""
+    n^2/8 arcs) or dense, and so do realizations of random covers."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_sparse_scan(self, seed):
@@ -111,6 +111,19 @@ class TestPreyFilter:
                 break
         assert any(x == v for x, v in arcs)
         assert_scans_match_literal(n, arcs, p)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_cover_realizations(self, seed):
+        # 300 sets, each vertex in each with probability 0.05: about 15 prey
+        # per predator, and about half of all pairs are candidates
+        rng = random.Random(f"cover-{seed}")
+        n = 300
+        family = [{v for v in range(n) if rng.random() < 0.05} for _ in range(n)]
+        arcs = {(x, j) for j, s in enumerate(family) for x in s}
+        d = realize(CliqueCover(n, family))
+        for p in range(2, 5):
+            # compared as masks, so a row that misses its lower neighbours fails
+            assert p_competition_graph(d, p) == Graph(n, literal_p_competition_edges(n, arcs, p))
 
 
 @st.composite
@@ -241,12 +254,12 @@ class TestPCompetitionGraph:
         assert_scans_match_literal(n, arcs, p)
 
     def test_one_call_walks_loops_and_skips(self):
-        # disjoint blocks at p = 3: a C30 cover realization on 0..29, whose
-        # rows walk their few candidates; predators 30..39 with two prey
-        # each, skipped; a lifted co-C11 cover realization on 40..50, where
-        # the full sets make every pair a candidate; a complete digraph on
-        # 51..55.  An instrumented copy walked rows 0..29 and 48..50,
-        # counted every vertex above 40..47 and 51..55, and skipped 30..39.
+        # disjoint blocks at p = 3: a C30 cover realization on 0..29;
+        # predators 30..39 with two prey each, so no candidates; a lifted
+        # co-C11 cover realization on 40..50; a complete digraph on 51..55.
+        # No prey is common to all, so every row walks its candidates: an
+        # instrumented copy met 1..6 of them per row on 0..28, none on
+        # 29..39, 1..8 on 40..48 and every vertex above x on 51..54.
         p = 3
         arcs = {(x, j) for j, s in enumerate(cycle_cover(30, p).sets) for x in s}
         arcs |= {(x, 30 + (x + i) % 10) for x in range(30, 40) for i in range(p - 1)}
@@ -261,16 +274,10 @@ class TestPCompetitionGraph:
 
     @pytest.mark.parametrize("n", [4, 8, 16, 24, 40])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_at_the_sparse_dense_threshold(self, n, extra):
-        # a predator x walks its candidates iff (k - p + 1)(2 above + 1)
-        # <= n - x - 1; x sits one below the line (walks), on it (walks)
-        # or one above it (counts every vertex above x)
+    def test_predator_with_one_candidate_mask(self, n, extra):
         for seed in range(5):
             for p in range(1, 4):
-                x, arcs = _predator_near_the_line(random.Random(seed), n, p, extra)
-                prey = sorted(w for y, w in arcs if y == x)
-                above = sum(1 for y, w in arcs if w == prey[0] and y > x)
-                assert (len(prey) - p + 1) * (2 * above + 1) == n - x - 1 + extra
+                _, arcs = _predator_with_one_candidate_mask(random.Random(seed), n, p, extra)
                 literal = literal_p_competition_edges(n, arcs, p)
                 # compared as masks, so a row that misses its lower neighbours fails
                 assert p_competition_graph(Digraph(n, arcs), p) == Graph(n, literal)
