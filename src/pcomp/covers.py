@@ -39,11 +39,13 @@ edge in fewer than p sets; that edge is reported as
 ``family-smaller-than-p`` when the family has fewer than p sets, since
 then every edge is uncovered.
 
-``CliqueCover(n, sets)`` checks that every distinct member it is given
-is an int (a bool is not) in 0..n - 1, over the union of the sets, so
-each value once.  The private ``CliqueCover._trusted`` checks nothing;
-the constructions here build through it, since their members are below
-n by construction, and ``cycle_cover`` hands it the incidence as well.
+``CliqueCover(n, sets)`` checks n with ``errors._at_least``, and that
+every distinct member it is given is an int (a bool is not) in 0..n - 1,
+over the union of the sets, so each value once; a failure is
+``graphs._vertex``'s message after the set's index.  The private
+``CliqueCover._trusted`` checks nothing; the constructions here build
+through it, since their members are below n by construction, and
+``cycle_cover`` hands it the incidence as well.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InfeasibleError, InvalidParameterError, _at_least
-from .graphs import Graph, _one_short_unions, _sharers, vertex_lists_from_json
+from .graphs import Graph, _one_short_unions, _sharers, _vertex, vertex_lists_from_json
 
 REASON_UNCOVERED_EDGE = "uncovered-edge"
 REASON_NONEDGE_IN_P_SETS = "nonedge-in-p-sets"
@@ -69,20 +71,17 @@ class CliqueCover:
     __slots__ = ("n", "sets", "_inc")
 
     def __init__(self, n: int, sets: Iterable[Iterable[int]]) -> None:
-        if n < 1:
-            raise InvalidParameterError(f"need at least one vertex, got n={n}")
+        _at_least("n", n, 1)
         frozen = tuple(frozenset(s) for s in sets)
         # each distinct member is checked once; on a failure the loop below
-        # names the first set and member that fail, in the order given
+        # names the first set that fails, in the order given
         if not all(type(v) is int and 0 <= v < n for v in frozenset().union(*frozen)):
             for k, s in enumerate(frozen):
-                for v in s:
-                    if type(v) is not int:
-                        raise InvalidParameterError(
-                            f"set {k} contains vertex {v!r}, not an integer")
-                    if not (0 <= v < n):
-                        raise InvalidParameterError(
-                            f"set {k} contains vertex {v}, out of range for n={n}")
+                try:
+                    for v in s:
+                        _vertex(v, n)
+                except InvalidParameterError as exc:
+                    raise InvalidParameterError(f"set {k}: {exc}") from exc
         self.n = n
         self.sets = frozen
         self._inc = None
@@ -248,8 +247,7 @@ def cycle_cover(n: int, p: int) -> CliqueCover:
     Below p+3 no family of at most n sets works at all.
     """
     _at_least("p", p, 1)
-    if n < 3:
-        raise InvalidParameterError(f"a cycle requires n >= 3, got n={n}")
+    _at_least("n", n, 3)
     if n < p + 3:
         raise InfeasibleError(f"cycle cover requires n >= p+3 (got n={n}, p={p})")
     wrap = n - p  # runs from i >= wrap pass n - 1 and go on from 0
@@ -309,9 +307,7 @@ def complement_cycle_cover(n: int) -> CliqueCover:
     C_n, hence a clique of the complement.  Below n = 5 the complement is
     edgeless (n = 3) or a perfect matching (n = 4) and is excluded here.
     """
-    if n < 5:
-        raise InvalidParameterError(
-            f"complement cycle cover requires n >= 5, got n={n}")
+    _at_least("n", n, 5)
     if n <= 8:
         return CliqueCover._trusted(n, _SMALL_COMPLEMENT_FAMILIES[n])
     if n % 2:

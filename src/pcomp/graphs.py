@@ -15,10 +15,11 @@ the realizations hand them over with the out-masks.
 Both structures are immutable after construction and hashable, so they
 are safe to share between threads.
 
-``Graph(n, edges)`` and ``Digraph(n, arcs)`` check every edge and arc they
-are given.  The private ``_from_masks`` constructors check nothing; they
-serve library code whose masks are correct by construction (symmetric and
-loop-free for graphs, within n bits for both).
+``Graph(n, edges)`` and ``Digraph(n, arcs)`` check n with
+``errors._at_least`` and both ends of every edge and arc with ``_vertex``.
+The private ``_from_masks`` constructors check nothing; they serve library
+code whose masks are correct by construction (symmetric and loop-free for
+graphs, within n bits for both).
 
 JSON wire formats:
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _at_least
 
 # Largest vertex count the JSON readers and the CLI accept: co-C_2048 has
 # 2.1M edges, about the largest graph JSON the CLI should write.  Library
@@ -176,14 +177,11 @@ class Graph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 1:
-            raise InvalidParameterError(f"need at least one vertex, got n={n}")
+        _at_least("n", n, 1)
         adj = [0] * n
         for u, v in edges:
-            if u == v:
+            if _vertex(u, n) == _vertex(v, n):
                 raise InvalidParameterError(f"self-pair ({u},{v}) is not a valid edge")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidParameterError(f"edge ({u},{v}) out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
@@ -203,10 +201,7 @@ class Graph:
         return frozenset(_edge_pairs(self._adj))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if type(u) is not int or type(v) is not int:
-            raise InvalidParameterError(f"vertices ({u!r},{v!r}) are not both integers")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InvalidParameterError(f"vertices ({u},{v}) out of range for n={self.n}")
+        u, v = _vertex(u, self.n), _vertex(v, self.n)
         return u != v and bool(self._adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
@@ -238,13 +233,10 @@ class Digraph:
     __slots__ = ("n", "_out", "_in")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 1:
-            raise InvalidParameterError(f"need at least one vertex, got n={n}")
+        _at_least("n", n, 1)
         out, in_ = [0] * n, [0] * n
         for x, v in arcs:
-            if not (0 <= x < n and 0 <= v < n):
-                raise InvalidParameterError(f"arc ({x},{v}) out of range for n={n}")
-            out[x] |= 1 << v
+            out[_vertex(x, n)] |= 1 << _vertex(v, n)
             in_[v] |= 1 << x
         self.n = n
         self._out = tuple(out)
@@ -285,8 +277,7 @@ class Digraph:
 
 def make_cycle(n: int) -> Graph:
     """The cycle on vertices 0..n-1 with edges {i, i+1 mod n}; needs n >= 3."""
-    if n < 3:
-        raise InvalidParameterError(f"a cycle requires n >= 3, got n={n}")
+    _at_least("n", n, 3)
     return Graph._from_masks(n, [(1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)])
 
 

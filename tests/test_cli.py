@@ -97,8 +97,8 @@ class TestCover:
         assert plain.returncode == 0 and plain.stderr == ""
 
     @pytest.mark.parametrize("n,code,message", [
-        (-2, 2, "pcomp: a cycle requires n >= 3, got n=-2"),
-        (2, 2, "pcomp: a cycle requires n >= 3, got n=2"),
+        (-2, 2, "pcomp: need n >= 3, got n=-2"),
+        (2, 2, "pcomp: need n >= 3, got n=2"),
         (3, 3, "pcomp: cycle cover requires n >= p+3 (got n=3, p=3)"),
         (5, 3, "pcomp: cycle cover requires n >= p+3 (got n=5, p=3)"),
     ])
@@ -620,7 +620,7 @@ class TestSurvey:
         assert run_main(["survey", "cycle", "--n", "9..4", "--p", "1"]).returncode == 2
 
     @pytest.mark.parametrize("n,p,message", [
-        ("2..5", "1", "a cycle requires n >= 3, got n=2"),
+        ("2..5", "1", "need n >= 3, got n=2"),
         ("4..5", "0..1", "need p >= 1, got p=0"),
     ])
     def test_library_refuses_small_n_and_p(self, n, p, message):

@@ -45,13 +45,18 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert loaded.isdisjoint({"dataclasses", "inspect"}), sorted(loaded)
 
 
+def _raises_invalid(node: ast.AST) -> bool:
+    """True iff node is `raise InvalidParameterError(...)`."""
+    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "InvalidParameterError")
+
+
 def _floor_raises(tree: ast.AST) -> list[int]:
     """Lines raising InvalidParameterError with a `need ... >= ...` message."""
     lines = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                and isinstance(node.exc.func, ast.Name)
-                and node.exc.func.id == "InvalidParameterError" and node.exc.args):
+        if not (_raises_invalid(node) and node.exc.args):
             continue
         message = node.exc.args[0]
         parts = message.values if isinstance(message, ast.JoinedStr) else [message]
@@ -74,3 +79,35 @@ def test_floor_checks_go_through_the_helper(path):
 def test_floor_check_lint_sees_an_inline_check():
     tree = ast.parse('raise InvalidParameterError(f"need p >= 1, got p={p}")\n')
     assert _floor_raises(tree) == [1]
+
+
+def _floor_ifs(tree: ast.AST) -> list[int]:
+    """Lines of `if NAME < INT:` or `if NAME <= INT:` whose body raises
+    InvalidParameterError."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)):
+            continue
+        test = node.test
+        bound = test.comparators[0]
+        if (isinstance(test.left, ast.Name) and len(test.ops) == 1
+                and isinstance(test.ops[0], (ast.Lt, ast.LtE))
+                and isinstance(bound, ast.Constant) and type(bound.value) is int
+                and any(map(_raises_invalid, node.body))):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_floor_comparisons_go_through_the_helper(path):
+    # the rule "n is an int >= k" has one home too, whatever the message says
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _floor_ifs(tree)
+    assert lines == [], f"{path.name}: inline floor comparison on lines {lines}"
+
+
+@pytest.mark.parametrize("op", ["<", "<="])
+def test_floor_comparison_lint_sees_an_inline_check(op):
+    tree = ast.parse(f'if n {op} 1:\n    raise InvalidParameterError(f"got n={{n}}")\n')
+    assert _floor_ifs(tree) == [1]
