@@ -23,11 +23,11 @@ from .graphs import Digraph, Graph, _one_short_unions, _sharers
 
 
 def common_prey_count(d: Digraph, x: int, y: int) -> int:
-    """Number of vertices v such that (x, v) and (y, v) are both arcs;
-    Digraph.out_mask checks each vertex."""
+    """Number of vertices v such that (x, v) and (y, v) are both arcs."""
+    shared = d.out_mask(x) & d.out_mask(y)  # out_mask checks each vertex first
     if x == y:
         raise InvalidParameterError("common prey is defined for distinct vertices")
-    return (d.out_mask(x) & d.out_mask(y)).bit_count()
+    return shared.bit_count()
 
 
 def p_competition_graph(d: Digraph, p: int) -> Graph:

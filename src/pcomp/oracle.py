@@ -4,62 +4,17 @@ Three exact searches, all deterministic:
 
   * maximal_cliques   Bron-Kerbosch with pivoting on bitmasks.
   * exact_theta_e     minimum edge clique cover size, by the clique search
-                      over the maximal cliques (growing any cover set to a
-                      maximal clique never hurts coverage).
+                      (_clique_rounds) over the maximal cliques.
   * exact_theta_e_p   minimum p-edge clique cover size up to a budget, by
-                      the clique search at p = 1 and the row search at
-                      p >= 2 (sets in a p-cover need not be cliques).
+                      the clique search at p = 1 and the row search
+                      (_row_rounds, over the tables of _tables) at p >= 2.
 
 Both kernels run through _deepen, which owns the guard on n, the edgeless
-answer, the deepening of the number of sets r from p until a round finds a
-cover, and the certificate check of the cover found.
-
-The clique search walks nondecreasing sequences of maximal cliques in
-sorted order, so its cover is the lexicographically least of least size.
-Edges are bits of a mask.  A partial family is pruned when some uncovered
-edge lies in no clique from the current index on, or when more uncovered
-edges than slots pairwise share no clique, so each needs a clique of its
-own (the packing bound of Gramm, Guo, Hüffner and Niedermeier, ACM JEA
-13, 2008).  The packing takes the lowest uncovered edge first, and edges
-are numbered so that those sharing a clique with the fewest other edges
-come first, which packs more of them.  When the packing holds exactly as
-many edges as slots are left, only the candidates of its packed edges
-are tried (_clique_rounds gives the argument).  A clique holding no
-uncovered edge is skipped: dropping it would leave a cover of r - 1
-cliques, which the previous round ruled out.  ``nodes`` counts the
-partial families visited.
-
-The row search builds the n x r incidence matrix of the cover one vertex
-at a time, in ascending order.  Vertex v takes an r-bit row, the sets
-that hold it, which is its out-mask in realize.  A pair lies in
-(row_u & row_v).bit_count() sets.  Rows are drawn from the universe
-U(r, p): row 0 and the rows with at least p bits, in ascending order
-(_row_rounds gives why this leaves the cover found as it is).
-Every later vertex keeps the rows it may still take as one |U|-bit domain
-over U's indices, and each placed row narrows the domains of the later
-vertices to rows sharing at least p bits with it across an edge and fewer
-than p across a nonedge; an empty domain prunes.  Columns are kept
-nonincreasing read from vertex 0 down: while columns j - 1 and j agree on
-every placed row, a row may not set j without j - 1 (the column half of
-the double-lex order of Flener et al., CP 2002).  So a vertex tries only
-its domain masked by the tie mask of the columns still tied, the mask of
-the rows that keep this rule, and it tries them in ascending order.  The
-certificate is thus canonical: of the covers of r sets with nonincreasing
-columns, the one whose rows, read as integers from vertex 0 on, form the
-least sequence.  Its sets are the columns in order, built only when a
-round finds a cover.  ``nodes`` counts the rows placed.  _tables(r, p)
-holds U and the meet and tie masks, and the row search's guard also
-caps r.
-
-is_p_competition combines the constructive route (cycle and cycle-
-complement covers plus lifting) with the exhaustive route (a graph on n
-vertices is a p-competition graph iff it has a p-edge clique cover of at
-most n sets).  A yes carries that cover; _certify checks each cover once,
-where it is made, with the verifier and, within n sets, by realizing it
-back to g.
-Scale guards are explicit parameters with safe defaults; a negative guard
-is an invalid parameter, not an exceeded guard.  A search recursing past
-Python's recursion limit, which it leaves alone, raises ScaleError too.
+answer, the deepening of the number of sets r and the certificate check
+(_certify).  is_p_competition decides by the constructions
+(_constructive_decision) or by exact_theta_e_p.  Each kernel's docstring
+says why its pruning keeps the cover it finds and what its ``nodes``
+counts; each other function's says why its own rule holds.
 """
 
 from __future__ import annotations
@@ -93,7 +48,7 @@ class SearchResult(NamedTuple):
 
     Either an exact value with a verifying certificate, or exceeds-bound
     when no family within the given budget exists.  ``nodes`` counts the
-    partial families (search tree nodes) examined.
+    search tree nodes the kernel visited, as its docstring defines them.
     """
 
     value: int | None
@@ -142,7 +97,8 @@ class Decision(NamedTuple):
 def _certify(g: Graph, cover: CliqueCover, p: int) -> CliqueCover:
     """Return cover, or refuse a certificate the verifier rejects, or one of
     at most n sets whose realization does not give g back; unlike an
-    assert, this check also runs under python -O."""
+    assert, this check also runs under python -O.  Each cover is checked
+    once, where it is made."""
     verdict = verify_p_ecc(g, cover, p)
     if not verdict.valid:
         raise PcompError(
@@ -208,9 +164,12 @@ def maximal_cliques(g: Graph, guard: int = 32) -> list[frozenset[int]]:
 def _deepen(g: Graph, p: int, budget: int, guard: int, search: str, rounds) -> SearchResult:
     """The least r in p..budget at which a kernel round finds a cover of r sets.
 
-    Refuses n above guard and answers an edgeless graph with no sets before
+    Refuses a negative guard (an invalid parameter, not an exceeded guard)
+    and n above guard, and answers an edgeless graph with no sets, before
     rounds(g, p, guard) returns the kernel's solve(r): the sets found (or
     None) and the nodes visited so far.  _certify checks the cover found.
+    A round recursing past Python's recursion limit, which is left alone,
+    raises ScaleError too.
     """
     _at_least("guard", guard, 0)
     if g.n > guard:
@@ -257,6 +216,12 @@ def _clique_rounds(g: Graph, p: int, guard: int):
     """solve(r) for exact_theta_e: the lexicographically least family of r
     cliques, nondecreasing in their order, that covers every edge.  The
     maximal cliques of two or more vertices cover every edge together.
+    Edges are bits of a mask, and ``nodes`` counts the partial families
+    visited.  Besides the tight candidates below, a family is pruned when
+    some uncovered edge lies in no clique from index lo on, or when more
+    uncovered edges than slots pairwise share no clique, so each needs a
+    clique of its own (the packing bound of Gramm, Guo, Hüffner and
+    Niedermeier, ACM JEA 13, 2008).
 
     Edges are numbered so that an edge sharing a clique with fewer other
     edges comes first (ties in ascending pair order), so the packing, which
@@ -437,8 +402,25 @@ def _tables(r: int, p: int) -> tuple[list[int], _Lazy, _Lazy]:
 
 def _row_rounds(g: Graph, p: int, guard: int):
     """solve(r) for exact_theta_e_p at p >= 2: the canonical p-edge clique
-    cover of r sets, found as one r-bit row per vertex (bit j: the vertex
-    is in set j).  It is sound at p = 1 too, where U holds every row.
+    cover of r sets, built as its n x r incidence matrix one vertex at a
+    time, in ascending order.  Vertex v takes an r-bit row, the sets that
+    hold it (bit j: v is in set j; its out-mask in realize), so a pair lies
+    in (row_u & row_v).bit_count() sets.  It is sound at p = 1 too, where
+    U holds every row.
+
+    Rows are drawn from U(r, p) (see _tables).  Every later vertex keeps
+    the rows it may still take as one |U|-bit domain, and each placed row
+    narrows the domains of the later vertices to rows sharing at least p
+    bits with it across an edge and fewer than p across a nonedge; an
+    empty domain prunes.  Columns are kept nonincreasing read from vertex
+    0 down: while columns j - 1 and j agree on every placed row, a row may
+    not set j without j - 1 (the column half of the double-lex order of
+    Flener et al., CP 2002).  So a vertex tries, in ascending order, only
+    its domain masked by the tie mask of the columns still tied, and the
+    cover found is canonical: of the covers of r sets with nonincreasing
+    columns, the one whose rows, read as integers from vertex 0 on, form
+    the least sequence.  Its sets are the columns, built only when a round
+    finds a cover.  ``nodes`` counts the rows placed.
 
     The universe leaves the cover found as it is.  A vertex with an edge
     shares p sets with that neighbour, so its row has at least p bits.  A
@@ -583,11 +565,13 @@ def is_p_competition(g: Graph, p: int, method: str = "auto",
     """Is g the p-competition graph of some digraph?
 
     method "construct" uses the cycle / cycle-complement constructions,
-    "oracle" the exhaustive p-cover search with budget n, "auto" prefers the
-    constructive route and falls back to the search within its guard, and
-    "both" runs each route that applies (the search when n <= guard) and
-    raises PcompError if two ran and disagree; it answers "both" when two
-    ran.  A yes carries the constructive cover if any, else the search's.
+    "oracle" the exhaustive p-cover search with budget n (a graph on n
+    vertices is a p-competition graph iff it has a p-edge clique cover of
+    at most n sets), "auto" prefers the constructive route and falls back
+    to the search within its guard, and "both" runs each route that
+    applies (the search when n <= guard) and raises PcompError if two ran
+    and disagree; it answers "both" when two ran.  A yes carries the
+    constructive cover if any, else the search's.
     ``guard`` defaults as in exact_theta_e_p: 16 at p = 1, else 8.
     """
     _at_least("p", p, 1)

@@ -13,15 +13,14 @@ pairs with.  A digraph takes its in-masks at construction, and here they
 are the sets' member masks: the predators of prey j are the members of
 set j.  realize reads both from the cover's incidence, which the cover
 builds on first use and keeps (see ``covers``), so realizing a verified
-cover builds nothing new.  realize_acyclic moves set j's bit to
-order[j], builds its out-masks itself and puts the members of set j at
-prey order[j].  No arc tuples are formed; ``Digraph.arcs`` derives them
-on demand.
+cover builds nothing new.  realize_acyclic puts set j at index order[j]
+of a new cover and realizes that, so set j's prey is order[j].  No arc
+tuples are formed; ``Digraph.arcs`` derives them on demand.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable
 
 from .covers import CliqueCover
 from .errors import InfeasibleError, InvalidParameterError
@@ -48,7 +47,7 @@ def excerpt(text: str) -> str:
     return text if len(text) <= EXCERPT else f"{text[:EXCERPT]}... ({len(text)} characters)"
 
 
-def _position_map(order: Sequence[int], n: int) -> dict[int, int]:
+def _position_map(order: Iterable[int], n: int) -> dict[int, int]:
     order = list(order)
     if len(order) != n:
         raise InvalidParameterError(f"order has {len(order)} entries, expected {n}")
@@ -58,7 +57,7 @@ def _position_map(order: Sequence[int], n: int) -> dict[int, int]:
     return {v: i for i, v in enumerate(order)}
 
 
-def satisfies_acyclic_ordering(f: CliqueCover, order: Sequence[int]) -> bool:
+def satisfies_acyclic_ordering(f: CliqueCover, order: Iterable[int]) -> bool:
     """True iff every member of set j sits at a position before j in order."""
     pos = _position_map(order, f.n)
     if len(f.sets) != f.n:
@@ -67,23 +66,21 @@ def satisfies_acyclic_ordering(f: CliqueCover, order: Sequence[int]) -> bool:
     return all(pos[x] < j for j, s in enumerate(f.sets) for x in s)
 
 
-def realize_acyclic(f: CliqueCover, order: Sequence[int]) -> Digraph:
+def realize_acyclic(f: CliqueCover, order: Iterable[int]) -> Digraph:
     """Like realize, but the prey of set j is order[j].
 
     Under the ordering condition every arc goes from a lower position to a
     higher one, so the result is acyclic; prey vertices stay distinct per
     set, which keeps common-prey counts equal to common-set counts.
     """
+    order = list(order)
     if not satisfies_acyclic_ordering(f, order):
         raise InfeasibleError(
             "ordering condition violated: some set j contains a vertex at position >= j")
-    out, preds = [0] * f.n, [0] * f.n
-    for s, m, v in zip(f.sets, f._incidence()[1], order):
-        bit = 1 << v
-        for x in s:
-            out[x] |= bit
-        preds[v] = m
-    return Digraph._from_masks(f.n, out, tuple(preds))
+    sets = [frozenset()] * f.n
+    for s, v in zip(f.sets, order):
+        sets[v] = s
+    return realize(CliqueCover._trusted(f.n, sets))
 
 
 def is_acyclic(d: Digraph) -> bool:

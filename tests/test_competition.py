@@ -193,17 +193,19 @@ class TestCommonPreyCount:
         with pytest.raises(InvalidParameterError):
             common_prey_count(Digraph(3), 1, 1)
 
-    @pytest.mark.parametrize("x,y", [(5, 0), (0, 5), (-1, 2)])
+    @pytest.mark.parametrize("x,y", [(5, 0), (0, 5), (-1, 2), (5, 5)])
     def test_out_of_range_vertex_rejected(self, x, y):
+        # each vertex is checked before the two are compared
         bad = y if x in range(3) else x
         with pytest.raises(InvalidParameterError,
                            match=rf"^vertex {bad} out of range for n=3$"):
             common_prey_count(Digraph(3), x, y)
 
-    @pytest.mark.parametrize("x,y", [(True, 2), (2, False)])
+    @pytest.mark.parametrize("x,y", [(True, 2), (2, False), (1, True), (1, 1.0)])
     def test_bool_vertex_rejected(self, x, y):
-        # True == 1 as an int, but a vertex must be an int, not a bool
-        with pytest.raises(InvalidParameterError, match="is not an integer"):
+        # True == 1 == 1.0, but a vertex must be an int, not a bool or a float
+        bad = y if type(x) is int else x
+        with pytest.raises(InvalidParameterError, match=rf"^vertex {bad} is not an integer$"):
             common_prey_count(Digraph(3), x, y)
 
     def test_counts_over_cycle_cover_realization(self):

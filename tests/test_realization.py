@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -157,6 +159,9 @@ class TestRealizeAcyclic:
         d = realize_acyclic(f, [0, 1, 2])
         assert d.arcs == frozenset({(0, 1), (0, 2), (1, 2)})
         assert is_acyclic(d)
+        # an order that can be read only once gives the same digraph
+        assert realize_acyclic(f, iter([0, 1, 2])) == d
+        assert realize_acyclic(f, (v for v in [0, 1, 2])) == d
 
     def test_violating_pair_rejected(self):
         with pytest.raises(InfeasibleError):
@@ -204,6 +209,27 @@ class TestRealizeAcyclic:
         assert predator_sets(d) == literal_predators(n, arcs)
         assert is_acyclic(d)
         assert p_competition_graph(d, p) == p_competition_graph(realize(f), p)
+        assert realize_acyclic(f, iter(order)) == d
+        assert realize_acyclic(f, (v for v in order)) == d
+
+    @pytest.mark.parametrize("n,density,grid", [(300, 0.5, True), (1000, 0.01, False)],
+                             ids=["grid", "loop"])
+    def test_large_ordered_families_realize_acyclically(self, n, density, grid):
+        # the small families above never reach the cover's byte grid, which
+        # realize builds a dense family's incidence through
+        rng = random.Random(f"acyclic-{n}-{density}")
+        order = list(range(n))
+        rng.shuffle(order)
+        sets = [frozenset(x for x in order[:j] if rng.random() < density) for j in range(n)]
+        f = CliqueCover(n, sets)
+        assert (16 * sum(map(len, sets)) > n * n + 8192) == grid  # covers._incidence's rule
+        d = realize_acyclic(f, order)
+        arcs = {(x, order[j]) for j, s in enumerate(sets) for x in s}
+        assert d.arcs == arcs
+        assert predator_sets(d) == literal_predators(n, arcs)
+        assert is_acyclic(d)
+        for p in (1, 2):
+            assert p_competition_graph(d, p) == p_competition_graph(realize(f), p)
 
 
 class TestIsAcyclic:

@@ -111,3 +111,32 @@ def test_floor_comparisons_go_through_the_helper(path):
 def test_floor_comparison_lint_sees_an_inline_check(op):
     tree = ast.parse(f'if n {op} 1:\n    raise InvalidParameterError(f"got n={{n}}")\n')
     assert _floor_ifs(tree) == [1]
+
+
+def _digraph_builds(tree: ast.Module) -> list[tuple[str, int]]:
+    """(top-level function, line) of each `Digraph._from_masks(...)` call."""
+    builds = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_from_masks"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "Digraph"):
+                builds.append((getattr(top, "name", ""), node.lineno))
+    return builds
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_digraph_masks_are_built_by_realize_alone(path):
+    # a cover's sets become a digraph's masks in one place; realize_acyclic
+    # reorders the sets and realizes them
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    builds = [(name, line) for name, line in _digraph_builds(tree)
+              if (path.name, name) != ("realization.py", "realize")]
+    assert builds == [], f"{path.name}: Digraph._from_masks called in {builds}"
+
+
+def test_digraph_build_lint_sees_a_planted_call():
+    tree = ast.parse("def realize_acyclic(f, order):\n"
+                     "    return Digraph._from_masks(f.n, out, tuple(preds))\n")
+    assert _digraph_builds(tree) == [("realize_acyclic", 2)]
