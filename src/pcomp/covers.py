@@ -44,13 +44,16 @@ every distinct member it is given is an int (a bool is not) in 0..n - 1,
 over the union of the sets, so each value once; a failure is
 ``graphs._vertex``'s message after the set's index.  The private
 ``CliqueCover._trusted`` checks nothing; the constructions here build
-through it, since their members are below n by construction, and
-``cycle_cover`` hands it the incidence as well.
+through it, since their members are below n by construction.
+``cycle_cover`` hands it the incidence as well, so its cover holds the
+masks and builds its sets on first read of ``sets``; ``len``,
+verify_p_ecc and realize read only the masks, so verifying and realizing
+that construction builds no frozenset.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InfeasibleError, InvalidParameterError, _at_least
 from .graphs import Graph, _one_short_unions, _sharers, _vertex, vertex_lists_from_json
@@ -68,7 +71,7 @@ class CliqueCover:
     p >= 2 that is often necessary.
     """
 
-    __slots__ = ("n", "sets", "_inc")
+    __slots__ = ("n", "_sets", "_inc")
 
     def __init__(self, n: int, sets: Iterable[Iterable[int]]) -> None:
         _at_least("n", n, 1)
@@ -83,19 +86,31 @@ class CliqueCover:
                 except InvalidParameterError as exc:
                     raise InvalidParameterError(f"set {k}: {exc}") from exc
         self.n = n
-        self.sets = frozen
+        self._sets = frozen
         self._inc = None
 
     @classmethod
-    def _trusted(cls, n: int, sets: Iterable[Iterable[int]],
+    def _trusted(cls, n: int,
+                 sets: Iterable[Iterable[int]] | Callable[[], tuple[frozenset[int], ...]],
                  inc: tuple[tuple[int, ...], tuple[int, ...]] | None = None) -> CliqueCover:
         """Cover of ``sets``, trusted to hold only vertices below n >= 1,
-        and ``inc``, when given, trusted to be their incidence."""
+        and ``inc``, when given, trusted to be their incidence.  With inc,
+        ``sets`` may be a function that returns the tuple of frozensets:
+        the cover then holds only the masks until ``sets`` is first read."""
         f = cls.__new__(cls)
         f.n = n
-        f.sets = tuple(map(frozenset, sets))
+        f._sets = sets if inc is not None and callable(sets) else tuple(map(frozenset, sets))
         f._inc = inc
         return f
+
+    @property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        """The sets in order, as frozensets; a construction's are built on
+        first read and kept (threads racing to build them store equal tuples)."""
+        sets = self._sets
+        if callable(sets):
+            sets = self._sets = sets()
+        return sets
 
     def _incidence(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(rows, members): bit j of rows[v] and bit v of members[j] are set
@@ -145,7 +160,7 @@ class CliqueCover:
         return inc
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self._sets if self._inc is None else self._inc[1])
 
     def __iter__(self) -> Iterator[frozenset[int]]:
         return iter(self.sets)
@@ -208,7 +223,7 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
                 return Verdict(False, REASON_NONEDGE_IN_P_SETS, (u, v))
             m ^= low
     # with fewer than p sets every edge is short, so the least edge is named
-    reason = REASON_FAMILY_SMALLER_THAN_P if len(f.sets) < p else REASON_UNCOVERED_EDGE
+    reason = REASON_FAMILY_SMALLER_THAN_P if len(f) < p else REASON_UNCOVERED_EDGE
     unions = _one_short_unions(rows, members, p)
     if unions is not None:  # an edge above u is short iff outside u's union
         for u, near in enumerate(unions):
@@ -256,10 +271,10 @@ def cycle_cover(n: int, p: int) -> CliqueCover:
     # is the run rotated by v - p, which is members[(v + wrap) % n]
     members = (*(run << i for i in range(wrap)),
                *(((run << i) & full) | (run >> (n - i)) for i in range(wrap, n)))
-    return CliqueCover._trusted(n, [
+    return CliqueCover._trusted(n, lambda: (
         *(frozenset(range(i, i + p + 1)) for i in range(wrap)),
         *(frozenset((*range(i, n), *range(i + p + 1 - n))) for i in range(wrap, n)),
-    ], (members[wrap:] + members[:wrap], members))
+    ), (members[wrap:] + members[:wrap], members))
 
 
 # Edge clique covers of complement(C_n) for n = 5..8.  These minima are

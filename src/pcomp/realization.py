@@ -35,9 +35,9 @@ def realize(f: CliqueCover) -> Digraph:
     Needs len(f) <= f.n so that every set has its own prey vertex;
     vertices beyond the last set simply receive no arcs from the family.
     """
-    if len(f.sets) > f.n:
+    if len(f) > f.n:
         raise InfeasibleError(
-            f"realization requires |sets| <= n ({len(f.sets)} sets on {f.n} vertices)")
+            f"realization requires |sets| <= n ({len(f)} sets on {f.n} vertices)")
     rows, members = f._incidence()
     return Digraph._from_masks(f.n, rows, members + (0,) * (f.n - len(members)))
 
@@ -60,9 +60,9 @@ def _position_map(order: Iterable[int], n: int) -> dict[int, int]:
 def satisfies_acyclic_ordering(f: CliqueCover, order: Iterable[int]) -> bool:
     """True iff every member of set j sits at a position before j in order."""
     pos = _position_map(order, f.n)
-    if len(f.sets) != f.n:
+    if len(f) != f.n:
         raise InvalidParameterError(
-            f"ordering check needs exactly n sets ({len(f.sets)} sets on {f.n} vertices)")
+            f"ordering check needs exactly n sets ({len(f)} sets on {f.n} vertices)")
     return all(pos[x] < j for j, s in enumerate(f.sets) for x in s)
 
 

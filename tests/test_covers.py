@@ -536,27 +536,60 @@ class TestIncidence:
     def test_lift_stays_lazy_and_equals_the_literal(self, n):
         for q in range(1, 5):
             lazy = lift_cover(complement_cycle_cover(n), q)
-            assert lazy._inc is None
+            assert lazy._inc is None and type(lazy._sets) is tuple
             assert lazy._incidence() == literal_incidence(lazy)
 
-    @given(covers(max_n=9, max_sets=8))
-    def test_filled_incidence_keeps_equality_and_hash(self, filled):
+    def test_deferred_sets_equal_the_literal(self):
+        for n in range(3, 61):
+            full = frozenset(range(n))
+            for p in range(1, n - 2):
+                runs = tuple(frozenset((i + k) % n for k in range(p + 1)) for i in range(n))
+                f = cycle_cover(n, p)
+                assert callable(f._sets)  # holds the masks only
+                assert f.sets == runs, (n, p)
+                assert f.sets is f.sets  # built once and kept
+                for q in range(1, 5):  # a lift reads the deferred sets
+                    assert lift_cover(cycle_cover(n, p), q).sets == runs + (full,) * (q - 1)
+
+    def test_mask_readers_build_no_sets(self):
+        g = make_cycle(30)
+        f = cycle_cover(30, 4)
+        assert len(f) == 30
+        assert verify_p_ecc(g, f, 4).valid
+        assert verify_p_ecc(g, f, 31).reason == REASON_FAMILY_SMALLER_THAN_P
+        assert p_competition_graph(realize(f), 4) == g
+        d = is_p_competition(g, 4, method="construct")
+        assert d.cover_size == 30
+        assert all(callable(c._sets) for c in (f, d.certificate))
+
+    @given(covers(max_n=9, max_sets=8), st.integers(4, 12), st.data())
+    def test_filled_incidence_keeps_equality_and_hash(self, filled, n, data):
         filled._incidence()
         fresh = CliqueCover(filled.n, filled.sets)
         assert filled == fresh and fresh == filled
         assert hash(filled) == hash(fresh)
         assert {fresh: "key"}[filled] == "key"
         assert repr(filled) == repr(fresh)
+        # each read below is the first of a construction's sets
+        p = data.draw(st.integers(1, n - 3))
+        fresh = CliqueCover(n, cycle_cover(n, p).sets)
+        for read in (lambda f: f == fresh, lambda f: fresh == f,
+                     lambda f: hash(f) == hash(fresh), lambda f: {fresh: "key"}.get(f) == "key",
+                     lambda f: repr(f) == repr(fresh), lambda f: list(f) == list(fresh)):
+            deferred = cycle_cover(n, p)
+            assert callable(deferred._sets)
+            assert read(deferred)
 
     def test_threads_racing_to_fill_it_agree(self):
         f = CliqueCover(300, [range(j, 300, 1 + j % 7) for j in range(300)])
         g = p_competition_graph(realize(CliqueCover(f.n, f.sets)), 3)
+        deferred = cycle_cover(1000, 30)  # threads race to build its sets
         results = []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(target=lambda: results.append(
-                (verify_p_ecc(g, f, 3), realize(f)))) for _ in range(6)]
+                (deferred.sets, verify_p_ecc(g, f, 3), realize(f)))) for _ in range(6)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -565,8 +598,10 @@ class TestIncidence:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 6 and len(set(results)) == 1
-        assert results[0][0].valid
+        assert results[0][1].valid
         assert f._incidence() == literal_incidence(f)
+        assert deferred == CliqueCover(1000, [[(i + k) % 1000 for k in range(31)]
+                                              for i in range(1000)])
 
 
 class TestIncidencePaths:

@@ -140,3 +140,67 @@ def test_digraph_build_lint_sees_a_planted_call():
     tree = ast.parse("def realize_acyclic(f, order):\n"
                      "    return Digraph._from_masks(f.n, out, tuple(preds))\n")
     assert _digraph_builds(tree) == [("realize_acyclic", 2)]
+
+
+def _set_builders(tree: ast.Module) -> list[tuple[str, int]]:
+    """(top-level function, line) of each `_trusted(...)` call handed a set
+    builder: a lambda, or a function defined in the same top-level function."""
+    builds = []
+    for top in tree.body:
+        local = {node.name for node in ast.walk(top)
+                 if isinstance(node, ast.FunctionDef) and node is not top}
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_trusted" and len(node.args) >= 2):
+                sets = node.args[1]
+                if isinstance(sets, ast.Lambda) or (
+                        isinstance(sets, ast.Name) and sets.id in local):
+                    builds.append((getattr(top, "name", ""), node.lineno))
+    return builds
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_set_builders_come_from_the_closed_forms_alone(path):
+    # a cover handed a set builder holds only its masks, so the builder must
+    # be a construction's own closed form, never a read of the masks
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    builds = [(name, line) for name, line in _set_builders(tree)
+              if (path.name, name) != ("covers.py", "cycle_cover")]
+    assert builds == [], f"{path.name}: _trusted handed a set builder in {builds}"
+
+
+def test_set_builder_lint_sees_a_planted_builder():
+    tree = ast.parse("def complement_cycle_cover(n):\n"
+                     "    return CliqueCover._trusted(n, lambda: (), inc)\n"
+                     "def realize_acyclic(f, order):\n"
+                     "    def sets():\n"
+                     "        return f.sets\n"
+                     "    return realize(CliqueCover._trusted(f.n, sets, f._inc))\n")
+    assert _set_builders(tree) == [("complement_cycle_cover", 2), ("realize_acyclic", 6)]
+
+
+def _sets_lengths(tree: ast.Module) -> list[int]:
+    """Lines of each `len(<expr>.sets)` outside the CliqueCover class."""
+    return [node.lineno for top in tree.body
+            if not (isinstance(top, ast.ClassDef) and top.name == "CliqueCover")
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "len" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "sets"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_set_counts_are_read_through_len(path):
+    # len(f) reads the member masks when the cover holds them, while
+    # len(f.sets) builds a construction's deferred frozensets
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _sets_lengths(tree) == [], f"{path.name}: len(...sets) on lines {_sets_lengths(tree)}"
+
+
+def test_set_count_lint_sees_a_planted_call():
+    tree = ast.parse("class CliqueCover:\n"
+                     "    def __len__(self):\n"
+                     "        return len(self.sets)\n"
+                     "def realize(f):\n"
+                     "    return len(f.sets) > f.n\n")
+    assert _sets_lengths(tree) == [5]
