@@ -22,8 +22,9 @@ this incidence, rows and members (bit v of members[j] set iff v is in
 S_j), in one private slot that ``CliqueCover._incidence`` fills on first
 use and keeps, so verify_p_ecc and realize build it once between them.
 It builds a dense family's through one byte grid and a sparse one's
-member by member (its docstring gives the rule); ``cycle_cover`` fills
-it in closed form.
+member by member (its docstring gives the rule); ``cycle_cover`` and
+``complement_cycle_cover`` (from n = 9) fill it in closed form, and
+``lift_cover`` extends a filled one.
 
 The nonedge scan counts only the nonneighbours above u that
 ``graphs._sharers`` names from u's sets, unless u has at most k - p of
@@ -45,10 +46,12 @@ over the union of the sets, so each value once; a failure is
 ``graphs._vertex``'s message after the set's index.  The private
 ``CliqueCover._trusted`` checks nothing; the constructions here build
 through it, since their members are below n by construction.
-``cycle_cover`` hands it the incidence as well, so its cover holds the
-masks and builds its sets on first read of ``sets``; ``len``,
-verify_p_ecc and realize read only the masks, so verifying and realizing
-that construction builds no frozenset.
+``cycle_cover``, ``complement_cycle_cover`` from n = 9 and ``lift_cover``
+of a cover that holds its masks hand it the incidence as well, so their
+covers hold the masks and build their sets on first read of ``sets``
+(slices of one tuple of the vertices, so the sets share its ints);
+``len``, verify_p_ecc and realize read only the masks, so verifying and
+realizing such a construction builds no frozenset.
 """
 
 from __future__ import annotations
@@ -126,9 +129,8 @@ class CliqueCover:
         rows) read the same way.  The grid costs n * r bytes whatever the
         family holds, so it loses on sparse and on small families.
         """
-        # lazy, not built at construction: cover-pipeline's co-cycle drop and
-        # append ops build a lifted cover only to slice its sets, and building
-        # its incidence there made those ops 1.5-2.9x slower
+        # lazy, not built at construction: a public cover read only as sets
+        # (JSON, equality, slicing into another cover) never pays for it
         inc = self._inc
         if inc is None:
             n, sets = self.n, self.sets
@@ -175,6 +177,11 @@ class CliqueCover:
 
     def __repr__(self) -> str:
         return f"CliqueCover(n={self.n}, sets={[sorted(s) for s in self.sets]})"
+
+    def __reduce__(self) -> tuple:
+        # pickle refuses a deferred set builder (a local function), so a
+        # pickled cover carries its sets, and its incidence when known
+        return CliqueCover._trusted, (self.n, self.sets, self._inc)
 
 
 class Verdict(NamedTuple):
@@ -271,10 +278,12 @@ def cycle_cover(n: int, p: int) -> CliqueCover:
     # is the run rotated by v - p, which is members[(v + wrap) % n]
     members = (*(run << i for i in range(wrap)),
                *(((run << i) & full) | (run >> (n - i)) for i in range(wrap, n)))
-    return CliqueCover._trusted(n, lambda: (
-        *(frozenset(range(i, i + p + 1)) for i in range(wrap)),
-        *(frozenset((*range(i, n), *range(i + p + 1 - n))) for i in range(wrap, n)),
-    ), (members[wrap:] + members[:wrap], members))
+
+    def sets():  # slices of the vertices twice over, so the runs share their ints
+        ring = tuple(range(n)) * 2
+        return tuple(frozenset(ring[i:i + p + 1]) for i in range(n))
+
+    return CliqueCover._trusted(n, sets, (members[wrap:] + members[:wrap], members))
 
 
 # Edge clique covers of complement(C_n) for n = 5..8.  These minima are
@@ -287,33 +296,6 @@ _SMALL_COMPLEMENT_FAMILIES: dict[int, tuple[tuple[int, ...], ...]] = {
 }
 
 
-def _odd_complement_family(n: int) -> list[list[int]]:
-    # Three seed sets, then one set per odd index i.  Members of each set
-    # are pairwise at cyclic distance >= 2, i.e. independent on C_n.
-    sets: list[list[int]] = [
-        list(range(0, n - 2, 2)),            # evens 0..n-3
-        [0, *range(3, n - 1, 2)],            # 0 plus odds 3..n-2
-        list(range(1, n - 1, 2)),            # odds 1..n-2
-    ]
-    for i in range(1, n - 1, 2):
-        t = [i, *range(2, i - 2, 2), *range(i + 3, n - 2, 2)]
-        # v_{n-1} neighbors v_{n-2} on the cycle, so the last set omits it.
-        if i != n - 2:
-            t.append(n - 1)
-        sets.append(t)
-    return sets
-
-
-def _even_complement_family(n: int) -> list[list[int]]:
-    sets: list[list[int]] = [
-        list(range(0, n - 1, 2)),            # all even vertices
-        [0, *range(3, n - 2, 2)],            # 0 plus odds 3..n-3 (0 and n-1 are cycle-adjacent)
-    ]
-    for i in range(2, n - 1, 2):
-        sets.append([i, *range(1, i - 2, 2), *range(i + 3, n, 2)])
-    return sets
-
-
 def complement_cycle_cover(n: int) -> CliqueCover:
     """An edge clique cover of complement(C_n) for n >= 5.
 
@@ -321,13 +303,42 @@ def complement_cycle_cover(n: int) -> CliqueCover:
     even n >= 10 -> n/2 + 1.  Every emitted set is an independent set of
     C_n, hence a clique of the complement.  Below n = 5 the complement is
     edgeless (n = 3) or a perfect matching (n = 4) and is excluded here.
+
+    From n = 9 the sets are, in order: the evens 0..n-2; 0 and the odds
+    3..n-2; for odd n the odds 1..n-2; then t_i for each i in 1..n-2 of
+    n's parity, ascending, where t_i is i and the vertices 1..n-1 of the
+    other parity but i - 1 and i + 1.  The cover holds their masks in
+    closed form and builds the sets on first read.
     """
     _at_least("n", n, 5)
     if n <= 8:
         return CliqueCover._trusted(n, _SMALL_COMPLEMENT_FAMILIES[n])
-    if n % 2:
-        return CliqueCover._trusted(n, _odd_complement_family(n))
-    return CliqueCover._trusted(n, _even_complement_family(n))
+    odd = n % 2
+    evens = ((1 << n - odd) - 1) // 3  # 0, 2, ..., n - 2
+    odds = evens << 1 & (1 << n - 1) - 1  # 1, 3, ..., n - 2
+    other = (1 << n + 1) // 3 & -2  # 1..n - 1 of the parity of n - 1
+    ts = range(2 - odd, n - 1, 2)  # t_i flips i - 1, i and i + 1 (never 0) in other
+    members = (evens, odds ^ 3, *(odds,) * odd, *(other ^ 7 << i - 1 & -2 for i in ts))
+    t = (1 << len(members)) - (1 << 2 + odd)  # the bits of the t_i
+    # vertex 0 lies in sets 0 and 1, a vertex of n's parity in one t_i, and
+    # one of the other parity in every t_i but two adjacent ones
+    if odd:  # t_i is set i // 2 + 3
+        rows = (3, 12, *(r for v in range(2, n - 2, 2)
+                         for r in (t & ~(3 << v // 2 + 2) | 1, 6 | 1 << v // 2 + 3)),
+                t ^ 1 << n // 2 + 2)
+    else:  # t_i is set i // 2 + 1
+        rows = (3, t ^ 4, 5, *(r for v in range(3, n - 2, 2)
+                               for r in (t & ~(3 << (v + 1) // 2) | 2, 1 | 1 << (v + 3) // 2)),
+                t ^ 1 << n // 2)
+
+    def sets():  # slices of one vertex tuple, so the sets share its ints
+        vs = tuple(range(n))
+        base = frozenset(vs[1 + odd::2])
+        return (frozenset(vs[:n - 1:2]), frozenset((0, *vs[3:n - 1:2])),
+                *([frozenset(vs[1:n - 1:2])] if odd else ()),
+                *(frozenset(vs[max(i - 1, 1):i + 2]).symmetric_difference(base) for i in ts))
+
+    return CliqueCover._trusted(n, sets, (rows, members))
 
 
 def lift_cover(f: CliqueCover, p: int) -> CliqueCover:
@@ -338,13 +349,19 @@ def lift_cover(f: CliqueCover, p: int) -> CliqueCover:
     intersection is a clique; an edge covered by original set S lies in the
     p sets {S, V, ..., V}.  The output has exactly len(f) + p - 1 sets, so
     it certifies p-competition via realization only while that total stays
-    within the host vertex count.
+    within the host vertex count.  A cover that holds its masks is lifted
+    as masks, and the lift builds its sets on first read.
     """
     _at_least("p", p, 1)
     if p == 1:
         return f
-    full = frozenset(range(f.n))  # one set shared by all p - 1 copies
-    return CliqueCover._trusted(f.n, [*f.sets, *([full] * (p - 1))])
+    if f._inc is None:
+        full = frozenset(range(f.n))  # one set shared by all p - 1 copies
+        return CliqueCover._trusted(f.n, [*f.sets, *([full] * (p - 1))])
+    rows, members = f._inc
+    high = ((1 << p - 1) - 1) << len(members)  # the p - 1 full sets
+    return CliqueCover._trusted(f.n, lambda: (*f.sets, *[frozenset(range(f.n))] * (p - 1)), (
+        tuple(r | high for r in rows), members + ((1 << f.n) - 1,) * (p - 1)))
 
 
 # --- JSON ---------------------------------------------------------------

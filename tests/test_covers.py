@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import sys
 import threading
@@ -485,6 +487,34 @@ def test_constructions_pass_the_public_checks(n):
         assert all(type(s) is frozenset for s in f.sets)
 
 
+def odd_complement_family(n):
+    """The literal co-C_n family for odd n >= 9: three seed sets, then one
+    set per odd index i, each pairwise at cyclic distance >= 2."""
+    sets = [
+        list(range(0, n - 2, 2)),            # evens 0..n-3
+        [0, *range(3, n - 1, 2)],            # 0 plus odds 3..n-2
+        list(range(1, n - 1, 2)),            # odds 1..n-2
+    ]
+    for i in range(1, n - 1, 2):
+        t = [i, *range(2, i - 2, 2), *range(i + 3, n - 2, 2)]
+        # v_{n-1} neighbors v_{n-2} on the cycle, so the last set omits it.
+        if i != n - 2:
+            t.append(n - 1)
+        sets.append(t)
+    return sets
+
+
+def even_complement_family(n):
+    """The literal co-C_n family for even n >= 10."""
+    sets = [
+        list(range(0, n - 1, 2)),            # all even vertices
+        [0, *range(3, n - 2, 2)],            # 0 plus odds 3..n-3 (0 and n-1 are cycle-adjacent)
+    ]
+    for i in range(2, n - 1, 2):
+        sets.append([i, *range(1, i - 2, 2), *range(i + 3, n, 2)])
+    return sets
+
+
 def literal_incidence(f):
     """f's (rows, members), read off its sets one membership at a time."""
     rows = tuple(sum(1 << j for j, s in enumerate(f.sets) if v in s) for v in range(f.n))
@@ -534,10 +564,40 @@ class TestIncidence:
 
     @pytest.mark.parametrize("n", range(5, 41))
     def test_lift_stays_lazy_and_equals_the_literal(self, n):
+        # stored families (n <= 8) and public covers lift lazily; a closed
+        # form (n >= 9) hands its masks over and defers its sets
         for q in range(1, 5):
-            lazy = lift_cover(complement_cycle_cover(n), q)
-            assert lazy._inc is None and type(lazy._sets) is tuple
-            assert lazy._incidence() == literal_incidence(lazy)
+            public = lift_cover(CliqueCover(n, complement_cycle_cover(n).sets), q)
+            lifted = lift_cover(complement_cycle_cover(n), q)
+            for lazy in (public, lifted) if n <= 8 else (public,):
+                assert lazy._inc is None and type(lazy._sets) is tuple
+                assert lazy._incidence() == literal_incidence(lazy)
+            if n >= 9:
+                assert lifted._inc is not None and callable(lifted._sets)
+                assert lifted._inc == literal_incidence(lifted)
+
+    def test_complement_closed_form_equals_the_literal(self):
+        for n in range(9, 201):
+            literal = CliqueCover(n, (odd_complement_family if n % 2 else even_complement_family)(n))
+            f = complement_cycle_cover(n)
+            assert callable(f._sets)  # holds the masks only
+            assert f._inc == literal_incidence(literal), n
+            assert f.sets == literal.sets, n
+            assert f.sets is f.sets  # built once and kept
+
+    def test_lift_hands_over_the_masks(self):
+        for n in (*range(9, 41), 101, 200, 301):
+            for q in range(1, 6):
+                f = complement_cycle_cover(n)
+                lifted = lift_cover(f, q)
+                assert callable(lifted._sets)  # holds the masks only
+                public = lift_cover(CliqueCover(n, f.sets), q)
+                assert lifted._inc == public._incidence(), (n, q)
+                assert lifted.sets == public.sets, (n, q)
+                assert lifted == public and public == lifted
+                assert hash(lifted) == hash(public)
+                if q >= 3:  # one full set shared by the p - 1 copies
+                    assert lifted.sets[-1] is lifted.sets[-2]
 
     def test_deferred_sets_equal_the_literal(self):
         for n in range(3, 61):
@@ -561,6 +621,28 @@ class TestIncidence:
         d = is_p_competition(g, 4, method="construct")
         assert d.cover_size == 30
         assert all(callable(c._sets) for c in (f, d.certificate))
+        for n, p in ((9, 2), (10, 5), (101, 3), (200, 5), (301, 2)):
+            g = complement(make_cycle(n))
+            f = lift_cover(complement_cycle_cover(n), p)
+            assert len(f) == n // 2 + 1 + n % 2 * 2 + p - 1
+            assert verify_p_ecc(g, f, p).valid
+            assert p_competition_graph(realize(f), p) == g
+            d = is_p_competition(g, p, method="construct")
+            assert d.cover_size == len(f)
+            assert all(callable(c._sets) for c in (f, d.certificate))
+
+    def test_pickles_and_copies_with_deferred_sets(self):
+        # a deferred builder is a local function; the copy carries the sets
+        made = [cycle_cover(30, 4), complement_cycle_cover(9), complement_cycle_cover(10),
+                lift_cover(complement_cycle_cover(101), 3), lift_cover(complement_cycle_cover(7), 2),
+                CliqueCover(5, [(0, 1), (), (2, 3, 4)])]
+        for f in made:
+            inc = f._inc
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(f, proto))
+                assert back == f and hash(back) == hash(f) and back._inc == inc
+                assert type(back._sets) is tuple
+            assert copy.copy(f) == f and copy.deepcopy(f) == f
 
     @given(covers(max_n=9, max_sets=8), st.integers(4, 12), st.data())
     def test_filled_incidence_keeps_equality_and_hash(self, filled, n, data):
@@ -584,12 +666,14 @@ class TestIncidence:
         f = CliqueCover(300, [range(j, 300, 1 + j % 7) for j in range(300)])
         g = p_competition_graph(realize(CliqueCover(f.n, f.sets)), 3)
         deferred = cycle_cover(1000, 30)  # threads race to build its sets
+        lifted = lift_cover(complement_cycle_cover(301), 2)  # and the lift's
         results = []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(target=lambda: results.append(
-                (deferred.sets, verify_p_ecc(g, f, 3), realize(f)))) for _ in range(6)]
+                (deferred.sets, lifted.sets, verify_p_ecc(g, f, 3), realize(f))))
+                for _ in range(6)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -598,10 +682,11 @@ class TestIncidence:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 6 and len(set(results)) == 1
-        assert results[0][1].valid
+        assert results[0][2].valid
         assert f._incidence() == literal_incidence(f)
         assert deferred == CliqueCover(1000, [[(i + k) % 1000 for k in range(31)]
                                               for i in range(1000)])
+        assert lifted == CliqueCover(301, [*odd_complement_family(301), range(301)])
 
 
 class TestIncidencePaths:
@@ -643,8 +728,9 @@ class TestIncidencePaths:
         assert grid_built(monkeypatch, f) == (literal_incidence(f), grid)
 
     def test_construction_outputs_take_either_path(self, monkeypatch):
-        # lifted co-cycle covers are dense, cycle covers with small p sparse
-        dense = lift_cover(complement_cycle_cover(101), 3)
+        # lifted co-cycle families are dense, cycle covers with small p sparse;
+        # the constructions hold their masks, so public copies build them
+        dense = CliqueCover(101, lift_cover(complement_cycle_cover(101), 3).sets)
         sparse = CliqueCover(1000, cycle_cover(1000, 5).sets)
         assert grid_built(monkeypatch, dense) == (literal_incidence(dense), True)
         assert grid_built(monkeypatch, sparse) == (literal_incidence(sparse), False)

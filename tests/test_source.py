@@ -162,10 +162,12 @@ def _set_builders(tree: ast.Module) -> list[tuple[str, int]]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_set_builders_come_from_the_closed_forms_alone(path):
     # a cover handed a set builder holds only its masks, so the builder must
-    # be a construction's own closed form, never a read of the masks
+    # be a construction's own closed form (a lift's reads its base's sets),
+    # never a read of the masks
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     builds = [(name, line) for name, line in _set_builders(tree)
-              if (path.name, name) != ("covers.py", "cycle_cover")]
+              if path.name != "covers.py"
+              or name not in ("cycle_cover", "complement_cycle_cover", "lift_cover")]
     assert builds == [], f"{path.name}: _trusted handed a set builder in {builds}"
 
 
