@@ -18,13 +18,9 @@ Pair counts are popcounts of per-vertex set masks: with bit j of rows[v]
 set iff v is in S_j, the pair {u, v} lies in (rows[u] & rows[v]).bit_count()
 sets.  rows[v] is the out-mask of v in realize(F), so this is the same
 kernel as the common-prey count of the p-competition map.  A cover holds
-this incidence, rows and members (bit v of members[j] set iff v is in
-S_j), in one private slot that ``CliqueCover._incidence`` fills on first
-use and keeps, so verify_p_ecc and realize build it once between them.
-It builds a dense family's through one byte grid and a sparse one's
-member by member (its docstring gives the rule); ``cycle_cover`` and
-``complement_cycle_cover`` (from n = 9) fill it in closed form, and
-``lift_cover`` extends a filled one.
+these masks, rows and members (bit v of members[j] set iff v is in S_j),
+beside its sets; ``CliqueCover._trusted`` states the one rule by which
+each view is built on first read and kept.
 
 The nonedge scan counts only the nonneighbours above u that
 ``graphs._sharers`` names from u's sets, unless u has at most k - p of
@@ -40,18 +36,10 @@ edge in fewer than p sets; that edge is reported as
 ``family-smaller-than-p`` when the family has fewer than p sets, since
 then every edge is uncovered.
 
-``CliqueCover(n, sets)`` checks n with ``errors._at_least``, and that
-every distinct member it is given is an int (a bool is not) in 0..n - 1,
-over the union of the sets, so each value once; a failure is
-``graphs._vertex``'s message after the set's index.  The private
-``CliqueCover._trusted`` checks nothing; the constructions here build
-through it, since their members are below n by construction.
-``cycle_cover``, ``complement_cycle_cover`` from n = 9 and ``lift_cover``
-of a cover that holds its masks hand it the incidence as well, so their
-covers hold the masks and build their sets on first read of ``sets``
-(slices of one tuple of the vertices, so the sets share its ints);
-``len``, verify_p_ecc and realize read only the masks, so verifying and
-realizing such a construction builds no frozenset.
+``CliqueCover(n, sets)`` checks n, and each distinct member once: an int
+(not a bool) in 0..n - 1, else ``graphs._vertex``'s message after the
+set's index.  The constructions build through ``CliqueCover._trusted``,
+which checks nothing, since their members are below n by construction.
 """
 
 from __future__ import annotations
@@ -64,6 +52,43 @@ from .graphs import Graph, _one_short_unions, _sharers, _vertex, vertex_lists_fr
 REASON_UNCOVERED_EDGE = "uncovered-edge"
 REASON_NONEDGE_IN_P_SETS = "nonedge-in-p-sets"
 REASON_FAMILY_SMALLER_THAN_P = "family-smaller-than-p"
+
+
+def _incidence_of(f: CliqueCover) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """f's incidence built from its sets, a cover's default ``_inc``: with
+    r sets and I members in all, through a byte grid when 16 * I > n * r +
+    8192, and member by member otherwise.  The grid holds one n-byte row of
+    ASCII '0's per set, with a '1' stored at each member, so a member costs
+    one byte store instead of big-int ORs: members[j] is row j reversed and
+    read in base 2, and rows[v] is column v (one strided slice of the
+    joined rows) read the same way.  The grid costs n * r bytes whatever
+    the family holds, so it loses on sparse and on small families.
+    """
+    n, sets = f.n, f.sets
+    members = []
+    # the grid and the loop cross at a density of 0.05-0.09 at n = r = 300
+    # and 1000 (BENCH_pr35_incidence.json); r = 0 never takes the grid, so
+    # no row or column it reads is empty
+    if 16 * sum(map(len, sets)) > n * len(sets) + 8192:
+        blank = b"0" * n
+        grid = bytearray()
+        for s in sets:
+            row = bytearray(blank)
+            for v in s:
+                row[v] = 49  # b"1"
+            members.append(int(row[::-1], 2))
+            grid += row
+        rows = [int(grid[v::n][::-1], 2) for v in range(n)]
+    else:
+        rows = [0] * n
+        for j, s in enumerate(sets):
+            bit = 1 << j
+            m = 0
+            for v in s:
+                rows[v] |= bit
+                m |= 1 << v
+            members.append(m)
+    return tuple(rows), tuple(members)
 
 
 class CliqueCover:
@@ -90,79 +115,49 @@ class CliqueCover:
                     raise InvalidParameterError(f"set {k}: {exc}") from exc
         self.n = n
         self._sets = frozen
-        self._inc = None
+        self._inc = _incidence_of
 
     @classmethod
-    def _trusted(cls, n: int,
-                 sets: Iterable[Iterable[int]] | Callable[[], tuple[frozenset[int], ...]],
-                 inc: tuple[tuple[int, ...], tuple[int, ...]] | None = None) -> CliqueCover:
+    def _trusted(cls, n: int, sets: Iterable[Iterable[int]] | Callable[[CliqueCover], tuple],
+                 inc: tuple | Callable[[CliqueCover], tuple] = _incidence_of) -> CliqueCover:
         """Cover of ``sets``, trusted to hold only vertices below n >= 1,
-        and ``inc``, when given, trusted to be their incidence.  With inc,
-        ``sets`` may be a function that returns the tuple of frozensets:
-        the cover then holds only the masks until ``sets`` is first read."""
+        and of ``inc``, trusted to be their incidence.
+
+        One rule for a cover's two views, ``sets`` and ``_incidence()``:
+        the slots ``_sets`` and ``_inc`` each hold the value or a builder,
+        a function of the cover that runs on first read and whose result
+        is kept (threads racing to run it store equal values).  A callable
+        ``sets`` is a builder; an incidence not given is built from the
+        sets.  A construction's builders read its closed form or its base
+        cover, never its other view, so a reader of one view builds only
+        that one: ``len`` (while the sets are a builder), verify_p_ecc and
+        realize read the masks; equality, hash, repr, iteration and JSON
+        read the sets.
+        """
         f = cls.__new__(cls)
         f.n = n
-        f._sets = sets if inc is not None and callable(sets) else tuple(map(frozenset, sets))
+        f._sets = sets if callable(sets) else tuple(map(frozenset, sets))
         f._inc = inc
         return f
 
     @property
     def sets(self) -> tuple[frozenset[int], ...]:
-        """The sets in order, as frozensets; a construction's are built on
-        first read and kept (threads racing to build them store equal tuples)."""
+        """The sets in order, as frozensets, read by ``_trusted``'s rule."""
         sets = self._sets
         if callable(sets):
-            sets = self._sets = sets()
+            sets = self._sets = sets(self)
         return sets
 
     def _incidence(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(rows, members): bit j of rows[v] and bit v of members[j] are set
-        iff v is in set j.  Built on first use and kept; it depends only on
-        n and the sets, so threads racing to fill it store equal values.
-
-        With r sets and I members in all, the family is built through a
-        byte grid when 16 * I > n * r + 8192, and member by member
-        otherwise.  The grid holds one n-byte row of ASCII '0's per set,
-        with a '1' stored at each member, so a member costs one byte store
-        instead of big-int ORs: members[j] is row j reversed and read in
-        base 2, and rows[v] is column v (one strided slice of the joined
-        rows) read the same way.  The grid costs n * r bytes whatever the
-        family holds, so it loses on sparse and on small families.
-        """
-        # lazy, not built at construction: a public cover read only as sets
-        # (JSON, equality, slicing into another cover) never pays for it
+        iff v is in set j; read by ``_trusted``'s rule."""
         inc = self._inc
-        if inc is None:
-            n, sets = self.n, self.sets
-            # the grid and the loop cross at a density of 0.05-0.09 at
-            # n = r = 300 and 1000 (BENCH_pr35_incidence.json); r = 0 never
-            # takes the grid, so no row or column it reads is empty
-            if 16 * sum(map(len, sets)) > n * len(sets) + 8192:
-                blank = b"0" * n
-                grid = bytearray()
-                members = []
-                for s in sets:
-                    row = bytearray(blank)
-                    for v in s:
-                        row[v] = 49  # b"1"
-                    members.append(int(row[::-1], 2))
-                    grid += row
-                rows = [int(grid[v::n][::-1], 2) for v in range(n)]
-            else:
-                rows = [0] * n
-                members = []
-                for j, s in enumerate(sets):
-                    bit = 1 << j
-                    m = 0
-                    for v in s:
-                        rows[v] |= bit
-                        m |= 1 << v
-                    members.append(m)
-            inc = self._inc = (tuple(rows), tuple(members))
+        if callable(inc):
+            inc = self._inc = inc(self)
         return inc
 
     def __len__(self) -> int:
-        return len(self._sets if self._inc is None else self._inc[1])
+        return len(self._incidence()[1] if callable(self._sets) else self._sets)
 
     def __iter__(self) -> Iterator[frozenset[int]]:
         return iter(self.sets)
@@ -179,9 +174,9 @@ class CliqueCover:
         return f"CliqueCover(n={self.n}, sets={[sorted(s) for s in self.sets]})"
 
     def __reduce__(self) -> tuple:
-        # pickle refuses a deferred set builder (a local function), so a
-        # pickled cover carries its sets, and its incidence when known
-        return CliqueCover._trusted, (self.n, self.sets, self._inc)
+        # pickle refuses a builder (often a local function), so a pickled
+        # cover carries both views as values
+        return CliqueCover._trusted, (self.n, self.sets, self._incidence())
 
 
 class Verdict(NamedTuple):
@@ -279,7 +274,7 @@ def cycle_cover(n: int, p: int) -> CliqueCover:
     members = (*(run << i for i in range(wrap)),
                *(((run << i) & full) | (run >> (n - i)) for i in range(wrap, n)))
 
-    def sets():  # slices of the vertices twice over, so the runs share their ints
+    def sets(_):  # slices of the vertices twice over, so the runs share their ints
         ring = tuple(range(n)) * 2
         return tuple(frozenset(ring[i:i + p + 1]) for i in range(n))
 
@@ -307,38 +302,40 @@ def complement_cycle_cover(n: int) -> CliqueCover:
     From n = 9 the sets are, in order: the evens 0..n-2; 0 and the odds
     3..n-2; for odd n the odds 1..n-2; then t_i for each i in 1..n-2 of
     n's parity, ascending, where t_i is i and the vertices 1..n-1 of the
-    other parity but i - 1 and i + 1.  The cover holds their masks in
-    closed form and builds the sets on first read.
+    other parity but i - 1 and i + 1.  The cover builds their masks in
+    closed form, and the sets, each on first read.
     """
     _at_least("n", n, 5)
     if n <= 8:
         return CliqueCover._trusted(n, _SMALL_COMPLEMENT_FAMILIES[n])
     odd = n % 2
-    evens = ((1 << n - odd) - 1) // 3  # 0, 2, ..., n - 2
-    odds = evens << 1 & (1 << n - 1) - 1  # 1, 3, ..., n - 2
-    other = (1 << n + 1) // 3 & -2  # 1..n - 1 of the parity of n - 1
     ts = range(2 - odd, n - 1, 2)  # t_i flips i - 1, i and i + 1 (never 0) in other
-    members = (evens, odds ^ 3, *(odds,) * odd, *(other ^ 7 << i - 1 & -2 for i in ts))
-    t = (1 << len(members)) - (1 << 2 + odd)  # the bits of the t_i
-    # vertex 0 lies in sets 0 and 1, a vertex of n's parity in one t_i, and
-    # one of the other parity in every t_i but two adjacent ones
-    if odd:  # t_i is set i // 2 + 3
-        rows = (3, 12, *(r for v in range(2, n - 2, 2)
-                         for r in (t & ~(3 << v // 2 + 2) | 1, 6 | 1 << v // 2 + 3)),
-                t ^ 1 << n // 2 + 2)
-    else:  # t_i is set i // 2 + 1
-        rows = (3, t ^ 4, 5, *(r for v in range(3, n - 2, 2)
-                               for r in (t & ~(3 << (v + 1) // 2) | 2, 1 | 1 << (v + 3) // 2)),
-                t ^ 1 << n // 2)
 
-    def sets():  # slices of one vertex tuple, so the sets share its ints
+    def masks(_):
+        evens = ((1 << n - odd) - 1) // 3  # 0, 2, ..., n - 2
+        odds = evens << 1 & (1 << n - 1) - 1  # 1, 3, ..., n - 2
+        other = (1 << n + 1) // 3 & -2  # 1..n - 1 of the parity of n - 1
+        members = (evens, odds ^ 3, *(odds,) * odd, *(other ^ 7 << i - 1 & -2 for i in ts))
+        t = (1 << len(members)) - (1 << 2 + odd)  # the bits of the t_i
+        # vertex 0 lies in sets 0 and 1, a vertex of n's parity in one t_i,
+        # and one of the other parity in every t_i but two adjacent ones
+        if odd:  # t_i is set i // 2 + 3
+            return (3, 12, *(r for v in range(2, n - 2, 2)
+                             for r in (t & ~(3 << v // 2 + 2) | 1, 6 | 1 << v // 2 + 3)),
+                    t ^ 1 << n // 2 + 2), members
+        # t_i is set i // 2 + 1
+        return (3, t ^ 4, 5, *(r for v in range(3, n - 2, 2)
+                               for r in (t & ~(3 << (v + 1) // 2) | 2, 1 | 1 << (v + 3) // 2)),
+                t ^ 1 << n // 2), members
+
+    def sets(_):  # slices of one vertex tuple, so the sets share its ints
         vs = tuple(range(n))
         base = frozenset(vs[1 + odd::2])
         return (frozenset(vs[:n - 1:2]), frozenset((0, *vs[3:n - 1:2])),
                 *([frozenset(vs[1:n - 1:2])] if odd else ()),
                 *(frozenset(vs[max(i - 1, 1):i + 2]).symmetric_difference(base) for i in ts))
 
-    return CliqueCover._trusted(n, sets, (rows, members))
+    return CliqueCover._trusted(n, sets, masks)
 
 
 def lift_cover(f: CliqueCover, p: int) -> CliqueCover:
@@ -349,19 +346,21 @@ def lift_cover(f: CliqueCover, p: int) -> CliqueCover:
     intersection is a clique; an edge covered by original set S lies in the
     p sets {S, V, ..., V}.  The output has exactly len(f) + p - 1 sets, so
     it certifies p-competition via realization only while that total stays
-    within the host vertex count.  A cover that holds its masks is lifted
-    as masks, and the lift builds its sets on first read.
+    within the host vertex count.  The lift builds its sets from the
+    base's sets, and its masks from the base's masks, each on first read.
     """
     _at_least("p", p, 1)
     if p == 1:
         return f
-    if f._inc is None:
-        full = frozenset(range(f.n))  # one set shared by all p - 1 copies
-        return CliqueCover._trusted(f.n, [*f.sets, *([full] * (p - 1))])
-    rows, members = f._inc
-    high = ((1 << p - 1) - 1) << len(members)  # the p - 1 full sets
-    return CliqueCover._trusted(f.n, lambda: (*f.sets, *[frozenset(range(f.n))] * (p - 1)), (
-        tuple(r | high for r in rows), members + ((1 << f.n) - 1,) * (p - 1)))
+
+    def masks(_):
+        rows, members = f._incidence()
+        high = ((1 << p - 1) - 1) << len(members)  # the p - 1 full sets
+        return tuple(r | high for r in rows), members + ((1 << f.n) - 1,) * (p - 1)
+
+    # the p - 1 copies share one full set
+    return CliqueCover._trusted(
+        f.n, lambda _: (*f.sets, *[frozenset(range(f.n))] * (p - 1)), masks)
 
 
 # --- JSON ---------------------------------------------------------------

@@ -522,6 +522,79 @@ def literal_incidence(f):
     return rows, members
 
 
+def realized(f):
+    """realize(f), or its refusal's message."""
+    try:
+        return realize(f)
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+# (name, view read, read(f, g, p, public)): public is f's literal family as
+# a checked cover, g the graph f covers at p; a reader of the sets or the
+# masks returns whether it read them right, a copier returns the copy
+READERS = [
+    ("==", "sets", lambda f, g, p, c: f == c and c == f),
+    ("hash", "sets", lambda f, g, p, c: hash(f) == hash(c) and {c: 1}.get(f) == 1),
+    ("repr", "sets", lambda f, g, p, c: repr(f) == repr(c)),
+    ("iter", "sets", lambda f, g, p, c: list(f) == list(c)),
+    ("slice", "sets", lambda f, g, p, c: CliqueCover(f.n, f.sets[1:])
+     == CliqueCover(c.n, c.sets[1:])),
+    ("len(sets)", "sets", lambda f, g, p, c: len(f.sets) == len(c.sets)),
+    ("json", "sets", lambda f, g, p, c: cover_to_json_dict(f) == cover_to_json_dict(c)),
+    ("len", "masks", lambda f, g, p, c: len(f) == len(c)),
+    ("realize", "masks", lambda f, g, p, c: realized(f) == realized(c)),
+    ("verify, realize, compete", "masks", lambda f, g, p, c: verify_p_ecc(g, f, p).valid
+     and (len(c) > f.n or p_competition_graph(realize(f), p) == g)),
+    *((f"pickle {proto}", "copy", lambda f, g, p, c, proto=proto:
+       pickle.loads(pickle.dumps(f, proto))) for proto in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ("copy", "copy", lambda f, g, p, c: copy.copy(f)),
+    ("deepcopy", "copy", lambda f, g, p, c: copy.deepcopy(f)),
+]
+CONSTRUCTION_KINDS = ["cycle", "co-cycle", "lift", "public lift", "public"]
+
+
+def constructions(kind):
+    """(label, make, g, p, literal sets, (sets deferred, masks deferred)) of
+    one kind: cycle_cover at n = 3..60 and p = 1, 2, n // 2, n - 4, n - 3
+    (test_deferred_sets_equal_the_literal runs every p); complement_cycle_cover
+    at n = 5..200; its lifts, and the lifts of its public copy, at n = 5..40,
+    101, 200, 301 and q = 1..5; and public covers, one with an empty set."""
+    def co_cycle(n):
+        if n <= 8:  # stored data
+            return covers_module._SMALL_COMPLEMENT_FAMILIES[n]
+        return (odd_complement_family if n % 2 else even_complement_family)(n)
+
+    if kind == "cycle":
+        for n in range(3, 61):
+            for p in sorted({1, 2, n // 2, n - 4, n - 3} & set(range(1, n - 2))):
+                yield (f"C{n} p{p}", lambda n=n, p=p: cycle_cover(n, p), make_cycle(n), p,
+                       [[(i + k) % n for k in range(p + 1)] for i in range(n)], (True, False))
+    elif kind == "co-cycle":
+        for n in range(5, 201):
+            yield (f"co-C{n}", lambda n=n: complement_cycle_cover(n), complement(make_cycle(n)),
+                   1, co_cycle(n), (n >= 9, True))
+    elif kind in ("lift", "public lift"):
+        for n in (*range(5, 41), 101, 200, 301):
+            base = co_cycle(n)
+            g = complement(make_cycle(n))
+            for q in range(1, 6):
+                if kind == "lift":
+                    make = lambda n=n, q=q: lift_cover(complement_cycle_cover(n), q)
+                    deferred = (n >= 9 or q > 1, True)
+                else:
+                    make = lambda n=n, q=q, base=base: lift_cover(CliqueCover(n, base), q)
+                    deferred = (q > 1, True)
+                yield f"{kind} co-C{n} q{q}", make, g, q, [*base, *[range(n)] * (q - 1)], deferred
+    else:
+        sets = [(0, 1), (), (2, 3, 4)]
+        g = Graph(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+        yield "public 5", lambda: CliqueCover(5, sets), g, 1, sets, (False, True)
+        for n in (5, 9, 10, 101):
+            yield (f"public co-C{n}", lambda n=n: CliqueCover(n, co_cycle(n)),
+                   complement(make_cycle(n)), 1, co_cycle(n), (False, True))
+
+
 def cells_cover(n, r, count, seed):
     """r sets over n vertices holding ``count`` seeded (set, vertex) cells."""
     sets = [set() for _ in range(r)]
@@ -544,6 +617,12 @@ def grid_built(monkeypatch, f):
     return inc, bool(calls)
 
 
+@pytest.fixture(scope="module")
+def literal_incidences():
+    """label -> literal_incidence of its family, computed once per module."""
+    return {}
+
+
 class TestIncidence:
     def test_rows_and_members_are_the_memberships(self):
         rows, members = CliqueCover(4, [(0, 2), (), (2, 3), (0, 2)])._incidence()
@@ -555,49 +634,36 @@ class TestIncidence:
         first = f._incidence()
         assert f._incidence() is first
 
-    def test_cycle_closed_form_equals_the_literal(self):
-        for n in range(3, 61):
-            for p in range(1, n - 2):
-                f = cycle_cover(n, p)
-                assert f._inc is not None  # filled by the construction
-                assert f._inc == literal_incidence(f), (n, p)
+    @pytest.mark.parametrize("kind", CONSTRUCTION_KINDS)
+    @pytest.mark.parametrize("name,view,read", READERS, ids=[r[0] for r in READERS])
+    def test_each_reader_builds_only_its_view(self, name, view, read, kind, literal_incidences):
+        # the one rule: _sets and _inc each hold the value or a builder run
+        # on first read; a reader of one view leaves the other as it was
+        for label, make, g, p, lit, deferred in constructions(kind):
+            public = CliqueCover(g.n, lit)  # the literal family, checked
+            if label not in literal_incidences:
+                literal_incidences[label] = literal_incidence(public)
+            where = f"{label}, read by {name}"
 
-    @pytest.mark.parametrize("n", range(5, 41))
-    def test_lift_stays_lazy_and_equals_the_literal(self, n):
-        # stored families (n <= 8) and public covers lift lazily; a closed
-        # form (n >= 9) hands its masks over and defers its sets
-        for q in range(1, 5):
-            public = lift_cover(CliqueCover(n, complement_cycle_cover(n).sets), q)
-            lifted = lift_cover(complement_cycle_cover(n), q)
-            for lazy in (public, lifted) if n <= 8 else (public,):
-                assert lazy._inc is None and type(lazy._sets) is tuple
-                assert lazy._incidence() == literal_incidence(lazy)
-            if n >= 9:
-                assert lifted._inc is not None and callable(lifted._sets)
-                assert lifted._inc == literal_incidence(lifted)
+            def holds_the_literal(c):
+                assert c.sets == public.sets and c.sets is c.sets, where  # kept
+                assert c._incidence() == literal_incidences[label], where
+                assert c._incidence() is c._incidence(), where
+                if kind.endswith("lift") and p >= 3:  # p is the lift's q
+                    assert c.sets[-1] is c.sets[-2], where  # one full set shared
 
-    def test_complement_closed_form_equals_the_literal(self):
-        for n in range(9, 201):
-            literal = CliqueCover(n, (odd_complement_family if n % 2 else even_complement_family)(n))
-            f = complement_cycle_cover(n)
-            assert callable(f._sets)  # holds the masks only
-            assert f._inc == literal_incidence(literal), n
-            assert f.sets == literal.sets, n
-            assert f.sets is f.sets  # built once and kept
-
-    def test_lift_hands_over_the_masks(self):
-        for n in (*range(9, 41), 101, 200, 301):
-            for q in range(1, 6):
-                f = complement_cycle_cover(n)
-                lifted = lift_cover(f, q)
-                assert callable(lifted._sets)  # holds the masks only
-                public = lift_cover(CliqueCover(n, f.sets), q)
-                assert lifted._inc == public._incidence(), (n, q)
-                assert lifted.sets == public.sets, (n, q)
-                assert lifted == public and public == lifted
-                assert hash(lifted) == hash(public)
-                if q >= 3:  # one full set shared by the p - 1 copies
-                    assert lifted.sets[-1] is lifted.sets[-2]
+            f = make()
+            assert (callable(f._sets), callable(f._inc)) == deferred, where
+            out = read(f, g, p, public)
+            if view == "sets":
+                assert out and callable(f._inc) == deferred[1], where
+            elif view == "masks":
+                assert out and callable(f._sets) == deferred[0], where
+            else:  # a copy carries both views as values
+                assert not callable(out._sets) and not callable(out._inc), where
+                assert out == f and hash(out) == hash(f), where
+                holds_the_literal(out)
+            holds_the_literal(f)
 
     def test_deferred_sets_equal_the_literal(self):
         for n in range(3, 61):
@@ -606,6 +672,7 @@ class TestIncidence:
                 runs = tuple(frozenset((i + k) % n for k in range(p + 1)) for i in range(n))
                 f = cycle_cover(n, p)
                 assert callable(f._sets)  # holds the masks only
+                assert f._incidence() == literal_incidence(CliqueCover(n, runs)), (n, p)
                 assert f.sets == runs, (n, p)
                 assert f.sets is f.sets  # built once and kept
                 for q in range(1, 5):  # a lift reads the deferred sets
@@ -631,19 +698,6 @@ class TestIncidence:
             assert d.cover_size == len(f)
             assert all(callable(c._sets) for c in (f, d.certificate))
 
-    def test_pickles_and_copies_with_deferred_sets(self):
-        # a deferred builder is a local function; the copy carries the sets
-        made = [cycle_cover(30, 4), complement_cycle_cover(9), complement_cycle_cover(10),
-                lift_cover(complement_cycle_cover(101), 3), lift_cover(complement_cycle_cover(7), 2),
-                CliqueCover(5, [(0, 1), (), (2, 3, 4)])]
-        for f in made:
-            inc = f._inc
-            for proto in range(pickle.HIGHEST_PROTOCOL + 1):
-                back = pickle.loads(pickle.dumps(f, proto))
-                assert back == f and hash(back) == hash(f) and back._inc == inc
-                assert type(back._sets) is tuple
-            assert copy.copy(f) == f and copy.deepcopy(f) == f
-
     @given(covers(max_n=9, max_sets=8), st.integers(4, 12), st.data())
     def test_filled_incidence_keeps_equality_and_hash(self, filled, n, data):
         filled._incidence()
@@ -667,12 +721,15 @@ class TestIncidence:
         g = p_competition_graph(realize(CliqueCover(f.n, f.sets)), 3)
         deferred = cycle_cover(1000, 30)  # threads race to build its sets
         lifted = lift_cover(complement_cycle_cover(301), 2)  # and the lift's
+        # a lift's masks, deferred twice: its builder runs the base's builder
+        masked = lift_cover(complement_cycle_cover(301), 2)
         results = []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(target=lambda: results.append(
-                (deferred.sets, lifted.sets, verify_p_ecc(g, f, 3), realize(f))))
+                (deferred.sets, lifted.sets, masked._incidence(), verify_p_ecc(g, f, 3),
+                 realize(f))))
                 for _ in range(6)]
             for t in threads:
                 t.start()
@@ -682,11 +739,14 @@ class TestIncidence:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 6 and len(set(results)) == 1
-        assert results[0][2].valid
+        assert results[0][3].valid
         assert f._incidence() == literal_incidence(f)
         assert deferred == CliqueCover(1000, [[(i + k) % 1000 for k in range(31)]
                                               for i in range(1000)])
-        assert lifted == CliqueCover(301, [*odd_complement_family(301), range(301)])
+        literal = CliqueCover(301, [*odd_complement_family(301), range(301)])
+        assert lifted == literal
+        assert masked._incidence() == results[0][2] == literal_incidence(literal)
+        assert callable(masked._sets)  # only the masks were read
 
 
 class TestIncidencePaths:
