@@ -16,25 +16,12 @@ all-p-subsets definition on small instances.
 
 Pair counts are popcounts of per-vertex set masks: with bit j of rows[v]
 set iff v is in S_j, the pair {u, v} lies in (rows[u] & rows[v]).bit_count()
-sets.  rows[v] is the out-mask of v in realize(F), so this is the same
-kernel as the common-prey count of the p-competition map.  A cover holds
-these masks, rows and members (bit v of members[j] set iff v is in S_j),
-beside its sets; ``CliqueCover._trusted`` states the one rule by which
-each view is built on first read and kept.
-
-The nonedge scan counts only the nonneighbours above u that
-``graphs._sharers`` names from u's sets, unless u has at most k - p of
-them (k: the sets holding u), when counting them all is cheaper than
-narrowing.  The edge scan counts every edge unless
-``graphs._one_short_unions`` gives an OR for u, as it does for a
-``lift_cover`` output and at every p = 1: then an edge above u is short
-iff it misses that OR.  Each of the two functions says why its rule
-holds.  Each scan meets the pairs of u lowest v first, so pairs are met
-in ascending order.  The nonedge scan runs first, so a verdict names the
-least nonedge in p sets if there is one, and only otherwise the least
-edge in fewer than p sets; that edge is reported as
-``family-smaller-than-p`` when the family has fewer than p sets, since
-then every edge is uncovered.
+sets.  rows[v] is the out-mask of v in realize(F), so the verifier reads
+each vertex's partners (the vertices sharing p sets with it) from the
+kernel that builds the p-competition map, ``graphs._partners``, which
+states its rules.  A cover holds these masks, rows and members (bit v of
+members[j] set iff v is in S_j), beside its sets; ``CliqueCover._trusted``
+states the one rule by which each view is built on first read and kept.
 
 ``CliqueCover(n, sets)`` checks n, and each distinct member once: an int
 (not a bool) in 0..n - 1, else ``graphs._vertex``'s message after the
@@ -47,7 +34,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InfeasibleError, InvalidParameterError, _at_least
-from .graphs import Graph, _one_short_unions, _sharers, _vertex, vertex_lists_from_json
+from .graphs import Graph, _partners, _vertex, vertex_lists_from_json
 
 REASON_UNCOVERED_EDGE = "uncovered-edge"
 REASON_NONEDGE_IN_P_SETS = "nonedge-in-p-sets"
@@ -175,8 +162,10 @@ class CliqueCover:
 
     def __reduce__(self) -> tuple:
         # pickle refuses a builder (often a local function), so a pickled
-        # cover carries both views as values
-        return CliqueCover._trusted, (self.n, self.sets, self._incidence())
+        # cover carries its sets as a value, and its incidence as a value
+        # once built, else as the default builder, which pickles by name
+        inc = self._inc
+        return CliqueCover._trusted, (self.n, self.sets, _incidence_of if callable(inc) else inc)
 
 
 class Verdict(NamedTuple):
@@ -198,12 +187,11 @@ class Verdict(NamedTuple):
 def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
     """Decide whether f is a p-edge clique cover of g.
 
-    An invalid verdict names one offending pair: the least nonadjacent
-    pair lying in p common sets if there is one, else the least edge
-    lying in fewer than p.  A family with fewer than p sets covers no
-    edge, so its verdict names g's least edge with the reason
-    ``family-smaller-than-p`` (and is valid when g has no edges, matching
-    the p-subset definition).
+    An invalid verdict names the least offending pair (u, v), u < v: a
+    nonadjacent pair lying in p common sets, or an edge lying in fewer
+    than p.  A family with fewer than p sets covers no edge, so an edge it
+    leaves short is reported as ``family-smaller-than-p`` (and the family
+    is valid when g has no edges, matching the p-subset definition).
     """
     if f.n != g.n:
         raise InvalidParameterError(
@@ -211,36 +199,16 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
     _at_least("p", p, 1)
     adj = g._adj
     rows, members = f._incidence()
-    full = (1 << g.n) - 1
-    # both scans meet pairs in ascending (u, v) order: the first hit is the least
-    for u, row in enumerate(rows):
-        spare = row.bit_count() - p  # sets of u a violator may miss
-        m = full & ~adj[u] & -(2 << u)  # nonneighbours above u
-        if m.bit_count() > spare:  # else checking them costs less than narrowing
-            m &= _sharers(row, members, p)
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            if (row & rows[v]).bit_count() >= p:
+    # row u offends above u where its partners and neighbours differ; rows
+    # come in order, so the first such pair is the least
+    for u, near in enumerate(_partners(rows, members, p)):
+        wrong = (near ^ adj[u]) & -(2 << u)
+        if wrong:
+            v = (wrong & -wrong).bit_length() - 1
+            if near >> v & 1:
                 return Verdict(False, REASON_NONEDGE_IN_P_SETS, (u, v))
-            m ^= low
-    # with fewer than p sets every edge is short, so the least edge is named
-    reason = REASON_FAMILY_SMALLER_THAN_P if len(f) < p else REASON_UNCOVERED_EDGE
-    unions = _one_short_unions(rows, members, p)
-    if unions is not None:  # an edge above u is short iff outside u's union
-        for u, near in enumerate(unions):
-            m = adj[u] & -(2 << u) & ~near
-            if m:
-                return Verdict(False, reason, (u, (m & -m).bit_length() - 1))
-        return Verdict(True)
-    for u, row in enumerate(rows):
-        m = adj[u] & -(2 << u)  # neighbours above u
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            if (row & rows[v]).bit_count() < p:
-                return Verdict(False, reason, (u, v))
-            m ^= low
+            reason = REASON_FAMILY_SMALLER_THAN_P if len(members) < p else REASON_UNCOVERED_EDGE
+            return Verdict(False, reason, (u, v))
     return Verdict(True)
 
 

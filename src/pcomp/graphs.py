@@ -51,24 +51,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-def _sharers(row: int, masks: list[int], p: int) -> int:
-    """OR of masks[j] over the lowest k - p + 1 set bits j of row, where k
-    is the popcount of row; 0 when k < p.
-
-    Read row as the sets a vertex u lies in (or the prey of a predator) and
-    masks[j] as the vertices in set j (the predators of prey j).  A vertex
-    v that shares at least p of u's k sets misses at most k - p of them, so
-    by pigeonhole it lies in at least one of any k - p + 1 of them: every
-    such v is in the returned mask.  It may hold vertices sharing fewer.
-    """
-    near = 0
-    for _ in range(row.bit_count() - p + 1):
-        low = row & -row
-        near |= masks[low.bit_length() - 1]
-        row ^= low
-    return near
-
-
 _NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
@@ -86,30 +68,34 @@ def _or_tables(masks: tuple[int, ...]) -> list[tuple[int, ...]]:
     return tables
 
 
-def _one_short_unions(rows: tuple[int, ...], masks: tuple[int, ...],
-                      p: int) -> Iterator[int] | None:
-    """For each rows[u], in order, the OR of masks[j] over its set bits j
-    outside p - 1 of the bits common to all rows, when those bits number
-    at least p - 1; None otherwise.
+def _partners(rows: tuple[int, ...], masks: tuple[int, ...], p: int) -> Iterator[int]:
+    """For each u in order, a mask of the vertices v != u that share at
+    least p sets with u, (rows[u] & rows[v]).bit_count() >= p; bit u is
+    left unspecified.
 
     Read rows[u] as the sets holding u (or the prey of predator u) and
-    masks[j] as the members of set j (the predators of prey j).  A set in
-    every row is a full set, like the p - 1 copies of V that ``lift_cover``
-    appends (Kim, McKee, McMorris and Roberts, LAA 217, 1995).  Set p - 1
-    of the full sets aside: every two vertices share them, so v shares p
-    sets with u iff v lies in one of u's other sets, which is iff v is in
-    the OR returned for u (u itself is, unless all its sets are set
-    aside).  That is one OR per set of each vertex in place of one
-    popcount per pair.  The full sets beyond p - 1 stay in the OR, so with
-    p or more of them every OR is every vertex.  With fewer than p - 1 a
-    shared set outside them is not enough, so the pair count stays.  At
-    p = 1 nothing is set aside.
+    masks[j] as the members of set j (the predators of prey j).  Two
+    vertices share as many prey in realize(F) as they share sets in F
+    (Kim, McKee, McMorris and Roberts, LAA 217, 1995), so this one kernel
+    serves the verifier and the p-competition map.  The rows are found
+    lazily, each in one of two ways, so a scan that stops early pays only
+    for the rows it read.
 
-    The AND of the rows stops once it reaches 0.  The ORs are taken
-    lazily, row by row, so a scan that stops early pays for the rows it
-    read.  A row whose bits are dense in its length reads its OR from
-    ``_or_tables``, one lookup per four sets, built once at the first such
-    row; a sparse one ORs its masks one by one.
+    Union mode.  A set in every row is a full set, like the p - 1 copies
+    of V that ``lift_cover`` appends.  When there are at least p - 1 of
+    them, set p - 1 aside: every two vertices share those, so v shares p
+    sets with u iff v lies in one of u's other sets, and the row is their
+    OR (u is in it unless all its sets are set aside).  The full sets
+    beyond p - 1 stay in the OR, so with p or more of them every row is
+    every vertex.  At p = 1 nothing is set aside, so this mode serves
+    every p = 1.  The AND of the rows stops once it reaches 0.
+
+    Count mode.  Otherwise row u counts shared sets by popcount, with the
+    vertices above u only, and carries each hit v to row v.  A vertex that
+    shares p of u's k sets misses at most k - p of them, so by pigeonhole
+    it lies in one of any k - p + 1 of them: when more than k - p
+    vertices lie above u, only those in u's lowest k - p + 1 sets are
+    counted, else counting them all is cheaper than narrowing.
     """
     every = -1
     for row in rows:
@@ -117,15 +103,40 @@ def _one_short_unions(rows: tuple[int, ...], masks: tuple[int, ...],
         if not every:
             break
     spare = every.bit_count() - p + 1  # full sets beyond the p - 1 set aside
-    if spare < 0:
-        return None
-    for _ in range(spare):  # the lowest of them go back into the ORs
-        every &= every - 1
-    return _unions(rows, masks, ~every)
+    if spare >= 0:
+        for _ in range(spare):  # the lowest of them go back into the ORs
+            every &= every - 1
+        yield from _unions(rows, masks, ~every)
+        return
+    n = len(rows)
+    lower = [0] * n  # each row's partners below it, carried from their rows
+    for u, row in enumerate(rows):
+        m = (1 << n) - (2 << u)  # the vertices above u
+        spare = row.bit_count() - p  # sets of u a partner may miss
+        if n - 1 - u > spare:
+            near, bits = 0, row
+            for _ in range(spare + 1):
+                low = bits & -bits
+                near |= masks[low.bit_length() - 1]
+                bits ^= low
+            m &= near
+        bit, found = 1 << u, 0
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            if (row & rows[v]).bit_count() >= p:
+                found |= low
+                lower[v] |= bit
+            m ^= low
+        yield lower[u] | found
 
 
 def _unions(rows: tuple[int, ...], masks: tuple[int, ...], keep: int) -> Iterator[int]:
-    """The ORs of ``_one_short_unions``, over the bits of each row in keep."""
+    """The union-mode rows of ``_partners``: for each row, the OR of
+    masks[j] over its bits j in keep.  A row whose bits are dense in its
+    length reads its OR from ``_or_tables``, one lookup per four sets,
+    built once at the first such row; a sparse one ORs its masks one by
+    one."""
     tables = None
     for row in rows:
         row &= keep

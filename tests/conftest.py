@@ -129,25 +129,26 @@ def literal_verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> bool:
 
 
 def reference_verdict(g: Graph, f: CliqueCover, p: int) -> Verdict:
-    """verify_p_ecc as it was before the bitmask kernel: count every pair
-    incidence of every set in a Counter, then report the least saturated
-    nonedge, else the least edge below p.  Kept as the reference the
-    bitmask verifier must match verdict for verdict."""
-    edges = sorted(g.edges)
-    if len(f.sets) < p and edges:
-        return Verdict(False, REASON_FAMILY_SMALLER_THAN_P, edges[0])
+    """verify_p_ecc as it was before the bitmask kernel, with its witness
+    rule: count every pair incidence of every set in a Counter, then report
+    the least pair among the nonedges in p sets and the edges in fewer.
+    Kept as the reference the bitmask verifier must match verdict for
+    verdict."""
     counts = Counter()
     for s in f.sets:
         for pair in combinations(sorted(s), 2):
             counts[pair] += 1
-    saturated_nonedges = sorted(
-        pair for pair, c in counts.items() if c >= p and not g.has_edge(*pair))
-    if saturated_nonedges:
-        return Verdict(False, REASON_NONEDGE_IN_P_SETS, saturated_nonedges[0])
-    for e in edges:
-        if counts.get(e, 0) < p:
-            return Verdict(False, REASON_UNCOVERED_EDGE, e)
-    return Verdict(True)
+    saturated_nonedges = [
+        pair for pair, c in counts.items() if c >= p and not g.has_edge(*pair)]
+    short_edges = [e for e in g.edges if counts.get(e, 0) < p]
+    if not saturated_nonedges and not short_edges:
+        return Verdict(True)
+    pair = min(saturated_nonedges + short_edges)
+    if not g.has_edge(*pair):
+        return Verdict(False, REASON_NONEDGE_IN_P_SETS, pair)
+    if len(f.sets) < p:
+        return Verdict(False, REASON_FAMILY_SMALLER_THAN_P, pair)
+    return Verdict(False, REASON_UNCOVERED_EDGE, pair)
 
 
 def random_instance(rng, max_n=7, max_sets=10, max_p=3):

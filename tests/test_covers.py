@@ -102,12 +102,43 @@ class TestVerifyPEcc:
         # p-subset conditions hold vacuously
         assert verify_p_ecc(Graph(4), CliqueCover(4, [(0, 1)]), 3).valid
 
-    def test_nonedge_saturation_detected(self):
+    def test_least_offending_pair_is_named(self):
+        # C4 at p = 2: the nonedge (0, 2) lies in both sets, but the edge
+        # (0, 1) lies in none and is the lesser pair
         f = CliqueCover(4, [(0, 2)] * 2)
-        verdict = verify_p_ecc(make_cycle(4), f, 2)
-        assert not verdict.valid
-        assert verdict.reason == REASON_NONEDGE_IN_P_SETS
-        assert verdict.pair == (0, 2)
+        assert verify_p_ecc(make_cycle(4), f, 2) == (False, REASON_UNCOVERED_EDGE, (0, 1))
+        # a nonedge below every short edge is named first
+        g = Graph(4, [(1, 2)])
+        assert verify_p_ecc(g, f, 2) == (False, REASON_NONEDGE_IN_P_SETS, (0, 2))
+
+    def test_nonedge_saturation_detected(self):
+        # a valid C5 2-cover plus one set holding the nonedge (0, 2), which
+        # then lies in two sets: the only offence is that nonedge
+        f = CliqueCover(5, [*cycle_cover(5, 2).sets, (0, 2)])
+        assert verify_p_ecc(make_cycle(5), f, 2) == (False, REASON_NONEDGE_IN_P_SETS, (0, 2))
+
+    @pytest.mark.parametrize("n,p", [(12, 1), (12, 3), (40, 2), (40, 5), (200, 10)])
+    def test_reads_partner_rows_up_to_the_first_disagreement(self, monkeypatch, n, p):
+        # one set of cycle_cover(n, p) dropped leaves its p cycle edges
+        # short; the least of them is at row k, or at row 0 when the set
+        # wraps past n - 1, and no row past it is computed
+        read = []
+        partners = covers_module._partners
+
+        def counting(*args):
+            for row in partners(*args):
+                read.append(row)
+                yield row
+
+        monkeypatch.setattr(covers_module, "_partners", counting)
+        g, f = make_cycle(n), cycle_cover(n, p)
+        for k in (0, 1, n // 2, n - p - 1, n - p, n - 1):
+            read.clear()
+            dropped = CliqueCover(n, f.sets[:k] + f.sets[k + 1:])
+            verdict = verify_p_ecc(g, dropped, p)
+            assert verdict == reference_verdict(g, dropped, p)
+            assert verdict.pair[0] == (k if k + p < n else 0)
+            assert len(read) == verdict.pair[0] + 1, k
 
     @settings(max_examples=300)
     @given(graph_cover_p())
@@ -187,8 +218,8 @@ def families_with_full_sets(draw, max_n=8, max_sets=6, max_p=4):
 
 
 class TestFullSets:
-    """With c >= p - 1 full sets, the edge scan reads each vertex's
-    sharers off the OR of its sets outside p - 1 full ones; a smaller c
+    """With c >= p - 1 full sets, the partner kernel reads each vertex's
+    partners off the OR of its sets outside p - 1 full ones; a smaller c
     keeps the pair count.  Verdicts match the Counter-based reference, witness
     included, and validity the literal definition."""
 
@@ -271,24 +302,26 @@ def _share_graph(f, p):
                        if co_occurrences(f, *pr) >= p])
 
 
-def _nonedge_scans(g, f, p):
-    """How verify_p_ecc treats the nonneighbours above each vertex that
-    lies in k >= p sets: "narrowed" to the sharers of its lowest k - p + 1
-    sets when it has more than k - p of them, else "direct"."""
+def _count_rows(f, p):
+    """How graphs._partners treats the vertices above each vertex that lies
+    in k >= p sets, when f has fewer than p - 1 full sets: "narrowed" to
+    those in its lowest k - p + 1 sets when more than k - p lie above it,
+    else "direct"."""
+    assert sum(len(s) == f.n for s in f.sets) < p - 1
     scans = set()
-    for u in range(g.n):
+    for u in range(f.n):
         k = sum(1 for s in f.sets if u in s)
         if k >= p:
-            above = sum(1 for v in range(u + 1, g.n) if not g.has_edge(u, v))
-            scans.add("narrowed" if above > k - p else "direct")
+            scans.add("narrowed" if f.n - 1 - u > k - p else "direct")
     return scans
 
 
 class TestPigeonholeFilter:
-    """The nonedge scan checks a nonneighbour v of u only if v lies in one
-    of u's lowest k - p + 1 sets (k: the sets holding u), or all of them
-    when u has at most k - p above it.  Verdicts and witnesses match the
-    Counter-based reference on families at the edge of the filter."""
+    """In count mode the partner kernel checks a vertex v above u only if
+    v lies in one of u's lowest k - p + 1 sets (k: the sets holding u), or
+    all of them when u has at most k - p above it.  Verdicts and witnesses
+    match the Counter-based reference on families at the edge of the
+    filter."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_vertices_in_p_minus_one_to_p_plus_one_sets(self, seed):
@@ -313,25 +346,26 @@ class TestPigeonholeFilter:
         counts = [rng.randint(p, p + 4) for _ in range(n)]
         f = _counted_family(rng, n, rng.randint(p + 4, 3 * p + 12), counts)
         u = rng.randrange(n - 1)
-        # co-C_n leaves each vertex at most two nonneighbours above it, so
-        # most rows are checked directly; the share graph of f leaves many,
-        # so most are narrowed.  Saturating {u, u + 1} puts a violation in
-        # each: a cycle edge of C_n, and a nonedge once removed from g.
+        # the rows up to n - 1 - (k - p) are narrowed, the last ones checked
+        # directly.  Saturating {u, u + 1} puts a violation in both graphs:
+        # co-C_n, which f leaves short on most edges, so the least pair
+        # offends with either reason, and the share graph of the saturated
+        # family with {u, u + 1} removed, where it is the only offence.
         saturated = CliqueCover(n, [*f.sets, *[(u, u + 1)] * p])
         dense = complement(make_cycle(n))
         sparse = Graph(n, _share_graph(saturated, p).edges - {(u, u + 1)})
-        assert _nonedge_scans(dense, f, p) >= {"direct"}
-        assert _nonedge_scans(sparse, f, p) >= {"narrowed"}
+        if p >= 2:
+            assert _count_rows(f, p) == _count_rows(saturated, p) == {"direct", "narrowed"}
         for g in (dense, sparse):
             for h in (f, saturated):
                 verdict = verify_p_ecc(g, h, p)
                 assert verdict == reference_verdict(g, h, p)
-            assert verdict.reason == REASON_NONEDGE_IN_P_SETS
+        assert verdict == (False, REASON_NONEDGE_IN_P_SETS, (u, u + 1))
 
     def test_both_scans_met_within_one_graph(self):
-        # the upper half lies in many sets with few nonneighbours above, so
-        # is checked directly; the lower half is narrowed, and holds the
-        # one violation: an edge of the share graph taken out
+        # the top rows lie in many sets with few vertices above, so are
+        # checked directly; the lower half is narrowed, and holds the least
+        # violation: an edge of the share graph taken out
         rng = random.Random("mixed")
         for n in (30, 55, 80):
             for p in (1, 2, 4):
@@ -347,7 +381,8 @@ class TestPigeonholeFilter:
                 upper = {(u, v) for u, v in combinations(range(half + 1, n), 2) if v > u + 3}
                 lower = sorted(e for e in edges if e[1] <= half)
                 g = Graph(n, (edges | upper) - {rng.choice(lower)})
-                assert _nonedge_scans(g, f, p) == {"direct", "narrowed"}
+                if p >= 2:
+                    assert _count_rows(f, p) == {"direct", "narrowed"}
                 verdict = verify_p_ecc(g, f, p)
                 assert verdict == reference_verdict(g, f, p)
                 assert verdict.reason == REASON_NONEDGE_IN_P_SETS
@@ -659,11 +694,31 @@ class TestIncidence:
                 assert out and callable(f._inc) == deferred[1], where
             elif view == "masks":
                 assert out and callable(f._sets) == deferred[0], where
-            else:  # a copy carries both views as values
-                assert not callable(out._sets) and not callable(out._inc), where
+            else:  # a copy carries the sets as a value, and the masks as
+                # a value once built, else as the default builder
+                assert not callable(out._sets), where
+                assert callable(out._inc) == callable(f._inc) == deferred[1], where
+                if deferred[1]:
+                    assert out._inc is covers_module._incidence_of, where
                 assert out == f and hash(out) == hash(f), where
                 holds_the_literal(out)
             holds_the_literal(f)
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy,
+        *(lambda f, proto=proto: pickle.loads(pickle.dumps(f, proto))
+          for proto in range(pickle.HIGHEST_PROTOCOL + 1))])
+    def test_a_copy_builds_no_masks(self, copier):
+        # the copy carries the default builder by name, so neither cover
+        # has built its masks until one is read
+        f = CliqueCover(1000, cycle_cover(1000, 30).sets)
+        out = copier(f)
+        assert f._inc is out._inc is covers_module._incidence_of
+        assert out.sets == f.sets
+        assert out._incidence() == f._incidence() == literal_incidence(f)
+        # a built incidence is carried as a value
+        again = copier(f)
+        assert again._incidence() == f._incidence() and not callable(again._inc)
 
     def test_deferred_sets_equal_the_literal(self):
         for n in range(3, 61):

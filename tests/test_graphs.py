@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import example, given
@@ -28,7 +28,8 @@ from pcomp import (
     realize,
     verify_p_ecc,
 )
-from pcomp.graphs import MAX_N, _one_short_unions, _sharers, iter_bits
+import pcomp.graphs as graphs_module
+from pcomp.graphs import MAX_N, _partners
 
 
 def cycle_edges(n):
@@ -37,35 +38,6 @@ def cycle_edges(n):
 
 def literal_nonedges(n, edges):
     return {pr for pr in combinations(range(n), 2) if pr not in edges}
-
-
-class TestSharers:
-    """_sharers(row, masks, p) ORs masks over the lowest k - p + 1 bits of
-    row: it holds every vertex whose row shares p bits with row."""
-
-    @given(st.integers(0, 12), st.data())
-    def test_holds_every_vertex_sharing_p_bits(self, r, data):
-        n = data.draw(st.integers(1, 40))
-        rows = data.draw(st.lists(st.integers(0, (1 << r) - 1), min_size=n, max_size=n))
-        p = data.draw(st.integers(1, 4))
-        masks = [sum(1 << v for v, row in enumerate(rows) if row >> j & 1) for j in range(r)]
-        for row in rows:
-            near = _sharers(row, masks, p)
-            for v, other in enumerate(rows):
-                if (row & other).bit_count() >= p:
-                    assert near >> v & 1
-
-    def test_or_of_the_lowest_k_minus_p_plus_1_masks(self):
-        masks = [1 << j for j in range(8)]
-        row = 0b10110110  # bits 1, 2, 4, 5, 7
-        assert _sharers(row, masks, 5) == 0b10
-        assert _sharers(row, masks, 4) == 0b110
-        assert _sharers(row, masks, 1) == row
-        assert [*iter_bits(_sharers(row, masks, 3))] == [1, 2, 4]
-
-    @pytest.mark.parametrize("row,p", [(0, 1), (0b1, 2), (0b1011, 4)])
-    def test_empty_below_p_bits(self, row, p):
-        assert _sharers(row, [-1] * 4, p) == 0
 
 
 def rows_of(members, n):
@@ -85,40 +57,104 @@ def seeded_full_set_families(p, n, rng):
             yield rows_of(members, n), tuple(members), sum(m == (1 << n) - 1 for m in members)
 
 
-class TestOneShortUnions:
-    """_one_short_unions(rows, masks, p) sets p - 1 full sets aside and
-    ORs each row's other sets, so the OR without u is exactly the vertices
-    sharing p sets with u; with fewer than p - 1 full sets it is None."""
+def literal_partners(rows, p):
+    """For each u, the mask of the v != u with (rows[u] & rows[v]) of at least p bits."""
+    return [sum(1 << v for v in range(len(rows)) if v != u and (rows[u] & rows[v]).bit_count() >= p)
+            for u in range(len(rows))]
+
+
+class ReadLog(tuple):
+    """A tuple of masks that logs the index of every item read."""
+
+    def __new__(cls, items):
+        log = super().__new__(cls, items)
+        log.read = []
+        return log
+
+    def __getitem__(self, j):
+        self.read.append(j)
+        return super().__getitem__(j)
+
+
+class TestPartners:
+    """_partners(rows, masks, p) yields, row by row, the vertices sharing
+    p sets with each u (bit u unspecified): the OR of u's sets outside
+    p - 1 full ones when there are that many full sets, else a popcount
+    of u's pigeonhole candidates above it, each hit carried down."""
 
     @pytest.mark.parametrize("p", range(1, 5))
-    def test_matches_literal_pair_count(self, p):
+    def test_matches_literal_pair_count_in_both_modes(self, p):
         for n in range(1, 9):
-            rng = random.Random(f"unions-{p}-{n}")
-            for rows, members, c in seeded_full_set_families(p, n, rng):
-                unions = _one_short_unions(rows, members, p)
-                assert (unions is None) == (c < p - 1)
-                if unions is None:
-                    continue
-                for u, near in enumerate(unions):
-                    sharers = sum(1 << v for v in range(n)
-                                  if v != u and (rows[u] & rows[v]).bit_count() >= p)
-                    assert near & ~(1 << u) == sharers, (rows, p, u)
+            rng = random.Random(f"partners-{p}-{n}")
+            for rows, members, _ in seeded_full_set_families(p, n, rng):
+                got = [near & ~(1 << u) for u, near in enumerate(_partners(rows, members, p))]
+                assert got == literal_partners(rows, p), (rows, p)
 
-    @pytest.mark.parametrize("p,c,none", [
-        (1, 0, False), (1, 2, False), (2, 0, True), (2, 1, False), (2, 3, False),
-        (4, 2, True), (4, 3, False), (4, 5, False)])
-    def test_none_exactly_below_p_minus_1_full_sets(self, p, c, none):
+    @given(st.integers(0, 12), st.data())
+    def test_matches_literal_pair_count_on_drawn_rows(self, r, data):
+        n = data.draw(st.integers(1, 40))
+        rows = data.draw(st.lists(st.integers(0, (1 << r) - 1), min_size=n, max_size=n))
+        p = data.draw(st.integers(1, 4))
+        masks = tuple(sum(1 << v for v, row in enumerate(rows) if row >> j & 1) for j in range(r))
+        got = [near & ~(1 << u) for u, near in enumerate(_partners(tuple(rows), masks, p))]
+        assert got == literal_partners(rows, p)
+
+    @pytest.mark.parametrize("p,c,union", [
+        (1, 0, True), (1, 2, True), (2, 0, False), (2, 1, True), (2, 3, True),
+        (4, 2, False), (4, 3, True), (4, 5, True)])
+    def test_union_mode_exactly_from_p_minus_1_full_sets(self, monkeypatch, p, c, union):
         # c full sets on 3 vertices, before and after two sets that hold
         # vertex 0 alone and vertices 1 and 2
-        members = [7] * (c - c // 2) + [1, 6] + [7] * (c // 2)
-        assert (_one_short_unions(rows_of(members, 3), tuple(members), p) is None) == none
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return unions(*args)
+
+        unions = graphs_module._unions
+        monkeypatch.setattr(graphs_module, "_unions", counting)
+        members = (7,) * (c - c // 2) + (1, 6) + (7,) * (c // 2)
+        rows = rows_of(members, 3)
+        got = [near & ~(1 << u) for u, near in enumerate(_partners(rows, members, p))]
+        assert bool(calls) == union
+        assert got == literal_partners(rows, p)
+
+    @pytest.mark.parametrize("p", range(1, 5))
+    @pytest.mark.parametrize("full", [False, True], ids=["count", "union"])
+    def test_a_prefix_of_the_rows_reads_right(self, p, full):
+        # each prefix is read from a fresh generator, so no row is computed
+        # past it; a count-mode row holds the partners carried from below
+        rng = random.Random(f"prefix-{p}-{full}")
+        n = 40
+        members = [rng.getrandbits(n) for _ in range(p + 8)] + [(1 << n) - 1] * (p - 1) * full
+        rows = rows_of(members, n)
+        literal = literal_partners(rows, p)
+        for stop in (0, 1, 7, 20, 39):
+            got = [near & ~(1 << u)
+                   for u, near in enumerate(islice(_partners(rows, tuple(members), p), stop))]
+            assert got == literal[:stop], stop
+
+    @pytest.mark.parametrize("k,p", [(2, 2), (3, 2), (7, 2), (4, 3), (6, 4), (5, 5)])
+    def test_narrows_to_the_lowest_k_minus_p_plus_1_sets(self, k, p):
+        # vertex u lies in sets 0..k - 1 and every other vertex in none, so
+        # count mode runs (p >= 2, no full set) and no row but u's reads a
+        # mask; u's reads its lowest k - p + 1 only when more than k - p
+        # vertices lie above it, else it counts them all
+        n = 8
+        for u in range(n):
+            masks = ReadLog([1 << u] * k)
+            rows = tuple((1 << k) - 1 if v == u else 0 for v in range(n))
+            partners = [near & ~(1 << v) for v, near in enumerate(_partners(rows, masks, p))]
+            assert partners == [0] * n
+            assert masks.read == ([*range(k - p + 1)] if n - 1 - u > k - p else []), u
 
     def test_k300_with_two_copies_of_v_at_p_2(self):
         # c = 2 >= p: every pair shares p sets, read off the ORs alone
         n = 300
         f = CliqueCover(n, [range(n), range(n), range(0, n, 2)])
         kn = complement(Graph(n, []))
-        assert _one_short_unions(*f._incidence(), 2) is not None
+        assert all(near | 1 << u == (1 << n) - 1
+                   for u, near in enumerate(_partners(*f._incidence(), 2)))
         assert verify_p_ecc(kn, f, 2).valid
         assert p_competition_graph(realize(f), 2) == kn
 

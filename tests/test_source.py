@@ -206,3 +206,30 @@ def test_set_count_lint_sees_a_planted_call():
                      "def realize(f):\n"
                      "    return len(f.sets) > f.n\n")
     assert _sets_lengths(tree) == [5]
+
+
+def _pair_count_compares(tree: ast.AST) -> list[int]:
+    """Lines of each comparison between a `.bit_count()` call and `p`."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(isinstance(side, ast.Name) and side.id == "p"
+                    for side in (node.left, *node.comparators))
+            and any(isinstance(side, ast.Call) and isinstance(side.func, ast.Attribute)
+                    and side.func.attr == "bit_count" for side in (node.left, *node.comparators))]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "graphs.py"],
+                         ids=lambda p: p.name)
+def test_pair_counts_meet_p_in_the_partner_kernel_alone(path):
+    # whether two vertices share p sets (or prey) is decided in one place,
+    # graphs._partners, which the verifier and the p-competition map read
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _pair_count_compares(tree)
+    assert lines == [], f"{path.name}: a popcount compared with p on lines {lines}"
+
+
+def test_pair_count_lint_sees_an_inline_check():
+    tree = ast.parse("if (row & rows[v]).bit_count() >= p:\n"
+                     "    pass\n"
+                     "short = p > (ox & out[y]).bit_count()\n"
+                     "wide = m.bit_count() > spare\n")
+    assert _pair_count_compares(tree) == [1, 3]
