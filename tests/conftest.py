@@ -129,11 +129,10 @@ def literal_verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> bool:
 
 
 def reference_verdict(g: Graph, f: CliqueCover, p: int) -> Verdict:
-    """verify_p_ecc as it was before the bitmask kernel, with its witness
-    rule: count every pair incidence of every set in a Counter, then report
-    the least pair among the nonedges in p sets and the edges in fewer.
-    Kept as the reference the bitmask verifier must match verdict for
-    verdict."""
+    """verify_p_ecc without the bitmask kernel: count every pair incidence
+    of every set in a Counter, then report the least pair among the
+    nonedges in p sets and the edges in fewer.  Kept as the reference the
+    bitmask verifier must match verdict for verdict, witness included."""
     counts = Counter()
     for s in f.sets:
         for pair in combinations(sorted(s), 2):
