@@ -29,6 +29,4 @@ def common_prey_count(d: Digraph, x: int, y: int) -> int:
 def p_competition_graph(d: Digraph, p: int) -> Graph:
     """Graph on d's vertices with {x, y} an edge iff they share >= p prey."""
     _at_least("p", p, 1)
-    # the kernel leaves bit x of x's row unspecified, so it is cleared
-    partners = _partners(d._out, d._in, p)
-    return Graph._from_masks(d.n, [near & ~(1 << x) for x, near in enumerate(partners)])
+    return Graph._from_masks(d.n, _partners(d._out, d._in, p))

@@ -199,11 +199,12 @@ def verify_p_ecc(g: Graph, f: CliqueCover, p: int) -> Verdict:
     _at_least("p", p, 1)
     adj = g._adj
     rows, members = f._incidence()
-    # row u offends above u where its partners and neighbours differ; rows
-    # come in order, so the first such pair is the least
+    # row u offends where its partners and neighbours differ; both are
+    # symmetric, so the first row that differs does so above u alone, and
+    # its lowest such v gives the least pair
     for u, near in enumerate(_partners(rows, members, p)):
-        wrong = (near ^ adj[u]) & -(2 << u)
-        if wrong:
+        if near != adj[u]:
+            wrong = near ^ adj[u]
             v = (wrong & -wrong).bit_length() - 1
             if near >> v & 1:
                 return Verdict(False, REASON_NONEDGE_IN_P_SETS, (u, v))
@@ -242,9 +243,17 @@ def cycle_cover(n: int, p: int) -> CliqueCover:
     members = (*(run << i for i in range(wrap)),
                *(((run << i) & full) | (run >> (n - i)) for i in range(wrap, n)))
 
-    def sets(_):  # slices of the vertices twice over, so the runs share their ints
-        ring = tuple(range(n)) * 2
-        return tuple(frozenset(ring[i:i + p + 1]) for i in range(n))
+    def sets(_):  # one run slid along the cycle and copied at each step: a copy
+        # of a set keeps its members' hashes and is sized for them once, and
+        # every set shares the ints of one vertex tuple
+        vs = tuple(range(n))
+        run = set(vs[:p + 1])
+        out = [frozenset(run)]
+        for i, v in zip(vs, vs[p + 1:] + vs[:p]):
+            run.discard(i)
+            run.add(v)
+            out.append(frozenset(run))
+        return tuple(out)
 
     return CliqueCover._trusted(n, sets, (members[wrap:] + members[:wrap], members))
 

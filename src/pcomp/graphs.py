@@ -71,7 +71,7 @@ def _or_tables(masks: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _partners(rows: tuple[int, ...], masks: tuple[int, ...], p: int) -> Iterator[int]:
     """For each u in order, a mask of the vertices v != u that share at
     least p sets with u, (rows[u] & rows[v]).bit_count() >= p; bit u is
-    left unspecified.
+    clear, so the rows are symmetric.
 
     Read rows[u] as the sets holding u (or the prey of predator u) and
     masks[j] as the members of set j (the predators of prey j).  Two
@@ -85,10 +85,10 @@ def _partners(rows: tuple[int, ...], masks: tuple[int, ...], p: int) -> Iterator
     of V that ``lift_cover`` appends.  When there are at least p - 1 of
     them, set p - 1 aside: every two vertices share those, so v shares p
     sets with u iff v lies in one of u's other sets, and the row is their
-    OR (u is in it unless all its sets are set aside).  The full sets
-    beyond p - 1 stay in the OR, so with p or more of them every row is
-    every vertex.  At p = 1 nothing is set aside, so this mode serves
-    every p = 1.  The AND of the rows stops once it reaches 0.
+    OR without u.  The full sets beyond p - 1 stay in the OR, so with p or
+    more of them every row is every vertex but u.  At p = 1 nothing is set
+    aside, so this mode serves every p = 1.  The AND of the rows stops
+    once it reaches 0.
 
     Count mode.  Otherwise row u counts shared sets by popcount, with the
     vertices above u only, and carries each hit v to row v.  A vertex that
@@ -132,13 +132,13 @@ def _partners(rows: tuple[int, ...], masks: tuple[int, ...], p: int) -> Iterator
 
 
 def _unions(rows: tuple[int, ...], masks: tuple[int, ...], keep: int) -> Iterator[int]:
-    """The union-mode rows of ``_partners``: for each row, the OR of
-    masks[j] over its bits j in keep.  A row whose bits are dense in its
-    length reads its OR from ``_or_tables``, one lookup per four sets,
-    built once at the first such row; a sparse one ORs its masks one by
-    one."""
+    """The union-mode rows of ``_partners``: for each row u, the OR of
+    masks[j] over its bits j in keep, without u.  A row whose bits are
+    dense in its length reads its OR from ``_or_tables``, one lookup per
+    four sets, built once at the first such row; a sparse one ORs its masks
+    one by one."""
     tables = None
-    for row in rows:
+    for u, row in enumerate(rows):
         row &= keep
         near = 0
         # the tables take one lookup per four bits up to the row's top bit,
@@ -154,7 +154,7 @@ def _unions(rows: tuple[int, ...], masks: tuple[int, ...], keep: int) -> Iterato
                 low = row & -row
                 near |= masks[low.bit_length() - 1]
                 row ^= low
-        yield near
+        yield near and near ^ 1 << u  # u lies in every set it ORed
 
 
 def _vertex(v: int, n: int) -> int:

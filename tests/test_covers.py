@@ -417,6 +417,19 @@ class TestCycleCover:
                 assert cycle_cover(n, p).sets == tuple(
                     frozenset((i + k) % n for k in range(p + 1)) for i in range(n))
 
+    def test_each_set_is_sized_for_its_members(self):
+        # a copy of a set is sized once for its members, where a frozenset
+        # grown from a slice can take twice the table
+        for n in range(4, 61):
+            for p in range(1, n - 2):
+                for s in cycle_cover(n, p).sets:
+                    assert sys.getsizeof(s) == sys.getsizeof(frozenset(set(s))), (n, p, s)
+
+    def test_sets_share_the_vertices_ints(self):
+        # every member is one of n int objects, not a fresh int per set
+        sets = cycle_cover(1000, 30).sets
+        assert len({id(v) for s in sets for v in s}) == 1000
+
     def test_p_below_one_rejected(self):
         with pytest.raises(InvalidParameterError):
             cycle_cover(5, 0)
