@@ -129,15 +129,10 @@ def _clique_masks(g: Graph, guard: int) -> list[int]:
         if not p and not x:
             found.append(r)
             return
-        # pivot with most neighbors in P; ties to the lowest vertex
-        pivot, best = -1, -1
-        probe = p | x
-        while probe:
-            u = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            score = (p & adj[u]).bit_count()
-            if score > best:
-                pivot, best = u, score
+        # any vertex of P | X is a sound pivot; the lowest takes one step,
+        # and a scan for the most neighbours in P costs more than it prunes
+        # on co-C_n
+        pivot = ((p | x) & -(p | x)).bit_length() - 1
         candidates = p & ~adj[pivot]
         while candidates:
             bit = candidates & -candidates

@@ -3,7 +3,7 @@ import sys
 from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -41,6 +41,14 @@ from pcomp import (
 from pcomp.oracle import _clique_masks, _closed_edges, _row_rounds, _tables
 
 
+def random_graph(n, density, seed, hubs=0):
+    """G(n, density) drawn from random.Random(seed), with the top `hubs`
+    labels joined to every lower vertex."""
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for v in range(n) for u in range(v)
+                     if v >= n - hubs or rng.random() < density])
+
+
 class TestMaximalCliques:
     def test_c5_cliques_are_its_edges(self):
         assert maximal_cliques(make_cycle(5)) == [
@@ -64,6 +72,12 @@ class TestMaximalCliques:
         with pytest.raises(ScaleError):
             maximal_cliques(Graph(33))
 
+    # the lowest-vertex pivot's worst cases: hubs at the top labels, and
+    # a dense graph
+    @example(random_graph(12, 0.3, 12, hubs=3))
+    @example(random_graph(13, 0.3, 13, hubs=3))
+    @example(random_graph(14, 0.3, 14, hubs=3))
+    @example(random_graph(14, 0.85, 14))
     @given(graphs(max_n=7))
     def test_all_maximal_and_none_missing(self, g):
         from itertools import combinations

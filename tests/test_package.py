@@ -156,3 +156,20 @@ print(failed or got)
 @pytest.mark.parametrize("attempt", range(5))
 def test_first_use_from_many_threads(attempt):
     assert child(THREADS).strip() == "[True, 5, 6, 6, 1, True, 5, 1]"
+
+
+def test_a_write_or_delete_before_the_first_read_runs_the_body_first():
+    # otherwise the body, run on the next read, would overwrite the write
+    # and the delete would find nothing to delete
+    code = """
+import pcomp
+sentinel = object()
+pcomp.covers.cycle_cover = sentinel
+del pcomp.realization.excerpt
+g = pcomp.complement(pcomp.make_cycle(6))
+print(pcomp.covers.cycle_cover is sentinel,
+      pcomp.covers.verify_p_ecc(g, pcomp.covers.complement_cycle_cover(6), 1).valid,
+      hasattr(pcomp.realization, "excerpt"),
+      pcomp.realization.realize(pcomp.covers.complement_cycle_cover(6)).n)
+"""
+    assert child(code).split() == ["True", "True", "False", "6"]

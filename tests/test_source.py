@@ -5,6 +5,7 @@ import sys
 
 import pytest
 from conftest import SRC, child_env
+from linecount import count
 
 SOURCES = sorted((SRC / "pcomp").glob("*.py"))
 
@@ -233,3 +234,16 @@ def test_pair_count_lint_sees_an_inline_check():
                      "short = p > (ox & out[y]).bit_count()\n"
                      "wide = m.bit_count() > spare\n")
     assert _pair_count_compares(tree) == [1, 3]
+
+
+def test_line_counter_splits_a_planted_module():
+    # tests/linecount.py gives the code and docstring counts CHANGES.md reports
+    text = ('"""Module\n'
+            'docstring."""\n'
+            '\n'
+            '# a comment\n'
+            'def f(x):\n'
+            '    """One line."""\n'
+            '    return """not a\n'
+            'docstring"""  # trailing\n')
+    assert count(text) == (8, 3, 3)
